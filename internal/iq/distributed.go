@@ -86,17 +86,42 @@ func (d *Distributed) DispatchWeighted(r Request, pick float64) bool {
 	return d.queueFor(r.FU).DispatchWeighted(r, pick)
 }
 
+// MarkReady flags the queued request with this handle as ready in
+// whichever per-pool queue holds it (see Queue.MarkReady).
+func (d *Distributed) MarkReady(handle int) { d.holder(handle).MarkReady(handle) }
+
+// UnmarkReady clears a queued request's ready flag (see Queue.UnmarkReady).
+func (d *Distributed) UnmarkReady(handle int) { d.holder(handle).UnmarkReady(handle) }
+
+// holder returns the per-pool queue holding handle. The pools are few, so
+// probing each queue's handle index is cheaper than keeping a second one.
+func (d *Distributed) holder(handle int) *Queue {
+	for _, q := range d.qs {
+		if _, ok := q.find(handle); ok {
+			return q
+		}
+	}
+	panic(fmt.Sprintf("iq: handle %d is not queued in any pool", handle))
+}
+
+// Visit visits every queued request, pool by pool (see Queue.Visit).
+func (d *Distributed) Visit(visit func(r Request, ready bool)) {
+	for _, q := range d.qs {
+		q.Visit(visit)
+	}
+}
+
 // Select walks the queues in pool order, sharing the total issue width.
 // Each per-pool select still enforces the FU constraints via fuTryAlloc.
 // The returned slice aliases an internal buffer and is only valid until the
 // next Select call.
-func (d *Distributed) Select(issueWidth int, ready func(int) bool, fuTryAlloc func(int) bool) []Request {
+func (d *Distributed) Select(issueWidth int, fuTryAlloc func(int) bool) []Request {
 	granted := d.grantBuf[:0]
 	for _, q := range d.qs {
 		if issueWidth <= len(granted) {
 			break
 		}
-		granted = append(granted, q.Select(issueWidth-len(granted), ready, fuTryAlloc)...)
+		granted = append(granted, q.Select(issueWidth-len(granted), fuTryAlloc)...)
 	}
 	d.grantBuf = granted
 	return granted

@@ -83,7 +83,7 @@ func TestDistributedSelectSharesWidth(t *testing.T) {
 	for i := 6; i < 10; i++ {
 		d.DispatchNormal(Request{Handle: i, Seq: uint64(i), FU: int(isa.ClassFPU)})
 	}
-	granted := d.Select(4, func(int) bool { return true }, func(int) bool { return true })
+	granted := selectReady(d, 4, func(int) bool { return true }, func(int) bool { return true })
 	if len(granted) != 4 {
 		t.Errorf("granted %d, want total issue width 4", len(granted))
 	}
@@ -131,12 +131,12 @@ func TestFlexibleSelectRanksMarked(t *testing.T) {
 	// Unmarked at the best position, marked later.
 	q.DispatchNormal(Request{Handle: 1, Seq: 1, FU: int(isa.ClassIntALU)})
 	q.DispatchNormal(Request{Handle: 2, Seq: 2, FU: int(isa.ClassIntALU), Marked: true})
-	granted := q.Select(1, func(int) bool { return true }, func(int) bool { return true })
+	granted := selectReady(q, 1, func(int) bool { return true }, func(int) bool { return true })
 	if len(granted) != 1 || granted[0].Handle != 2 {
 		t.Errorf("granted %v, want the marked request", granted)
 	}
 	// Second pass picks the unmarked one.
-	granted = q.Select(1, func(int) bool { return true }, func(int) bool { return true })
+	granted = selectReady(q, 1, func(int) bool { return true }, func(int) bool { return true })
 	if len(granted) != 1 || granted[0].Handle != 1 {
 		t.Errorf("granted %v, want the unmarked request", granted)
 	}
@@ -147,7 +147,7 @@ func TestFlexibleSelectFillsWidthAcrossPasses(t *testing.T) {
 	q.DispatchNormal(Request{Handle: 1, Seq: 1, FU: int(isa.ClassIntALU), Marked: true})
 	q.DispatchNormal(Request{Handle: 2, Seq: 2, FU: int(isa.ClassIntALU)})
 	q.DispatchNormal(Request{Handle: 3, Seq: 3, FU: int(isa.ClassIntALU)})
-	granted := q.Select(3, func(int) bool { return true }, func(int) bool { return true })
+	granted := selectReady(q, 3, func(int) bool { return true }, func(int) bool { return true })
 	if len(granted) != 3 {
 		t.Fatalf("granted %d, want 3", len(granted))
 	}

@@ -197,7 +197,7 @@ func TestSelectMatchesReference(t *testing.T) {
 						budgetRef--
 						return true
 					}
-					got := qNew.Select(width, ready, fuNew)
+					got := selectReady(qNew, width, ready, fuNew)
 					want := referenceSelect(qRef, width, ready, fuRef)
 					if len(got) != len(want) {
 						t.Fatalf("step %d: granted %d vs reference %d", step, len(got), len(want))
@@ -247,7 +247,7 @@ func TestRemovalPreservesIndexValidity(t *testing.T) {
 					readyBits := rng.next()
 					ready := func(h int) bool { return readyBits>>(uint(h)%64)&1 == 0 }
 					var prevSeq uint64
-					for i, g := range q.Select(int(r>>8)%5+1, ready, func(int) bool { return true }) {
+					for i, g := range selectReady(q, int(r>>8)%5+1, ready, func(int) bool { return true }) {
 						if !live[g.Handle] {
 							t.Fatalf("step %d: granted dead or duplicate handle %d", step, g.Handle)
 						}
@@ -270,7 +270,7 @@ func TestRemovalPreservesIndexValidity(t *testing.T) {
 			// Drain everything: every surviving request must still be granted
 			// exactly once from its (possibly shifted) position.
 			for q.Occupancy() > 0 {
-				granted := q.Select(4, func(int) bool { return true }, func(int) bool { return true })
+				granted := selectReady(q, 4, func(int) bool { return true }, func(int) bool { return true })
 				if len(granted) == 0 {
 					t.Fatal("drain stalled with live entries")
 				}

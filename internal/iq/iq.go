@@ -22,24 +22,32 @@
 // An optional age matrix (§V-G1) lifts the single oldest ready instruction
 // to the highest priority ahead of the positional scan.
 //
+// Readiness is event-driven (DESIGN.md §14.3): the queue holds a
+// per-position ready bitset that the owner sets with MarkReady when an
+// entry's last operand becomes available (tag broadcast, in hardware
+// terms), and Select walks only that bitset — it never evaluates a
+// per-entry predicate. A ready bit lives exactly as long as its entry:
+// grants and removals clear it, and shifting-queue compaction moves it
+// with the entry.
+//
 // Skip-invariance contract (DESIGN.md §14): the pipeline's idle-cycle skip
 // relies on a failed cycle leaving the queue byte-identical. Every
 // Dispatch* method mutates nothing when it fails (the free list, ring
 // tail, and shift window are only touched on success), and a Select that
-// grants nothing is pure: the ready bitset is per-call scratch, age-matrix
-// marks happen only on grant, and the placement RNG is consumed only on
-// pop/grant. Tests pin both properties; changing either breaks the
-// null-cycle induction even if results still look plausible.
+// grants nothing is pure: ready bits are cleared only on grant, and the
+// placement RNG is consumed only on pop/grant. Tests pin both properties;
+// changing either breaks the null-cycle induction even if results still
+// look plausible.
 //
 // The phase-2 burst classes (DESIGN.md §14.2) lean on the same contract
 // harder: across a burst span Select is not re-evaluated at all. That is
 // sound only because a zero-grant Select is deterministic in the queue
 // content, the ready set, and the free units — the queue changes only via
-// Dispatch*/grants (none during a span), and readiness and unit release
-// happen at completion thresholds the pipeline publishes into its wakeup
-// heap, which bounds every span. A Select that consulted any other state
-// (a cycle counter, hidden per-call history) would silently break the
-// burst induction.
+// Dispatch*/grants (none during a span), and the ready set and unit
+// release change only at completion thresholds the pipeline publishes
+// into its wakeup heap, which bounds every span. A Select that consulted
+// any other state (a cycle counter, hidden per-call history) would
+// silently break the burst induction.
 package iq
 
 import (
@@ -99,22 +107,23 @@ type Config struct {
 // Queue is one issue queue instance.
 //
 // Select runs every cycle, so the queue is built to be allocation-free in
-// steady state: used positions are tracked in a word bitset (usedMask) that
-// the select scan iterates with trailing-zero counts instead of probing
-// every slot, and grants accumulate into buffers reused across calls.
+// steady state: ready positions are tracked in a word bitset (readyMask)
+// that the select scan iterates with trailing-zero counts instead of
+// probing every slot, and grants accumulate into buffers reused across
+// calls.
 type Queue struct {
-	cfg      Config
-	slots    []slot    // physical positions 0..Size-1 (Random/Circular)
-	list     []Request // compacted age-ordered list (Shifting)
-	usedMask []uint64  // bit per used position (Random/Circular)
-	freePri  freeList
-	freeNrm  freeList
-	count    int
-	tail     int // Circular dispatch point
+	cfg       Config
+	slots     []slot    // physical positions 0..Size-1 (Random/Circular)
+	list      []Request // compacted age-ordered list (Shifting)
+	readyMask []uint64  // bit per ready position (list index for Shifting)
+	posOf     []int32   // handle → position while queued (stale otherwise)
+	freePri   freeList
+	freeNrm   freeList
+	count     int
+	tail      int // Circular dispatch point
 
 	grantBuf []Request // Select result buffer, reused across calls
 	posBuf   []int     // granted positions, reused across calls
-	readyBuf []uint64  // per-Select readiness cache (AgeMatrix only)
 }
 
 // freeList hands out free entry positions uniformly at random (seeded,
@@ -157,7 +166,7 @@ func (f *freeList) pop() int {
 type slot struct {
 	used     bool
 	priority bool
-	granted  bool // transient mark during a multi-pass Select
+	granted  bool // transient mark of the reference select (golden_test.go)
 	req      Request
 }
 
@@ -175,18 +184,18 @@ func New(cfg Config) *Queue {
 	if cfg.Flexible && (cfg.PriorityEntries > 0 || cfg.Kind != Random) {
 		panic("iq: flexible select replaces priority entries and requires the random queue")
 	}
-	q := &Queue{cfg: cfg}
+	q := &Queue{
+		cfg:       cfg,
+		readyMask: make([]uint64, (cfg.Size+63)/64),
+		posOf:     make([]int32, cfg.Size),
+	}
 	switch cfg.Kind {
 	case Random, Circular:
 		q.slots = make([]slot, cfg.Size)
-		q.usedMask = make([]uint64, (cfg.Size+63)/64)
 	case Shifting:
 		q.list = make([]Request, 0, cfg.Size)
 	default:
 		panic("iq: unknown kind")
-	}
-	if cfg.AgeMatrix {
-		q.readyBuf = make([]uint64, (cfg.Size+63)/64)
 	}
 	if cfg.Kind == Random {
 		q.freeNrm = newFreeList(0xC0FFEE)
@@ -234,7 +243,7 @@ func (q *Queue) DispatchPriority(r Request) bool {
 	}
 	pos := q.freePri.pop()
 	q.slots[pos] = slot{used: true, priority: true, req: r}
-	q.usedMask[pos>>6] |= 1 << (pos & 63)
+	q.place(r.Handle, pos)
 	q.count++
 	return true
 }
@@ -248,13 +257,14 @@ func (q *Queue) DispatchNormal(r Request) bool {
 		}
 		pos := q.freeNrm.pop()
 		q.slots[pos] = slot{used: true, req: r}
-		q.usedMask[pos>>6] |= 1 << (pos & 63)
+		q.place(r.Handle, pos)
 		q.count++
 		return true
 	case Shifting:
 		if len(q.list) >= q.cfg.Size {
 			return false
 		}
+		q.place(r.Handle, len(q.list))
 		q.list = append(q.list, r)
 		q.count++
 		return true
@@ -263,7 +273,7 @@ func (q *Queue) DispatchNormal(r Request) bool {
 			return false // tail blocked even if holes exist elsewhere
 		}
 		q.slots[q.tail] = slot{used: true, req: r}
-		q.usedMask[q.tail>>6] |= 1 << (q.tail & 63)
+		q.place(r.Handle, q.tail)
 		q.tail = (q.tail + 1) % q.cfg.Size
 		q.count++
 		return true
@@ -292,15 +302,86 @@ func (q *Queue) DispatchWeighted(r Request, pick float64) bool {
 	return q.DispatchPriority(r)
 }
 
+// MarkReady flags the queued request with this handle as ready to issue:
+// from the next Select on it competes for a grant. The owner calls it when
+// the request's last operand becomes available; readiness is monotone in
+// the pipeline, so the bit stays set until the entry is granted. Marking a
+// handle that is not queued panics — it means a lost or duplicated wakeup.
+func (q *Queue) MarkReady(handle int) {
+	pos, ok := q.find(handle)
+	if !ok {
+		panic(fmt.Sprintf("iq: MarkReady of unqueued handle %d", handle))
+	}
+	q.readyMask[pos>>6] |= 1 << (pos & 63)
+}
+
+// UnmarkReady clears a queued request's ready flag. The pipeline never
+// needs it (operands do not become unavailable again); it serves callers
+// that replay non-monotone readiness, such as the select differentials.
+func (q *Queue) UnmarkReady(handle int) {
+	pos, ok := q.find(handle)
+	if !ok {
+		panic(fmt.Sprintf("iq: UnmarkReady of unqueued handle %d", handle))
+	}
+	q.readyMask[pos>>6] &^= 1 << (pos & 63)
+}
+
+// Visit calls visit for every queued request in position-priority order,
+// with its ready flag. It is the audit surface for the ready set (the
+// pipeline's invariant sweep compares it against its operand predicate);
+// it is not meant for the per-cycle path.
+func (q *Queue) Visit(visit func(r Request, ready bool)) {
+	if q.cfg.Kind == Shifting {
+		for pos, r := range q.list {
+			visit(r, q.isReady(pos))
+		}
+		return
+	}
+	for pos := range q.slots {
+		if q.slots[pos].used {
+			visit(q.slots[pos].req, q.isReady(pos))
+		}
+	}
+}
+
+func (q *Queue) isReady(pos int) bool { return q.readyMask[pos>>6]&(1<<(pos&63)) != 0 }
+
+// place records a dispatched request's position in the handle index,
+// growing it on first sight of a larger handle (steady state reuses it).
+func (q *Queue) place(handle, pos int) {
+	if handle >= len(q.posOf) {
+		n := 2 * len(q.posOf)
+		if n <= handle {
+			n = handle + 1
+		}
+		q.posOf = append(q.posOf, make([]int32, n-len(q.posOf))...)
+	}
+	q.posOf[handle] = int32(pos)
+}
+
+// find returns the position of the queued request with this handle. The
+// handle index is never cleared, so a hit is confirmed against the entry.
+func (q *Queue) find(handle int) (int, bool) {
+	if handle < 0 || handle >= len(q.posOf) {
+		return 0, false
+	}
+	pos := int(q.posOf[handle])
+	if q.cfg.Kind == Shifting {
+		return pos, pos < len(q.list) && q.list[pos].Handle == handle
+	}
+	s := &q.slots[pos]
+	return pos, s.used && s.req.Handle == handle
+}
+
 // Select grants up to issueWidth ready requests, honouring position-based
 // priority (plus the age matrix when configured), and frees their entries.
-// ready reports whether a handle's operands are available this cycle;
-// fuTryAlloc attempts to claim a function unit of the request's class and
-// returns false when none is free this cycle.
+// Only entries flagged by MarkReady compete; fuTryAlloc attempts to claim
+// a function unit of the request's class and returns false when none is
+// free this cycle.
 //
 // The returned slice aliases an internal buffer and is only valid until the
 // next Select call on this queue.
-func (q *Queue) Select(issueWidth int, ready func(handle int) bool, fuTryAlloc func(fu int) bool) []Request {
+func (q *Queue) Select(issueWidth int, fuTryAlloc func(fu int) bool) []Request {
 	if issueWidth <= 0 || q.count == 0 {
 		return nil
 	}
@@ -309,29 +390,15 @@ func (q *Queue) Select(issueWidth int, ready func(handle int) bool, fuTryAlloc f
 
 	if q.cfg.AgeMatrix {
 		// The age matrix picks the single oldest ready instruction and
-		// grants it ahead of the positional arbiter (§V-G1). This scan
-		// already probes every used position, so it doubles as the
-		// readiness evaluation for the positional passes below: results
-		// are cached in readyBuf instead of re-calling ready() per
-		// candidate (ready is by far the most expensive callback — it
-		// walks the pipeline's operand scoreboard).
-		for i := range q.readyBuf {
-			q.readyBuf[i] = 0
-		}
+		// grants it ahead of the positional arbiter (§V-G1).
 		oldest := -1
 		var oldestSeq uint64
-		for it := q.usedPositions(); ; {
-			pos, ok := it.next()
-			if !ok {
-				break
-			}
-			r := q.requestAt(pos)
-			if !ready(r.Handle) {
-				continue
-			}
-			q.readyBuf[pos>>6] |= 1 << (pos & 63)
-			if oldest == -1 || r.Seq < oldestSeq {
-				oldest, oldestSeq = pos, r.Seq
+		for w, rb := range q.readyMask {
+			for ; rb != 0; rb &= rb - 1 {
+				pos := w<<6 + bits.TrailingZeros64(rb)
+				if r := q.requestAt(pos); oldest == -1 || r.Seq < oldestSeq {
+					oldest, oldestSeq = pos, r.Seq
+				}
 			}
 		}
 		if oldest >= 0 {
@@ -340,7 +407,7 @@ func (q *Queue) Select(issueWidth int, ready func(handle int) bool, fuTryAlloc f
 				granted = append(granted, *r)
 				positions = append(positions, oldest)
 				// Consume the bit so the positional passes skip this grant.
-				q.readyBuf[oldest>>6] &^= 1 << (oldest & 63)
+				q.readyMask[oldest>>6] &^= 1 << (oldest & 63)
 			}
 		}
 	}
@@ -353,51 +420,22 @@ func (q *Queue) Select(issueWidth int, ready func(handle int) bool, fuTryAlloc f
 	for pass := 0; pass < passes; pass++ {
 		wantMarked := q.cfg.Flexible && pass == 0
 		any := !q.cfg.Flexible
-		if q.cfg.AgeMatrix {
-			// Positional pass over the readiness cache: visits only the
-			// ready entries (ascending, so grant order matches the plain
-			// scan exactly); granted entries consume their bit.
-			for w := 0; w < len(q.readyBuf) && len(granted) < issueWidth; w++ {
-				for rb := q.readyBuf[w]; rb != 0 && len(granted) < issueWidth; rb &= rb - 1 {
-					pos := w<<6 + bits.TrailingZeros64(rb)
-					r := q.requestAt(pos)
-					if !any && r.Marked != wantMarked {
-						continue
-					}
-					if !fuTryAlloc(r.FU) {
-						continue
-					}
-					q.readyBuf[w] &^= 1 << (pos & 63)
-					granted = append(granted, *r)
-					positions = append(positions, pos)
+		// Positional pass over the ready bitset, ascending, so grants come
+		// in position-priority order; granted entries consume their bit.
+		for w := 0; w < len(q.readyMask) && len(granted) < issueWidth; w++ {
+			for rb := q.readyMask[w]; rb != 0 && len(granted) < issueWidth; rb &= rb - 1 {
+				pos := w<<6 + bits.TrailingZeros64(rb)
+				r := q.requestAt(pos)
+				if !any && r.Marked != wantMarked {
+					continue
 				}
+				if !fuTryAlloc(r.FU) {
+					continue
+				}
+				q.readyMask[w] &^= 1 << (pos & 63)
+				granted = append(granted, *r)
+				positions = append(positions, pos)
 			}
-			continue
-		}
-		it := q.usedPositions()
-		for len(granted) < issueWidth {
-			pos, ok := it.next()
-			if !ok {
-				break
-			}
-			r := q.requestAt(pos)
-			if q.cfg.Kind != Shifting && q.slots[pos].granted {
-				continue
-			}
-			if !any && r.Marked != wantMarked {
-				continue
-			}
-			if !ready(r.Handle) {
-				continue
-			}
-			if !fuTryAlloc(r.FU) {
-				continue
-			}
-			if q.cfg.Kind != Shifting {
-				q.slots[pos].granted = true
-			}
-			granted = append(granted, *r)
-			positions = append(positions, pos)
 		}
 	}
 
@@ -419,49 +457,6 @@ func (q *Queue) Select(issueWidth int, ready func(handle int) bool, fuTryAlloc f
 	}
 	q.grantBuf, q.posBuf = granted, positions
 	return granted
-}
-
-// usedIter walks used positions in ascending (priority) order. For the
-// Random and Circular kinds it consumes the used bitset word by word with
-// trailing-zero counts; for Shifting it indexes the compacted list. It is a
-// value type so the per-cycle select loop stays allocation-free.
-type usedIter struct {
-	q    *Queue
-	kind Kind
-	word int
-	bits uint64
-	idx  int // Shifting index
-}
-
-func (q *Queue) usedPositions() usedIter {
-	it := usedIter{q: q, kind: q.cfg.Kind}
-	if it.kind != Shifting && len(q.usedMask) > 0 {
-		it.bits = q.usedMask[0]
-	}
-	return it
-}
-
-func (it *usedIter) next() (int, bool) {
-	if it.kind == Shifting {
-		if it.idx >= len(it.q.list) {
-			return 0, false
-		}
-		pos := it.idx
-		it.idx++
-		return pos, true
-	}
-	for {
-		if it.bits != 0 {
-			pos := it.word<<6 + bits.TrailingZeros64(it.bits)
-			it.bits &= it.bits - 1
-			return pos, true
-		}
-		it.word++
-		if it.word >= len(it.q.usedMask) {
-			return 0, false
-		}
-		it.bits = it.q.usedMask[it.word]
-	}
 }
 
 // requestAt returns the queued request at a used position.
@@ -486,7 +481,7 @@ func (q *Queue) removeAt(pos int) {
 			q.freeNrm.push(pos)
 		}
 		*s = slot{}
-		q.usedMask[pos>>6] &^= 1 << (pos & 63)
+		q.readyMask[pos>>6] &^= 1 << (pos & 63)
 		q.count--
 	case Circular:
 		s := &q.slots[pos]
@@ -494,19 +489,37 @@ func (q *Queue) removeAt(pos int) {
 			panic(fmt.Sprintf("iq: removeAt of free position %d", pos))
 		}
 		*s = slot{}
-		q.usedMask[pos>>6] &^= 1 << (pos & 63)
+		q.readyMask[pos>>6] &^= 1 << (pos & 63)
 		q.count--
 	case Shifting:
-		q.list = append(q.list[:pos], q.list[pos+1:]...) // compaction
+		// Compaction: the younger entries, their handle index, and their
+		// ready flags all move down one place.
+		q.list = append(q.list[:pos], q.list[pos+1:]...)
+		for i := pos; i < len(q.list); i++ {
+			q.posOf[q.list[i].Handle] = int32(i)
+		}
+		dropBit(q.readyMask, pos)
 		q.count--
+	}
+}
+
+// dropBit deletes bit pos from a multi-word bitset, shifting every higher
+// bit down one place.
+func dropBit(m []uint64, pos int) {
+	w, b := pos>>6, uint(pos&63)
+	m[w] = m[w]&(1<<b-1) | m[w]>>(b+1)<<b
+	for ; w+1 < len(m); w++ {
+		m[w] |= m[w+1] << 63
+		m[w+1] >>= 1
 	}
 }
 
 // CheckInvariants audits the queue's structural state: occupancy within
 // capacity and consistent with the slot/list contents, priority entries
 // only in the reserved positions and never more than configured, free
-// lists disjoint from used slots, and no stale transient grant marks.
-// Violations wrap simerr.ErrInvariant.
+// lists disjoint from used slots, no stale transient grant marks, ready
+// bits only on queued entries, and a handle index that finds every queued
+// entry. Violations wrap simerr.ErrInvariant.
 func (q *Queue) CheckInvariants() error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: iq(%s): %s", simerr.ErrInvariant, q.cfg.Kind, fmt.Sprintf(format, args...))
@@ -514,14 +527,28 @@ func (q *Queue) CheckInvariants() error {
 	if q.count < 0 || q.count > q.cfg.Size {
 		return bad("occupancy %d outside [0,%d]", q.count, q.cfg.Size)
 	}
+	for w, rb := range q.readyMask {
+		for ; rb != 0; rb &= rb - 1 {
+			pos := w<<6 + bits.TrailingZeros64(rb)
+			if q.cfg.Kind == Shifting && pos >= len(q.list) || q.cfg.Kind != Shifting && !q.slots[pos].used {
+				return bad("ready bit on empty position %d", pos)
+			}
+		}
+	}
+	var indexErr error
+	q.Visit(func(r Request, _ bool) {
+		if pos, ok := q.find(r.Handle); !ok && indexErr == nil {
+			indexErr = bad("handle index lost queued handle %d (points at %d)", r.Handle, pos)
+		}
+	})
+	if indexErr != nil {
+		return indexErr
+	}
 	switch q.cfg.Kind {
 	case Random, Circular:
 		used, priority := 0, 0
 		for pos := range q.slots {
 			s := &q.slots[pos]
-			if got := q.usedMask[pos>>6]&(1<<(pos&63)) != 0; got != s.used {
-				return bad("used bitset disagrees with slot %d (bit %v, slot %v)", pos, got, s.used)
-			}
 			if !s.used {
 				if s.priority {
 					return bad("free position %d still flagged priority", pos)
@@ -590,9 +617,7 @@ func (q *Queue) Reset() {
 		q.slots[i] = slot{}
 	}
 	q.list = q.list[:0]
-	for i := range q.usedMask {
-		q.usedMask[i] = 0
-	}
+	clear(q.readyMask)
 	q.count = 0
 	q.tail = 0
 	if q.cfg.Kind == Random {

@@ -79,21 +79,11 @@ func stepCycle(s *Sim) {
 }
 
 // TestSteadyStateZeroAllocsPerCycle: after warm-up, the whole per-cycle
-// loop — fetch, dispatch, IQ select, execute scheduling, store drain,
-// commit — must not touch the heap, for the base machine, PUBS, the
-// age-matrix select, and the distributed queue complex.
+// loop — fetch, dispatch, operand wakeup, IQ select, execute scheduling,
+// store drain, commit — must not touch the heap, on every issue-queue
+// organisation.
 func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{"base", BaseConfig()},
-		{"pubs", PUBSConfig()},
-		{"pubs-age", func() Config { c := PUBSConfig(); c.AgeMatrix = true; return c }()},
-		{"pubs-distributed", func() Config { c := PUBSConfig(); c.DistributedIQ = true; return c }()},
-		{"pubs-flexible", func() Config { c := PUBSConfig(); c.PUBS.FlexibleSelect = true; return c }()},
-	}
-	for _, tc := range cases {
+	for _, tc := range iqOrganisations() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(tc.cfg)

@@ -24,7 +24,10 @@ import (
 //     stream, requesting an I-line, or staging a fetched instruction. A
 //     cycle that ends with s.act still zero mutated nothing except the
 //     recorded integrable tick (below) — machine state at the end of the
-//     cycle equals state at its start.
+//     cycle equals state at its start. Releasing due wakeups into the IQ
+//     ready set (wakeup.go) is not activity: the ready set is a function
+//     of the cycle and of which producers have issued, and every release
+//     cycle is a completion threshold in the wake heap.
 //
 //  2. Every stage predicate depends on time only through comparisons
 //     against absolute-cycle thresholds (uop completion cycles, fuBusy

@@ -32,6 +32,7 @@ func (s *Sim) Reset() {
 	for i := range s.uops {
 		s.uops[i] = uop{}
 	}
+	s.readyQ.a = s.readyQ.a[:0]
 	s.freeU = s.freeU[:0]
 	for h := s.cfg.ROBSize - 1; h >= 0; h-- {
 		s.freeU = append(s.freeU, h)

@@ -148,21 +148,16 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
-// TestInvariantChecksCleanRun: the structural sweep must stay silent on
-// healthy base, PUBS, and distributed machines — it exists to catch
-// corruption, not to veto correct configurations.
+// TestInvariantChecksCleanRun: the structural sweep, including the IQ
+// ready-set audit, must stay silent on a healthy machine of every issue-
+// queue organisation — it exists to catch corruption, not to veto correct
+// configurations.
 func TestInvariantChecksCleanRun(t *testing.T) {
-	for _, cfg := range []Config{BaseConfig(), PUBSConfig()} {
+	for _, org := range iqOrganisations() {
+		cfg := org.cfg
 		cfg.Checks = true
 		if _, err := RunProgramContext(context.Background(), cfg, workload.MustProgram("parser"), 5_000, 20_000); err != nil {
-			t.Errorf("%s: %v", cfg.Name, err)
+			t.Errorf("%s: %v", org.name, err)
 		}
-	}
-	dist := PUBSConfig()
-	dist.Name = "pubs-dist-checks"
-	dist.DistributedIQ = true
-	dist.Checks = true
-	if _, err := RunProgramContext(context.Background(), dist, workload.MustProgram("parser"), 5_000, 20_000); err != nil {
-		t.Errorf("%s: %v", dist.Name, err)
 	}
 }

@@ -42,7 +42,9 @@ type issueQueue interface {
 	DispatchPriority(iq.Request) bool
 	DispatchNormal(iq.Request) bool
 	DispatchWeighted(iq.Request, float64) bool
-	Select(int, func(int) bool, func(int) bool) []iq.Request
+	MarkReady(handle int)
+	Select(int, func(int) bool) []iq.Request
+	Visit(func(r iq.Request, ready bool))
 	Occupancy() int
 	PriorityFree() int
 	CheckInvariants() error
@@ -86,6 +88,14 @@ type uop struct {
 	nsrc   int
 	fwd    src // loads: matching older store
 	hasFwd bool
+
+	// Operand wakeup (wakeup.go): readyAt is the latest completion among
+	// the producers that have issued, waits counts those that have not,
+	// and deps heads this uop's own list of waiting consumers (a link
+	// index plus one, so the zero value is the empty list).
+	readyAt int64
+	deps    int32
+	waits   uint8
 
 	issued        bool
 	scheduled     bool // completeCycle is valid
@@ -187,10 +197,16 @@ type Sim struct {
 	fuRemaining [4]int     // per pool: units still grantable this cycle
 	dports      []int64    // D-cache ports: next-free cycle
 
-	// The select predicates are bound once at construction: method values
-	// created inside the cycle loop would allocate a closure per cycle.
-	readyFn func(int) bool
-	fuFn    func(int) bool
+	// The FU claim is bound once at construction: a method value created
+	// inside the cycle loop would allocate a closure per cycle.
+	fuFn func(int) bool
+
+	// Operand wakeup state (wakeup.go): the intrusive producer→consumer
+	// links, linksPerUop per handle (each holds the next link on the same
+	// producer's list, plus one), and the consumers whose producers have
+	// all issued, ordered by the cycle their last operand arrives.
+	links  []int32
+	readyQ readyHeap
 
 	// storeBuf is a fixed-capacity ring buffer of committed store addresses
 	// awaiting drain: sbHead indexes the oldest, sbLen counts occupancy.
@@ -314,8 +330,9 @@ func New(cfg Config) (*Sim, error) {
 	s.dports = make([]int64, 2)
 	s.fetchQ = make([]fqEntry, 4*cfg.FetchWidth)
 	s.storeBuf = make([]uint64, cfg.StoreBufferSize)
-	s.readyFn = s.opReady
 	s.fuFn = s.fuTryAlloc
+	s.links = make([]int32, linksPerUop*cfg.ROBSize)
+	s.readyQ.a = make([]readyEntry, 0, cfg.ROBSize)
 	// Sized so the steady-state live-threshold population (bounded by the
 	// ROB plus the fixed structures) never forces a reallocation.
 	s.wake.init(4*cfg.ROBSize + 64)
@@ -441,37 +458,6 @@ func (s *Sim) peek() (emu.DynInst, bool) {
 }
 
 func (s *Sim) take() { s.hasPending = false }
-
-// valueReady reports whether the value identified by sr is available at the
-// start of the current cycle. A dead or recycled producer means the value
-// is architected (the producer committed).
-func (s *Sim) valueReady(sr src) bool {
-	if sr.h < 0 {
-		return true
-	}
-	u := &s.uops[sr.h]
-	if !u.live || u.di.Seq != sr.seq {
-		return true
-	}
-	return u.scheduled && u.completeCycle <= s.now
-}
-
-// opReady is the IQ wakeup predicate.
-func (s *Sim) opReady(h int) bool {
-	u := &s.uops[h]
-	for i := 0; i < u.nsrc; i++ {
-		if !s.valueReady(u.srcs[i]) {
-			return false
-		}
-	}
-	if u.hasFwd {
-		f := &s.uops[u.fwd.h]
-		if f.live && f.di.Seq == u.fwd.seq && !f.issued {
-			return false // forwarding source must have executed
-		}
-	}
-	return true
-}
 
 // ---------- fetch ----------
 
@@ -756,6 +742,9 @@ func (s *Sim) dispatch() {
 				u.hasFwd = true
 			}
 		}
+		if u.class != isa.ClassNone {
+			s.linkOperands(h, u)
+		}
 		if f.di.Inst.IsMem() {
 			s.lsq.Alloc(lsq.Entry{
 				Handle:  h,
@@ -796,7 +785,8 @@ func (s *Sim) issue() {
 		}
 		s.fuRemaining[p] = free
 	}
-	granted := s.q.Select(s.cfg.IssueWidth, s.readyFn, s.fuFn)
+	s.releaseReady()
+	granted := s.q.Select(s.cfg.IssueWidth, s.fuFn)
 	if len(granted) > 0 {
 		s.act |= actIssue // a zero-grant Select mutates nothing
 	}
@@ -870,6 +860,7 @@ func (s *Sim) schedule(h int) {
 	s.st.Issued++
 	// The completion wakes IQ dependents and unblocks the ROB head.
 	s.wake.push(u.completeCycle, s.now)
+	s.wakeDependents(u)
 
 	if u.mispredict && s.blockedOnSeq == u.di.Seq {
 		s.fetchResumeAt = u.completeCycle + s.cfg.RecoveryPenalty

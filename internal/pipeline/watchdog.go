@@ -101,10 +101,14 @@ func (s *Sim) deadlockError() *DeadlockError {
 // enabled for whole campaigns.
 const checkInterval = 64
 
-// checkInvariants audits every window structure and the PUBS tables.
+// checkInvariants audits every window structure, the IQ ready set against
+// the operand predicate, and the PUBS tables.
 func (s *Sim) checkInvariants() error {
 	if err := s.q.CheckInvariants(); err != nil {
 		return fmt.Errorf("pipeline %s at cycle %d: %w", s.cfg.Name, s.now, err)
+	}
+	if err := s.auditReadySet(); err != nil {
+		return err
 	}
 	if err := s.rob.CheckInvariants(); err != nil {
 		return fmt.Errorf("pipeline %s at cycle %d: %w", s.cfg.Name, s.now, err)
