@@ -101,8 +101,6 @@ func main() {
 		idleSkip = flag.Bool("idle-skip", true, "event-driven idle-cycle skipping in every simulation (bit-identical; -idle-skip=false polls every cycle)")
 		skOut    = flag.String("bench-skip-out", "", "run the idle-skip benchmark and write a JSON report (BENCH_6.json schema) to this file")
 		skCmp    = flag.String("bench-skip-baseline", "", "compare the idle-skip benchmark against this baseline; exit 1 on lost bit-identity or speedup regression")
-		bbOut    = flag.String("bench-burst-out", "", "run the quasi-null burst benchmark and write a JSON report (BENCH_8.json schema) to this file")
-		bbCmp    = flag.String("bench-burst-baseline", "", "compare the burst benchmark against this baseline; exit 1 on lost bit-identity or speedup regression (re-measures once on failure)")
 	)
 	flag.Parse()
 	showCharts = *charts
@@ -125,9 +123,6 @@ func main() {
 	}
 	if *skOut != "" || *skCmp != "" {
 		os.Exit(runBenchSkipMode(*skOut, *skCmp))
-	}
-	if *bbOut != "" || *bbCmp != "" {
-		os.Exit(runBenchBurstMode(*bbOut, *bbCmp))
 	}
 
 	known := map[string]bool{}

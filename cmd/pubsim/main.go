@@ -43,8 +43,7 @@ func main() {
 		parWin    = flag.Int("parallel-windows", 0, "sampled windows simulated concurrently (0/1 = serial, -1 = GOMAXPROCS); never changes results")
 		liveDec   = flag.Bool("live-decode", false, "sampled windows re-decode through a live functional emulator instead of the shared predecoded trace; slower, bit-identical")
 		idleSkip  = flag.Bool("idle-skip", true, "event-driven idle-cycle skipping (bit-identical; -idle-skip=false polls every cycle)")
-		burstSkip = flag.Bool("burst-skip", true, "quasi-null burst integration on top of -idle-skip (-burst-skip=false is phase-1-only skipping)")
-		skipStats = flag.Bool("skip-stats", false, "report idle-skip efficacy (spans and cycles per class); with -json, adds a skip_telemetry sibling to the result")
+		skipStats = flag.Bool("skip-stats", false, "report idle-skip efficacy (spans and cycles skipped); with -json, adds a skip_telemetry sibling to the result")
 		jsonOut   = flag.Bool("json", false, "emit the result as one JSON object (the pubsd job-result schema)")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
@@ -68,7 +67,6 @@ func main() {
 	cfg.DistributedIQ = *distrib
 	cfg.WrongPathDecode = *wrongp
 	cfg.NoIdleSkip = !*idleSkip
-	cfg.NoBurstSkip = !*burstSkip
 	if cfg.PUBS.Enable {
 		cfg.PUBS.PriorityEntries = *priority
 		cfg.PUBS.ConfCounterBits = *bits
@@ -193,8 +191,6 @@ func main() {
 	if *skipStats {
 		t := pubsim.GlobalSkipTelemetry()
 		fmt.Printf("idle-skip          %d spans, %d cycles skipped\n", t.SkipSpans, t.SkippedCycles)
-		fmt.Printf("fetch bursts       %d spans, %d cycles integrated\n", t.FetchBurstSpans, t.FetchBurstCycles)
-		fmt.Printf("commit bursts      %d spans, %d cycles integrated\n", t.CommitBurstSpans, t.CommitBurstCycles)
 	}
 	if *profile && res.IQOccupancy != nil {
 		fmt.Printf("IQ occupancy       mean %.1f, median %d, p90 %d (of %d entries)\n",

@@ -79,7 +79,7 @@ func startWorker(t *testing.T, id string, cfg service.Config, wrap func(http.Han
 }
 
 // startCoordinator boots a coordinator daemon over the given workers and
-// wires every worker's peer list, deterministically (no async pushes).
+// wires every worker's peer list (wirePeers).
 func startCoordinator(t *testing.T, id string, workers []*testNode) (*service.Service, *Coordinator) {
 	t.Helper()
 	coord := NewCoordinator()
@@ -89,15 +89,24 @@ func startCoordinator(t *testing.T, id string, workers []*testNode) (*service.Se
 		Remote:  coord.Remote,
 	})
 	coord.BindCounters(svc.ClusterCounters())
-	peers := make(map[string]string, len(workers))
-	for _, w := range workers {
-		peers[w.id] = w.srv.URL
-	}
+	wirePeers(coord, workers)
+	return svc, coord
+}
+
+// wirePeers joins every worker to coord's ring and hands each the final
+// member map under the coordinator's final epoch. AddNode also broadcasts
+// each intermediate map asynchronously; the epoch is what makes a late
+// one-node snapshot lose to the full map. Unversioned SetPeers would let it
+// win and leave a worker without a successor, so cells it finished in that
+// window were never replicated.
+func wirePeers(coord *Coordinator, workers []*testNode) {
 	for _, w := range workers {
 		coord.AddNode(w.id, w.srv.URL)
-		w.wk.SetPeers(peers)
 	}
-	return svc, coord
+	peers, epoch := coord.membership()
+	for _, w := range workers {
+		w.wk.ApplyPeers(peers, epoch)
+	}
 }
 
 func waitJob(t *testing.T, j *service.Job) service.JobStatus {

@@ -45,14 +45,7 @@ func startSweepCoordinator(t *testing.T, id string, workers []*testNode) (*servi
 		RemoteSweep: coord.RemoteSweep,
 	})
 	coord.BindCounters(svc.ClusterCounters())
-	peers := make(map[string]string, len(workers))
-	for _, w := range workers {
-		peers[w.id] = w.srv.URL
-	}
-	for _, w := range workers {
-		coord.AddNode(w.id, w.srv.URL)
-		w.wk.SetPeers(peers)
-	}
+	wirePeers(coord, workers)
 	return svc, coord
 }
 

@@ -10,7 +10,7 @@ package iq
 // handles are marked ready at dispatch and odd ones never are, so after
 // about one queue's worth of grants the queue is full of never-ready
 // entries: the steady state measured is a zero-grant select over a full
-// queue, the cycle the idle skip and bursts also meet.
+// queue, the cycle the idle skip also meets.
 
 import "testing"
 

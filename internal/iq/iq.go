@@ -38,16 +38,6 @@
 // placement RNG is consumed only on pop/grant. Tests pin both properties;
 // changing either breaks the null-cycle induction even if results still
 // look plausible.
-//
-// The phase-2 burst classes (DESIGN.md §14.2) lean on the same contract
-// harder: across a burst span Select is not re-evaluated at all. That is
-// sound only because a zero-grant Select is deterministic in the queue
-// content, the ready set, and the free units — the queue changes only via
-// Dispatch*/grants (none during a span), and the ready set and unit
-// release change only at completion thresholds the pipeline publishes
-// into its wakeup heap, which bounds every span. A Select that consulted
-// any other state (a cycle counter, hidden per-call history) would
-// silently break the burst induction.
 package iq
 
 import (

@@ -109,17 +109,6 @@ type Config struct {
 	// (BENCH_6). See DESIGN.md §14.
 	NoIdleSkip bool
 
-	// NoBurstSkip disables the phase-2 quasi-null bursts (fetch-drain and
-	// commit-run spans, burst.go) while keeping the phase-1 null-cycle
-	// skip, reproducing PR-7 scheduling exactly. Like NoIdleSkip it is
-	// result-neutral — bursting simulates the active stage's real
-	// mutations and integrates the frozen stages' ticks, so burst on and
-	// burst off are bit-identical — and it is excluded from
-	// memoization/checkpoint keys. It exists for differential testing and
-	// for the BENCH_8 phase-2-vs-phase-1 comparison. Implied by
-	// NoIdleSkip (bursts are part of the skip machinery).
-	NoBurstSkip bool
-
 	// WatchdogCycles is the liveness budget: a run that commits nothing for
 	// this many consecutive polled (non-skipped) cycles is declared
 	// deadlocked and aborted with a DeadlockError (wrapping

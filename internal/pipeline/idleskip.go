@@ -18,11 +18,11 @@ import (
 // Correctness rests on a null-cycle induction, not on per-structure idle
 // heuristics:
 //
-//  1. Every stage ORs its bit into s.act when it mutates any persistent
-//     state: committing, granting, draining a store, decoding or
-//     dispatching, walking the wrong path, pulling from the instruction
-//     stream, requesting an I-line, or staging a fetched instruction. A
-//     cycle that ends with s.act still zero mutated nothing except the
+//  1. Every stage sets s.act when it mutates any persistent state:
+//     committing, granting, draining a store, decoding or dispatching,
+//     walking the wrong path, pulling from the instruction stream,
+//     requesting an I-line, or staging a fetched instruction. A cycle
+//     that ends with s.act still false mutated nothing except the
 //     recorded integrable tick (below) — machine state at the end of the
 //     cycle equals state at its start. Releasing due wakeups into the IQ
 //     ready set (wakeup.go) is not activity: the ready set is a function
@@ -47,26 +47,11 @@ import (
 //     Config.Profile. skipCycles replays k of each in closed form — the
 //     RNG via the precomputed GF(2) jump matrices (rngjump.go), O(log k).
 //
-// Phase 2 (burst.go) extends the same induction to quasi-null spans whose
-// single set s.act bit names a provably self-contained stage: fetch-drain
-// bursts (s.act == actFetch) and commit-run bursts (s.act == actCommit).
-//
 // The skip is disabled while any fault-injection point is armed (the
 // robustness tests count per-cycle Fire calls) and after an injected hang
 // (the watchdog must diagnose it on the polled path). A machine with no
 // future event — a genuine deadlock — never skips, so the watchdog retains
 // its full diagnostic power.
-
-// Stage activity bits for Sim.act. A null cycle ends with act == 0; the
-// burst detectors additionally key on single-bit values.
-const (
-	actCommit uint8 = 1 << iota
-	actIssue
-	actDrain
-	actDispatch
-	actWrongPath
-	actFetch
-)
 
 // neverWakes is nextWake's "no future event" sentinel.
 const neverWakes = int64(math.MaxInt64)
@@ -161,53 +146,25 @@ func (s *Sim) SkipStats() (spans, cycles uint64) {
 	return s.skipSpans, s.skippedCycles
 }
 
-// SkipTelemetry is the full idle-skip efficacy report: the phase-1 null
-// spans plus the phase-2 quasi-null bursts, per class. Like SkipStats it
-// is deliberately not part of Result — scheduling telemetry must never
-// leak into the bit-identity surface.
+// SkipTelemetry is the idle-skip efficacy report: null spans skipped and
+// the cycles they covered. Like SkipStats it is deliberately not part of
+// Result — scheduling telemetry must never leak into the bit-identity
+// surface.
 type SkipTelemetry struct {
 	SkipSpans     uint64 `json:"skip_spans"`
 	SkippedCycles uint64 `json:"skipped_cycles"`
 
-	FetchBurstSpans  uint64 `json:"fetch_burst_spans"`
-	FetchBurstCycles uint64 `json:"fetch_burst_cycles"`
-
-	CommitBurstSpans  uint64 `json:"commit_burst_spans"`
-	CommitBurstCycles uint64 `json:"commit_burst_cycles"`
+	// FetchBurstCycles and CommitBurstCycles are always zero and never
+	// serialized. They counted the retired quasi-null burst spans
+	// (DESIGN.md §14.2) and stay only because the pubsbench harness still
+	// reads them; they go when that harness next changes.
+	FetchBurstCycles  uint64 `json:"-"`
+	CommitBurstCycles uint64 `json:"-"`
 }
 
-// add accumulates o into t.
-func (t *SkipTelemetry) add(o SkipTelemetry) {
-	t.SkipSpans += o.SkipSpans
-	t.SkippedCycles += o.SkippedCycles
-	t.FetchBurstSpans += o.FetchBurstSpans
-	t.FetchBurstCycles += o.FetchBurstCycles
-	t.CommitBurstSpans += o.CommitBurstSpans
-	t.CommitBurstCycles += o.CommitBurstCycles
-}
-
-// sub returns t - o (counter deltas; counters are monotone within a run).
-func (t SkipTelemetry) sub(o SkipTelemetry) SkipTelemetry {
-	return SkipTelemetry{
-		SkipSpans:         t.SkipSpans - o.SkipSpans,
-		SkippedCycles:     t.SkippedCycles - o.SkippedCycles,
-		FetchBurstSpans:   t.FetchBurstSpans - o.FetchBurstSpans,
-		FetchBurstCycles:  t.FetchBurstCycles - o.FetchBurstCycles,
-		CommitBurstSpans:  t.CommitBurstSpans - o.CommitBurstSpans,
-		CommitBurstCycles: t.CommitBurstCycles - o.CommitBurstCycles,
-	}
-}
-
-// SkipTelemetry returns the per-run skip/burst counters so far.
+// SkipTelemetry returns the per-run skip counters so far.
 func (s *Sim) SkipTelemetry() SkipTelemetry {
-	return SkipTelemetry{
-		SkipSpans:         s.skipSpans,
-		SkippedCycles:     s.skippedCycles,
-		FetchBurstSpans:   s.fetchBurstSpans,
-		FetchBurstCycles:  s.fetchBurstCycles,
-		CommitBurstSpans:  s.commitBurstSpans,
-		CommitBurstCycles: s.commitBurstCycles,
-	}
+	return SkipTelemetry{SkipSpans: s.skipSpans, SkippedCycles: s.skippedCycles}
 }
 
 // globalSkip aggregates skip telemetry across every Sim in the process,
@@ -217,52 +174,32 @@ func (s *Sim) SkipTelemetry() SkipTelemetry {
 var globalSkip struct {
 	skipSpans     atomic.Uint64
 	skippedCycles atomic.Uint64
-
-	fetchBurstSpans  atomic.Uint64
-	fetchBurstCycles atomic.Uint64
-
-	commitBurstSpans  atomic.Uint64
-	commitBurstCycles atomic.Uint64
 }
 
 // flushSkipTelemetry publishes the counters accumulated since the last
 // flush to the process-wide totals. Called once per RunContext (deferred,
 // so error exits flush too).
 func (s *Sim) flushSkipTelemetry() {
-	d := s.SkipTelemetry().sub(s.telemetryFlushed)
-	s.telemetryFlushed = s.SkipTelemetry()
-	if d.SkipSpans|d.SkippedCycles != 0 {
-		globalSkip.skipSpans.Add(d.SkipSpans)
-		globalSkip.skippedCycles.Add(d.SkippedCycles)
+	cur := s.SkipTelemetry()
+	if d := cur.SkipSpans - s.telemetryFlushed.SkipSpans; d != 0 {
+		globalSkip.skipSpans.Add(d)
+		globalSkip.skippedCycles.Add(cur.SkippedCycles - s.telemetryFlushed.SkippedCycles)
 	}
-	if d.FetchBurstSpans != 0 {
-		globalSkip.fetchBurstSpans.Add(d.FetchBurstSpans)
-		globalSkip.fetchBurstCycles.Add(d.FetchBurstCycles)
-	}
-	if d.CommitBurstSpans != 0 {
-		globalSkip.commitBurstSpans.Add(d.CommitBurstSpans)
-		globalSkip.commitBurstCycles.Add(d.CommitBurstCycles)
-	}
+	s.telemetryFlushed = cur
 }
 
-// GlobalSkipTelemetry returns the process-wide totals, per burst class.
+// GlobalSkipTelemetry returns the process-wide totals.
 func GlobalSkipTelemetry() SkipTelemetry {
 	return SkipTelemetry{
-		SkipSpans:         globalSkip.skipSpans.Load(),
-		SkippedCycles:     globalSkip.skippedCycles.Load(),
-		FetchBurstSpans:   globalSkip.fetchBurstSpans.Load(),
-		FetchBurstCycles:  globalSkip.fetchBurstCycles.Load(),
-		CommitBurstSpans:  globalSkip.commitBurstSpans.Load(),
-		CommitBurstCycles: globalSkip.commitBurstCycles.Load(),
+		SkipSpans:     globalSkip.skipSpans.Load(),
+		SkippedCycles: globalSkip.skippedCycles.Load(),
 	}
 }
 
-// SkipCounters reports the process-wide skip telemetry: spans and cycles
-// covered by null skips, and by quasi-null bursts (both classes summed).
-// This is what pubsd's node-labeled pubsd_skip_* metrics export.
-func SkipCounters() (skipSpans, skippedCycles, burstSpans, burstCycles uint64) {
+// SkipCounters reports the process-wide skip telemetry: null-skip spans
+// and the cycles they covered. This is what pubsd's node-labeled
+// pubsd_skip_* metrics export.
+func SkipCounters() (skipSpans, skippedCycles uint64) {
 	t := GlobalSkipTelemetry()
-	return t.SkipSpans, t.SkippedCycles,
-		t.FetchBurstSpans + t.CommitBurstSpans,
-		t.FetchBurstCycles + t.CommitBurstCycles
+	return t.SkipSpans, t.SkippedCycles
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/cache"
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/workload"
@@ -179,42 +180,162 @@ func skipRandomProgram(seed uint64) *isa.Program {
 	return b.MustBuild()
 }
 
-// TestIdleSkipDifferentialRandomPrograms: for pseudo-random programs on
-// both anchor machines (plus a profiled PUBS variant, so the span-integrated
-// histogram path is covered), a skipping run and a poll-mode run must agree
-// on the entire Result. Runs under -race in CI.
+// fetchDrainProgram wedges the backend on a data-dependent load chase
+// (every load misses far into memory) and follows it with a block of
+// independent ALU work: while the chase blocks commit and the window
+// fills, dispatch stalls and fetch alone drains ready I-lines into the
+// queue — the fetch-drain shape, where one stage acts through most of a
+// miss shadow and the skip only gets the cycles after the queue fills.
+func fetchDrainProgram() *isa.Program {
+	rng := skipPropRNG(0x5EED)
+	b := asm.New("fetch-drain")
+	const words = 512
+	vals := make([]uint64, words)
+	for i := range vals {
+		vals[i] = rng.next()
+	}
+	base := b.Words(vals...)
+
+	ctr, dbase, x, addr := isa.R(2), isa.R(3), isa.R(4), isa.R(5)
+	alu := []isa.Reg{isa.R(6), isa.R(7), isa.R(8), isa.R(9)}
+	b.Li(ctr, 400)
+	b.Li(dbase, int64(base))
+	b.Li(x, 1)
+	for i, r := range alu {
+		b.Li(r, int64(i+1))
+	}
+	b.Label("loop")
+	// Dependent chase, 4 links deep per iteration.
+	for i := 0; i < 4; i++ {
+		b.Andi(addr, x, words-1)
+		b.Shli(addr, addr, 3)
+		b.Add(addr, addr, dbase)
+		b.Ld(x, addr, 0)
+	}
+	// Independent ALU block: plenty to fetch while the chase stalls.
+	for i := 0; i < 40; i++ {
+		r := alu[i%len(alu)]
+		b.Add(r, r, alu[(i+1)%len(alu)])
+	}
+	b.Addi(ctr, ctr, -1)
+	b.Bne(ctr, isa.RZero, "loop")
+	b.Halt()
+	return b.MustBuild()
+}
+
+// commitRunProgram loops over a straight-line ALU body spanning many
+// instruction lines: with a tiny L1I (withTinyL1I) every traversal
+// misses, freezing the front end while the already-dispatched,
+// quickly-completed backlog retires at commit width from an empty fetch
+// queue — the commit-run shape. Loads and stores are absent so
+// retirement never arms the store drain.
+func commitRunProgram() *isa.Program {
+	b := asm.New("commit-run")
+	ctr := isa.R(2)
+	alu := []isa.Reg{isa.R(3), isa.R(4), isa.R(5), isa.R(6), isa.R(7), isa.R(8)}
+	b.Li(ctr, 600)
+	for i, r := range alu {
+		b.Li(r, int64(i+1))
+	}
+	b.Label("loop")
+	for i := 0; i < 192; i++ {
+		r := alu[i%len(alu)]
+		b.Add(r, r, alu[(i+1)%len(alu)])
+	}
+	b.Addi(ctr, ctr, -1)
+	b.Bne(ctr, isa.RZero, "loop")
+	b.Halt()
+	return b.MustBuild()
+}
+
+// withTinyL1I gives cfg a two-line L1I: every traversal of
+// commitRunProgram's loop body misses, and the L2 hit latency freezes
+// fetch while the ROB backlog retires.
+func withTinyL1I(cfg Config, name string) Config {
+	cfg.Name = name
+	cfg.L1I = cache.Config{Name: "L1I", Sets: 1, Ways: 2, LineBytes: 64, HitLat: 0, MSHRs: 2}
+	return cfg
+}
+
+// skipInput is one (machine, program) pair a skip-vs-poll test runs.
+type skipInput struct {
+	name string
+	cfg  Config
+	prog *isa.Program
+}
+
+// runSkipVsPoll runs every input twice, skipping and polling, in parallel
+// subtests: the two runs must agree on the entire Result.
+func runSkipVsPoll(t *testing.T, inputs []skipInput) {
+	t.Helper()
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			t.Parallel()
+			skip, err := RunProgram(in.cfg, in.prog, 2_000, 8_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			poll := in.cfg
+			poll.NoIdleSkip = true
+			want, err := RunProgram(poll, in.prog, 2_000, 8_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(skip, want) {
+				t.Errorf("%s: skip and poll diverged:\n skip: %+v\n poll: %+v", in.name, skip, want)
+			}
+		})
+	}
+}
+
+// tinyFetchConfig is the base machine with a one-wide fetch: the fetch
+// queue fills almost at once.
+func tinyFetchConfig() Config {
+	cfg := BaseConfig()
+	cfg.Name = "base-tinyfq"
+	cfg.FetchWidth = 1
+	return cfg
+}
+
+// TestIdleSkipDifferentialRandomPrograms: a skipping run and a poll-mode
+// run must agree on the entire Result. The programs are pseudo-random on
+// both anchor machines, a profiled PUBS variant (the span-integrated
+// histogram path) and a one-wide fetch. Runs under -race in CI.
 func TestIdleSkipDifferentialRandomPrograms(t *testing.T) {
-	seeds := []uint64{1, 0xDEAD, 0xFEEDFACE}
+	seeds := []uint64{1, 0xDEAD, 0xFEEDFACE, 7, 0xBADF00D, 0xC0FFEE}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
 	profiled := PUBSConfig()
 	profiled.Name = "pubs-profile"
 	profiled.Profile = true
-	cfgs := []Config{BaseConfig(), PUBSConfig(), profiled}
+	var inputs []skipInput
 	for _, seed := range seeds {
-		for _, cfg := range cfgs {
-			cfg := cfg
-			t.Run(fmt.Sprintf("%s/seed%x", cfg.Name, seed), func(t *testing.T) {
-				t.Parallel()
-				prog := skipRandomProgram(seed)
-				skip, err := RunProgram(cfg, prog, 2_000, 8_000)
-				if err != nil {
-					t.Fatal(err)
-				}
-				poll := cfg
-				poll.NoIdleSkip = true
-				want, err := RunProgram(poll, prog, 2_000, 8_000)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(skip, want) {
-					t.Errorf("seed %#x on %s: skip and poll diverged:\n skip: %+v\n poll: %+v",
-						seed, cfg.Name, skip, want)
-				}
-			})
+		for _, cfg := range []Config{BaseConfig(), PUBSConfig(), profiled, tinyFetchConfig()} {
+			inputs = append(inputs, skipInput{fmt.Sprintf("%s/seed%x", cfg.Name, seed), cfg, skipRandomProgram(seed)})
 		}
 	}
+	runSkipVsPoll(t, inputs)
+}
+
+// TestIdleSkipDifferentialShapes: skip and poll must agree on the
+// fetch-drain and commit-run shapes, where one stage keeps acting while
+// the rest of the machine waits on a threshold, so the skip only gets the
+// cycles at the edges of each stall.
+func TestIdleSkipDifferentialShapes(t *testing.T) {
+	// Long memory latency amplifies the backend wedge under the chase;
+	// the one-wide variant also pins the queue-full boundary.
+	longMiss := BaseConfig()
+	longMiss.Name = "base-longmiss"
+	longMiss.MemLatency = 1_000
+	tinyLongMiss := tinyFetchConfig()
+	tinyLongMiss.MemLatency = 1_000
+	runSkipVsPoll(t, []skipInput{
+		{"fetch-drain", longMiss, fetchDrainProgram()},
+		{"fetch-drain-tinyfq", tinyLongMiss, fetchDrainProgram()},
+		{"commit-run", withTinyL1I(BaseConfig(), "base-tinyl1i"), commitRunProgram()},
+		{"commit-run-pubs", withTinyL1I(PUBSConfig(), "pubs-tinyl1i"), commitRunProgram()},
+	})
 }
 
 // TestIdleSkipWatchdogLongMiss: a memory latency far beyond the watchdog
@@ -241,12 +362,14 @@ func TestIdleSkipWatchdogLongMiss(t *testing.T) {
 	}
 }
 
-// TestIdleSkipProgressCadence: the WithProgress hook must fire at the same
-// committed-instruction counts whether the run skips or polls — the hook
-// keys on commit progress, which skipped (commit-free) spans cannot move.
-func TestIdleSkipProgressCadence(t *testing.T) {
+// progressCadence runs prog on cfg with a WithProgress hook, skipping and
+// polling: the hook must fire, and at the same committed-instruction counts
+// in both modes — it keys on commit progress, which skipped (commit-free)
+// spans cannot move.
+func progressCadence(t *testing.T, cfg Config, prog *isa.Program) {
+	t.Helper()
 	run := func(poll bool) []uint64 {
-		cfg := PUBSConfig()
+		cfg := cfg
 		cfg.NoIdleSkip = poll
 		var fired []uint64
 		ctx := WithProgress(context.Background(), 1_000, func(committed uint64) {
@@ -256,7 +379,6 @@ func TestIdleSkipProgressCadence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog := workload.MustProgram("sparse")
 		s.SetStaticCode(prog.Code)
 		if _, err := s.RunContext(ctx, Stream{M: emu.MustNew(prog)}, 1_000, 6_000); err != nil {
 			t.Fatal(err)
@@ -270,6 +392,19 @@ func TestIdleSkipProgressCadence(t *testing.T) {
 	if !reflect.DeepEqual(skip, poll) {
 		t.Errorf("progress cadence diverged:\n skip: %v\n poll: %v", skip, poll)
 	}
+}
+
+// TestIdleSkipProgressCadence: the progress hook fires at the same commit
+// counts whether a memory-bound run skips or polls.
+func TestIdleSkipProgressCadence(t *testing.T) {
+	progressCadence(t, PUBSConfig(), workload.MustProgram("sparse"))
+}
+
+// TestIdleSkipProgressCadenceCommitRun: the commit-run shape retires long
+// runs back to back, so the hook fires in cycles that sit right next to
+// skipped spans.
+func TestIdleSkipProgressCadenceCommitRun(t *testing.T) {
+	progressCadence(t, withTinyL1I(BaseConfig(), "base-tinyl1i"), commitRunProgram())
 }
 
 // TestSkipStatsTelemetry: a memory-bound run must actually skip (the
@@ -303,5 +438,72 @@ func TestSkipStatsTelemetry(t *testing.T) {
 	}
 	if !reflect.DeepEqual(skipRes, pollRes) {
 		t.Errorf("telemetry leaked into Result:\n skip: %+v\n poll: %+v", skipRes, pollRes)
+	}
+}
+
+// recordProgLoop is recordStream for an arbitrary program: it captures the
+// first n committed-order instructions and loops them forever. n must be
+// comfortably below the program's dynamic length so a Halt never enters
+// the loop buffer.
+func recordProgLoop(t *testing.T, prog *isa.Program, n int) *loopStream {
+	t.Helper()
+	m, err := emu.New(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]emu.DynInst, 0, n)
+	for len(buf) < n {
+		di, ok := m.Step()
+		if !ok {
+			t.Fatalf("program ended after %d instructions, want %d", len(buf), n)
+		}
+		buf = append(buf, di)
+	}
+	return &loopStream{buf: buf}
+}
+
+// TestWakeHeapNeverLate audits the event heap against the pre-heap
+// threshold rescan: at the end of every simulated cycle, nextWake (heap)
+// must not report a later wake than nextWakeScan (ground truth) — a later
+// wake would let a skip jump across a live threshold. Earlier is fine
+// (spurious wakeups only shorten skips). Driven by a branch-heavy
+// workload, a memory-bound one, and pseudo-random programs, on both
+// anchor machines.
+func TestWakeHeapNeverLate(t *testing.T) {
+	const cycles = 30_000
+	streams := map[string]func(t *testing.T) *loopStream{
+		"chess":    func(t *testing.T) *loopStream { return recordStream(t, "chess", 4096) },
+		"treewalk": func(t *testing.T) *loopStream { return recordStream(t, "treewalk", 4096) },
+		"rand7":    func(t *testing.T) *loopStream { return recordProgLoop(t, skipRandomProgram(7), 4096) },
+		"randBEEF": func(t *testing.T) *loopStream { return recordProgLoop(t, skipRandomProgram(0xBEEF), 4096) },
+	}
+	for _, cfg := range []Config{BaseConfig(), PUBSConfig()} {
+		for name, mk := range streams {
+			cfg, name, mk := cfg, name, mk
+			t.Run(fmt.Sprintf("%s/%s", cfg.Name, name), func(t *testing.T) {
+				t.Parallel()
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.stream = mk(t)
+				for c := 0; c < cycles; c++ {
+					s.act = false
+					s.commit()
+					s.issue()
+					s.drainStores()
+					s.dispatch()
+					s.decodeWrongPath()
+					s.fetch()
+					scan := s.nextWakeScan()
+					heap := s.nextWake()
+					if heap > scan {
+						t.Fatalf("cycle %d: heap wake %d later than scanned wake %d (act=%t)",
+							s.now, heap, scan, s.act)
+					}
+					s.now++
+				}
+			})
+		}
 	}
 }

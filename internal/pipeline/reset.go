@@ -76,11 +76,9 @@ func (s *Sim) Reset() {
 	s.rng = 0x9E3779B97F4A7C15
 	s.pipeTrace, s.pipeTraceLeft = nil, 0
 
-	s.act, s.stallCtr, s.stallRand = 0, nil, false
+	s.act, s.stallCtr, s.stallRand = false, nil, false
 	s.polled, s.skipSpans, s.skippedCycles = 0, 0, 0
 	s.wake.clear()
-	s.fetchBurstSpans, s.fetchBurstCycles = 0, 0
-	s.commitBurstSpans, s.commitBurstCycles = 0, 0
 	s.telemetryFlushed = SkipTelemetry{}
 
 	s.st = stats.Sim{}

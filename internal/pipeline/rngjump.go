@@ -1,6 +1,6 @@
 package pipeline
 
-// Closed-form advancement of the xorshift64 state (DESIGN.md §14, phase 2).
+// Closed-form advancement of the xorshift64 state (DESIGN.md §14).
 //
 // rand01's state transition is linear over GF(2): each of the three
 // shift-xor steps is a linear map on the 64-bit state vector, so one RNG

@@ -222,34 +222,25 @@ type Sim struct {
 	pipeTrace     io.Writer
 	pipeTraceLeft int64
 
-	// Idle-skip bookkeeping (see idleskip.go). act is reset at the top of
-	// every cycle; each stage that mutates persistent state ORs in its
-	// activity bit. A cycle that ends with act == 0 is provably null and
-	// eligible for fast-forward; a cycle whose only set bit names a
-	// burstable stage is quasi-null and eligible for a burst (burst.go).
-	// stallCtr/stallRand record the one integrable tick a stalled dispatch
-	// produces per cycle (which stall counter fired, and whether the
-	// weighted policy consumed a rand01 draw). polled counts executed loop
-	// iterations — in poll mode it equals s.now; the invariant-check and
-	// context-poll cadences key on it so their behaviour is independent of
-	// how far each iteration advanced time. wake is the event-heap index
-	// nextWake reads instead of rescanning every threshold.
-	act           uint8
-	stallCtr      *uint64
-	stallRand     bool
-	polled        int64
-	wake          wakeHeap
-	skipSpans     uint64
-	skippedCycles uint64
-
-	// Per-class burst telemetry (burst.go); like skipSpans/skippedCycles,
-	// deliberately outside Result — burst on and burst off must produce
-	// DeepEqual-identical Results.
-	fetchBurstSpans   uint64
-	fetchBurstCycles  uint64
-	commitBurstSpans  uint64
-	commitBurstCycles uint64
-	telemetryFlushed  SkipTelemetry // portion already flushed to the package counters
+	// Idle-skip bookkeeping (see idleskip.go). act is cleared at the top
+	// of every cycle; each stage that mutates persistent state sets it. A
+	// cycle that ends with act still false is provably null and eligible
+	// for fast-forward. stallCtr/stallRand record the one integrable tick
+	// a stalled dispatch produces per cycle (which stall counter fired,
+	// and whether the weighted policy consumed a rand01 draw). polled
+	// counts executed loop iterations — in poll mode it equals s.now; the
+	// invariant-check and context-poll cadences key on it so their
+	// behaviour is independent of how far each iteration advanced time.
+	// wake is the event-heap index nextWake reads instead of rescanning
+	// every threshold.
+	act              bool
+	stallCtr         *uint64
+	stallRand        bool
+	polled           int64
+	wake             wakeHeap
+	skipSpans        uint64
+	skippedCycles    uint64
+	telemetryFlushed SkipTelemetry // portion already flushed to the package counters
 
 	st             stats.Sim
 	occHist        *stats.Histogram
@@ -446,7 +437,7 @@ func (s *Sim) peek() (emu.DynInst, bool) {
 	if !s.hasPending {
 		// Pulling from the stream steps the emulator (or trace cursor) —
 		// a one-time mutation, as is the done transition.
-		s.act |= actFetch
+		s.act = true
 		di, ok := s.stream.Next()
 		if !ok {
 			s.streamDone = true
@@ -466,7 +457,7 @@ func (s *Sim) take() { s.hasPending = false }
 func (s *Sim) lineReady(pc uint64) bool {
 	line := pc &^ 63
 	if !s.haveLine || line != s.lastLine {
-		s.act |= actFetch // new line request mutates the I-cache
+		s.act = true // new line request mutates the I-cache
 		done := s.l1i.Access(pc, s.now, false)
 		s.lastLine, s.haveLine = line, true
 		s.lineReadyAt = done
@@ -591,7 +582,7 @@ func (s *Sim) fetch() {
 		}
 		stop := s.fetchControl(f)
 		s.fqLen++
-		s.act |= actFetch
+		s.act = true
 		// The staged entry matures for dispatch once it clears the
 		// front-end pipeline.
 		s.wake.push(s.now+s.cfg.FrontEndDepth, s.now)
@@ -619,7 +610,7 @@ func (s *Sim) dispatch() {
 				f.unconf = s.pubs.Decode(f.di.PC, f.di.Inst)
 			}
 			f.decoded = true
-			s.act |= actDispatch // one-time PUBS table update + decoded mark
+			s.act = true // one-time PUBS table update + decoded mark
 		}
 
 		// Structural hazards (checked oldest-first; dispatch is in-order).
@@ -711,7 +702,7 @@ func (s *Sim) dispatch() {
 			}
 		}
 		s.freeU = s.freeU[:len(s.freeU)-1]
-		s.act |= actDispatch
+		s.act = true
 
 		u := &s.uops[h]
 		*u = uop{
@@ -788,7 +779,7 @@ func (s *Sim) issue() {
 	s.releaseReady()
 	granted := s.q.Select(s.cfg.IssueWidth, s.fuFn)
 	if len(granted) > 0 {
-		s.act |= actIssue // a zero-grant Select mutates nothing
+		s.act = true // a zero-grant Select mutates nothing
 	}
 	for _, g := range granted {
 		s.schedule(g.Handle)
@@ -885,7 +876,7 @@ func (s *Sim) decodeWrongPath() {
 	if s.wrongPathIdx < 0 || s.pubs == nil || s.blockedOnSeq == noSeq {
 		return
 	}
-	s.act |= actWrongPath // every pass advances or parks the walk
+	s.act = true // every pass advances or parks the walk
 	for n := 0; n < s.cfg.FetchWidth; n++ {
 		if s.wrongPathLeft <= 0 {
 			s.wrongPathIdx = -1
@@ -950,7 +941,7 @@ func (s *Sim) drainStores() {
 	// One committed store drains per cycle when a D-port is idle.
 	for i := range s.dports {
 		if s.dports[i] <= s.now {
-			s.act |= actDrain
+			s.act = true
 			s.dports[i] = s.now + 1
 			s.wake.push(s.now+1, s.now)
 			s.l1d.Access(s.storeBuf[s.sbHead], s.now, true)
@@ -981,7 +972,7 @@ func (s *Sim) commit() {
 			s.storeBuf[(s.sbHead+s.sbLen)%len(s.storeBuf)] = u.di.Addr
 			s.sbLen++
 		}
-		s.act |= actCommit // the instruction retires this cycle
+		s.act = true // the instruction retires this cycle
 		if in.IsMem() {
 			s.lsq.Pop(h)
 		}
@@ -1109,24 +1100,20 @@ func (s *Sim) RunContext(ctx context.Context, stream InstStream, warmup, measure
 	if tr, ok := stream.(*Replay); ok && tr.Pre != nil && tr.Decode != nil && tr.pos < tr.Pre.Len() && tr.live == nil {
 		s.trace = tr
 	}
-	rs := runState{
-		warmup:   warmup,
-		target:   warmup + measure,
-		warmedUp: warmup == 0,
-		hook:     progressFrom(ctx),
-	}
-	rs.nextProgress = rs.hook.every
-	if rs.warmedUp {
+	target := warmup + measure
+	warmedUp := warmup == 0
+	hook := progressFrom(ctx)
+	nextProgress := hook.every
+	if warmedUp {
 		s.resetMeasurement()
 	}
 
 	skipEnabled := !s.cfg.NoIdleSkip
-	burstEnabled := skipEnabled && !s.cfg.NoBurstSkip
 	nextCtxCheck := s.now + ctxCheckEvery
 	defer s.flushSkipTelemetry()
 
 	for {
-		s.act = 0
+		s.act = false
 		s.stallCtr = nil
 		s.stallRand = false
 		if s.hangInjected {
@@ -1137,7 +1124,20 @@ func (s *Sim) RunContext(ctx context.Context, stream InstStream, warmup, measure
 		} else {
 			s.commit()
 		}
-		if s.afterCommit(&rs) {
+		if !warmedUp && s.committedTotal >= warmup {
+			s.resetMeasurement()
+			warmedUp = true
+		}
+		if hook.fn != nil && s.committedTotal >= nextProgress {
+			hook.fn(s.committedTotal)
+			for nextProgress <= s.committedTotal {
+				nextProgress += hook.every
+			}
+		}
+		if s.committedTotal >= target || s.halted {
+			break
+		}
+		if s.streamDone && !s.hasPending && s.fqLen == 0 && s.rob.Empty() {
 			break
 		}
 		s.issue()
@@ -1148,31 +1148,14 @@ func (s *Sim) RunContext(ctx context.Context, stream InstStream, warmup, measure
 		if s.occHist != nil {
 			s.occHist.Add(s.q.Occupancy())
 		}
-		// Null and quasi-null fast-forwarding, gated on what this cycle
-		// actually touched. A cycle that mutated nothing skips to just
+		// Idle skip: if this cycle mutated nothing, fast-forward to just
 		// before the next wakeup event (idleskip.go) so the s.now++ below
-		// lands exactly on it; a cycle whose only activity was fetch
-		// staging or commit retirement extends into a burst that simulates
-		// only that stage until a foreign threshold intervenes (burst.go).
-		// All of it is disabled while fault injection is armed (robustness
-		// tests count per-cycle Fire calls) and after an injected hang
-		// (the watchdog diagnoses it on the polled path).
-		if skipEnabled && !s.hangInjected && !faultinject.Armed() {
-			switch {
-			case s.act == 0:
-				if t := s.nextWake(); t > s.now+1 {
-					s.skipCycles(t - s.now - 1)
-				}
-			case burstEnabled && s.act == actFetch:
-				s.fetchDrainBurst()
-			case burstEnabled && s.act == actCommit:
-				if s.commitRunBurst(&rs) {
-					// The burst's last commit hit the target, halted, or
-					// emptied a finished machine — the same conditions the
-					// afterCommit above breaks on, at the same cycle a
-					// polled run would have.
-					return s.finishRun(stream)
-				}
+		// lands exactly on it. Disabled while fault injection is armed
+		// (robustness tests count per-cycle Fire calls) and after an
+		// injected hang (the watchdog diagnoses it on the polled path).
+		if skipEnabled && !s.act && !s.hangInjected && !faultinject.Armed() {
+			if t := s.nextWake(); t > s.now+1 {
+				s.skipCycles(t - s.now - 1)
 			}
 		}
 		s.now++
@@ -1202,49 +1185,6 @@ func (s *Sim) RunContext(ctx context.Context, stream InstStream, warmup, measure
 		}
 	}
 
-	return s.finishRun(stream)
-}
-
-// runState carries the per-run control state the commit path consults
-// every cycle: the warm-up boundary, the progress hook, and the
-// measurement target. It is threaded to the commit-run burst so a burst
-// cycle observes the identical cadence a polled cycle would.
-type runState struct {
-	warmup, target uint64
-	warmedUp       bool
-	hook           progressHook
-	nextProgress   uint64
-}
-
-// afterCommit performs the bookkeeping that follows the commit stage in
-// every simulated cycle — the warm-up boundary reset, the progress hook,
-// and the termination checks — and reports whether the run is done. It is
-// the single definition of that cadence: the main loop and the commit-run
-// burst both call it, so results, hook firings, and the measurement
-// window boundary are bit-identical whether a cycle was polled or bursted.
-func (s *Sim) afterCommit(rs *runState) (done bool) {
-	if !rs.warmedUp && s.committedTotal >= rs.warmup {
-		s.resetMeasurement()
-		rs.warmedUp = true
-	}
-	if rs.hook.fn != nil && s.committedTotal >= rs.nextProgress {
-		rs.hook.fn(s.committedTotal)
-		for rs.nextProgress <= s.committedTotal {
-			rs.nextProgress += rs.hook.every
-		}
-	}
-	if s.committedTotal >= rs.target || s.halted {
-		return true
-	}
-	if s.streamDone && !s.hasPending && s.fqLen == 0 && s.rob.Empty() {
-		return true
-	}
-	return false
-}
-
-// finishRun closes out a completed run: trace-replay error check, cycle
-// accounting, and Result assembly.
-func (s *Sim) finishRun(stream InstStream) (Result, error) {
 	if tr, ok := stream.(*Replay); ok {
 		if err := tr.Err(); err != nil {
 			return Result{}, fmt.Errorf("pipeline %s: trace replay: %w", s.cfg.Name, err)

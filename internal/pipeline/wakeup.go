@@ -29,7 +29,7 @@ import (
 //     the IQ's ready bitset (iq.Queue.MarkReady), then selects.
 //
 // Every ready cycle is a producer's completion cycle, which schedule has
-// already pushed into the wake heap. An idle skip or burst span therefore
+// already pushed into the wake heap. An idle skip therefore
 // always ends on or before it, and the release happens in the same cycle
 // the polled predicate would first have accepted the entry: results are
 // bit-identical to polling, and the ready set is part of the same

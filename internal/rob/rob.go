@@ -65,17 +65,6 @@ func (r *ROB) Head() (handle int, ok bool) {
 	return r.entries[r.head], true
 }
 
-// At returns the i-th oldest handle (At(0) == Head) without removing it.
-// The commit-run burst (pipeline §14 phase 2) reads the head run through
-// it to bound a retirement span; like every other accessor it never
-// observes the cycle counter, so it cannot perturb skip invariance.
-func (r *ROB) At(i int) (handle int, ok bool) {
-	if i < 0 || i >= r.count {
-		return 0, false
-	}
-	return r.entries[(r.head+i)%len(r.entries)], true
-}
-
 // Pop retires the oldest handle.
 func (r *ROB) Pop() (handle int, ok bool) {
 	if r.count == 0 {

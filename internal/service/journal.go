@@ -2,9 +2,11 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -111,8 +113,10 @@ type recoveredJob struct {
 // swallowed — in original submission order, plus the highest job sequence
 // number seen (so a restarted daemon's IDs never collide with recovered
 // ones). A torn trailing line (the crash interrupted a write) is
-// tolerated; any other unparsable line is skipped, since a corrupt journal
-// must cost at most lost recovery, never a failed boot.
+// tolerated; any other unparsable line is skipped, and so is a line
+// longer than maxJournalLine (a zero-filled tail after a crash has no
+// newline at all), since a corrupt journal must cost at most lost
+// recovery, never a failed boot.
 func readJournal(dir string) ([]recoveredJob, uint64, error) {
 	f, err := os.Open(filepath.Join(dir, journalFile))
 	if os.IsNotExist(err) {
@@ -122,7 +126,16 @@ func readJournal(dir string) ([]recoveredJob, uint64, error) {
 		return nil, 0, fmt.Errorf("service: journal: %w", err)
 	}
 	defer f.Close()
+	live, maxSeq, err := parseJournal(f)
+	if err != nil {
+		return nil, 0, fmt.Errorf("service: journal: %w", err)
+	}
+	return live, maxSeq, nil
+}
 
+// parseJournal is readJournal's decoder: it fails only when r itself
+// fails, never on what r holds.
+func parseJournal(r io.Reader) ([]recoveredJob, uint64, error) {
 	type jobState struct {
 		spec     CampaignSpec
 		order    int
@@ -131,8 +144,9 @@ func readJournal(dir string) ([]recoveredJob, uint64, error) {
 	jobs := make(map[string]*jobState)
 	var maxSeq uint64
 	order := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64<<10), maxJournalLine)
+	sc.Split(journalLines())
 	for sc.Scan() {
 		var rec journalRecord
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
@@ -155,7 +169,7 @@ func readJournal(dir string) ([]recoveredJob, uint64, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("service: journal: %w", err)
+		return nil, 0, err
 	}
 
 	var live []recoveredJob
@@ -166,6 +180,32 @@ func readJournal(dir string) ([]recoveredJob, uint64, error) {
 	}
 	sort.Slice(live, func(i, j int) bool { return jobs[live[i].ID].order < jobs[live[j].ID].order })
 	return live, maxSeq, nil
+}
+
+// maxJournalLine caps one journal record, far above any real one (the
+// largest, a submit, carries one campaign spec).
+const maxJournalLine = 1 << 20
+
+// journalLines is bufio.ScanLines, except that a line reaching
+// maxJournalLine bytes is dropped through its newline rather than
+// failing the scan with bufio.ErrTooLong.
+func journalLines() bufio.SplitFunc {
+	dropping := false
+	return func(data []byte, atEOF bool) (int, []byte, error) {
+		i := bytes.IndexByte(data, '\n')
+		switch {
+		case dropping && i < 0:
+			return len(data), nil, nil
+		case dropping:
+			dropping = false
+			return i + 1, nil, nil
+		case i < 0 && len(data) >= maxJournalLine:
+			// The scanner's buffer is full: the line is over-long.
+			dropping = true
+			return len(data), nil, nil
+		}
+		return bufio.ScanLines(data, atEOF)
+	}
 }
 
 // compact rewrites the journal to hold only the submit records of the

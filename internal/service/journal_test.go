@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -252,4 +254,98 @@ func TestJournalessShutdownStillClean(t *testing.T) {
 	if err := s.Shutdown(ctx); err == nil {
 		t.Error("second Shutdown should error")
 	}
+}
+
+// TestJournalSkipsOverlongLines: a line past maxJournalLine is skipped
+// like any other corrupt line — in mid-log, and as a newline-free
+// zero-filled tail such as a crash can leave — and the daemon still boots.
+func TestJournalSkipsOverlongLines(t *testing.T) {
+	dir := t.TempDir()
+	spec := specBaseMatmul()
+	writeJournalLines(t, dir,
+		journalRecord{Type: "submit", Job: "j000001", Time: time.Now(), Spec: &spec},
+	)
+	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("x", 2<<20) + "\n"
+	rec, err := json.Marshal(journalRecord{Type: "submit", Job: "j000002", Time: time.Now(), Spec: &spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(long + string(rec) + "\n" + strings.Repeat("\x00", 2<<20)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	live, maxSeq, err := readJournal(dir)
+	if err != nil {
+		t.Fatalf("readJournal: %v", err)
+	}
+	if len(live) != 2 || live[0].ID != "j000001" || live[1].ID != "j000002" {
+		t.Fatalf("live = %+v, want j000001 and j000002", live)
+	}
+	if maxSeq != 2 {
+		t.Errorf("maxSeq = %d, want 2", maxSeq)
+	}
+
+	// Boot on a journal whose only job finished before the crash.
+	writeJournalLines(t, dir,
+		journalRecord{Type: "submit", Job: "j000001", Time: time.Now(), Spec: &spec},
+		journalRecord{Type: "done", Job: "j000001", Time: time.Now()},
+	)
+	f, err = os.OpenFile(filepath.Join(dir, journalFile), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(strings.Repeat("\x00", 2<<20)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	testService(t, Config{Workers: 1, JournalDir: dir})
+}
+
+// FuzzReadJournal fuzzes the boot-time journal decoder: whatever bytes a
+// crash or a bad disk leaves, it must recover without error or panic,
+// return each job at most once, and report a sequence number at least as
+// high as every recovered ID.
+func FuzzReadJournal(f *testing.F) {
+	spec := specBaseMatmul()
+	var log []byte
+	for _, rec := range []journalRecord{
+		{Type: "submit", Job: "j000001", Spec: &spec},
+		{Type: "start", Job: "j000001"},
+		{Type: "cell", Job: "j000001", Key: "0123abcd", Outcome: "done"},
+		{Type: "done", Job: "j000001"},
+		{Type: "submit", Job: "j000002", Spec: &spec},
+		{Type: "failed", Job: "j000002", Error: "boom"},
+		{Type: "submit", Job: "j000003", Spec: &spec},
+	} {
+		data, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		log = append(append(log, data...), '\n')
+		f.Add(append([]byte(nil), log...))
+	}
+	f.Add(append(append([]byte(nil), log...), `{"type":"submit","job":"j0000`...))
+	f.Add([]byte("\x00\x00\x00\n\r\n{}\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		live, maxSeq, err := parseJournal(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("parseJournal: %v", err)
+		}
+		seen := make(map[string]bool)
+		for _, j := range live {
+			if seen[j.ID] {
+				t.Fatalf("job %q recovered twice", j.ID)
+			}
+			seen[j.ID] = true
+			var seq uint64
+			if n, err := fmt.Sscanf(j.ID, "j%d", &seq); n == 1 && err == nil && seq > maxSeq {
+				t.Fatalf("recovered %s above maxSeq %d", j.ID, maxSeq)
+			}
+		}
+	})
 }

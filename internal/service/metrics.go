@@ -208,12 +208,10 @@ func (m *metrics) render(node string, g snapshotGauges) string {
 	line("pubsd_singleflight_merged_total", m.merged.Load())
 
 	// Idle-skip efficacy (pipeline §14): process-wide spans/cycles covered
-	// by null skips and quasi-null bursts, flushed once per simulation run.
-	skipSpans, skippedCycles, burstSpans, burstCycles := pipeline.SkipCounters()
+	// by null skips, flushed once per simulation run.
+	skipSpans, skippedCycles := pipeline.SkipCounters()
 	line("pubsd_skip_spans_total", skipSpans)
 	line("pubsd_skipped_cycles_total", skippedCycles)
-	line("pubsd_skip_burst_spans_total", burstSpans)
-	line("pubsd_skip_burst_cycles_total", burstCycles)
 
 	line("pubsd_sims_executed_total", g.simulated)
 	line("pubsd_runner_memo_hits_total", g.memoHits)

@@ -397,8 +397,6 @@ func TestMetricsText(t *testing.T) {
 		"pubsd_workers{node=\"local\"} 2",
 		"pubsd_skip_spans_total{node=\"local\"}",
 		"pubsd_skipped_cycles_total{node=\"local\"}",
-		"pubsd_skip_burst_spans_total{node=\"local\"}",
-		"pubsd_skip_burst_cycles_total{node=\"local\"}",
 		"pubsd_job_latency_count{node=\"local\"} 1",
 		"pubsd_job_latency_ms{node=\"local\",quantile=\"0.5\"}",
 	} {

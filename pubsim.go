@@ -85,9 +85,9 @@ type (
 	Runner = experiments.Runner
 	// RunnerStats counts simulations run vs answered from cache/checkpoint.
 	RunnerStats = experiments.RunnerStats
-	// SkipTelemetry reports idle-skip efficacy: null spans and quasi-null
-	// bursts (DESIGN.md §14). Deliberately not part of Result — scheduling
-	// telemetry never enters the bit-identity surface.
+	// SkipTelemetry reports idle-skip efficacy: null spans skipped and the
+	// cycles they covered (DESIGN.md §14). Deliberately not part of
+	// Result — scheduling telemetry never enters the bit-identity surface.
 	SkipTelemetry = pipeline.SkipTelemetry
 	// Table renders aligned text tables.
 	Table = stats.Table
@@ -257,11 +257,11 @@ func Speedup(baseIPC, newIPC float64) float64 { return stats.Speedup(baseIPC, ne
 // Geomean returns the geometric mean of positive values.
 func Geomean(xs []float64) float64 { return stats.Geomean(xs) }
 
-// SkipCounters reports the process-wide idle-skip telemetry: spans and
-// cycles covered by null skips, and by quasi-null bursts (both classes
-// summed). pubsd exports these as the node-labeled pubsd_skip_* metrics;
-// pubsim -skip-stats prints the same counters for a single run.
-func SkipCounters() (skipSpans, skippedCycles, burstSpans, burstCycles uint64) {
+// SkipCounters reports the process-wide idle-skip telemetry: null-skip
+// spans and the cycles they covered. pubsd exports these as the
+// node-labeled pubsd_skip_* metrics; pubsim -skip-stats prints the same
+// counters for a single run.
+func SkipCounters() (skipSpans, skippedCycles uint64) {
 	return pipeline.SkipCounters()
 }
 
