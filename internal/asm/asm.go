@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -305,10 +306,9 @@ func (b *Builder) align() {
 func (b *Builder) Words(vals ...uint64) uint64 {
 	b.align()
 	addr := uint64(len(b.data))
+	b.data = slices.Grow(b.data, 8*len(vals))
 	for _, v := range vals {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		b.data = append(b.data, buf[:]...)
+		b.data = binary.LittleEndian.AppendUint64(b.data, v)
 	}
 	return addr
 }
@@ -328,7 +328,8 @@ func (b *Builder) Floats(vals ...float64) uint64 {
 func (b *Builder) Alloc(n int) uint64 {
 	b.align()
 	addr := uint64(len(b.data))
-	b.data = append(b.data, make([]byte, n)...)
+	b.data = slices.Grow(b.data, n)[:len(b.data)+n]
+	clear(b.data[addr:])
 	return addr
 }
 

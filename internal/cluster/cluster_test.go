@@ -96,9 +96,9 @@ func startCoordinator(t *testing.T, id string, workers []*testNode) (*service.Se
 // wirePeers joins every worker to coord's ring and hands each the final
 // member map under the coordinator's final epoch. AddNode also broadcasts
 // each intermediate map asynchronously; the epoch is what makes a late
-// one-node snapshot lose to the full map. Unversioned SetPeers would let it
-// win and leave a worker without a successor, so cells it finished in that
-// window were never replicated.
+// one-node snapshot lose to the full map, which would otherwise leave a
+// worker without a successor, so cells it finished in that window were
+// never replicated.
 func wirePeers(coord *Coordinator, workers []*testNode) {
 	for _, w := range workers {
 		coord.AddNode(w.id, w.srv.URL)
@@ -448,6 +448,42 @@ func TestClusterSaturationSteals(t *testing.T) {
 		t.Error("no steals recorded off the rate-limited node")
 	} else {
 		t.Logf("%d cells stolen off the saturated node", steals)
+	}
+}
+
+// TestSetPeersOutranksEarlierSnapshots: a member map wired by hand with
+// SetPeers must survive a coordinator snapshot stamped before it but
+// delivered after it — the late one-node broadcast of an AddNode that ran
+// just before SetPeers, which used to strip a fleet's worker of its peers —
+// while a snapshot stamped after it still applies.
+func TestSetPeersOutranksEarlierSnapshots(t *testing.T) {
+	w := startWorker(t, "w1", service.Config{}, nil)
+	// The coordinator's members answer its broadcasts without reaching w1,
+	// so every snapshot w1 sees is one the test delivers.
+	sink := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	t.Cleanup(sink.Close)
+	coord := NewCoordinator()
+	coord.AddNode("w2", sink.URL)
+	stale, staleEpoch := coord.membership()
+
+	w.wk.SetPeers(map[string]string{"w2": sink.URL, "w3": sink.URL})
+	if w.wk.ApplyPeers(stale, staleEpoch) {
+		t.Fatal("a snapshot stamped before SetPeers replaced the hand-wired map")
+	}
+	if got := w.wk.peerList(); len(got) != 2 {
+		t.Fatalf("peers after the stale snapshot = %v, want w2 and w3", got)
+	}
+
+	coord.AddNode("w4", sink.URL)
+	newer, _ := coord.membership()
+	w.wk.mu.Lock()
+	newerEpoch := w.wk.peersEpoch + 1 // stamped after SetPeers
+	w.wk.mu.Unlock()
+	if !w.wk.ApplyPeers(newer, newerEpoch) {
+		t.Fatal("a snapshot stamped after SetPeers was refused")
+	}
+	if _, ok := w.wk.peerURL("w4"); !ok {
+		t.Fatalf("peers after the newer snapshot = %v, want w4 among them", w.wk.peerList())
 	}
 }
 

@@ -72,9 +72,9 @@ func (wk *Worker) DisableReplication() {
 	wk.mu.Unlock()
 }
 
-// SetPeers replaces the worker's member map unconditionally (static
-// configuration, tests). Coordinator traffic goes through ApplyPeers, which
-// carries the membership epoch and discards stale snapshots.
+// SetPeers replaces the worker's member map (static configuration, tests,
+// harnesses that wire a fleet by hand). It applies as an unversioned
+// snapshot: see ApplyPeers with epoch 0.
 func (wk *Worker) SetPeers(peers map[string]string) {
 	wk.ApplyPeers(peers, 0)
 }
@@ -84,9 +84,13 @@ func (wk *Worker) SetPeers(peers map[string]string) {
 // membership change asynchronously, so two rapid joins can deliver an older
 // map after a newer one, and last-write-wins would strand this worker with
 // a stale view — unable to resolve the very planner a sweep batch names.
-// Epoch 0 is unversioned and always applies. The worker's own entry is
-// dropped: fetching from yourself is tier 1, not tier 2. Reports whether
-// the snapshot was applied.
+// Epoch 0 is unversioned: it always applies, and is stamped the way the
+// coordinator stamps its own (bumpEpochLocked), past both the wall clock
+// and the newest epoch applied. So it outranks every snapshot a
+// coordinator stamped before it — a late AddNode broadcast cannot undo a
+// map wired by hand — while one stamped after it still applies. The
+// worker's own entry is dropped: fetching from yourself is tier 1, not
+// tier 2. Reports whether the snapshot was applied.
 func (wk *Worker) ApplyPeers(peers map[string]string, epoch uint64) bool {
 	self := wk.svc.NodeID()
 	next := make(map[string]string, len(peers))
@@ -96,13 +100,13 @@ func (wk *Worker) ApplyPeers(peers map[string]string, epoch uint64) bool {
 		}
 	}
 	wk.mu.Lock()
-	if epoch != 0 && epoch <= wk.peersEpoch {
+	if epoch == 0 {
+		epoch = max(uint64(time.Now().UnixNano()), wk.peersEpoch+1)
+	} else if epoch <= wk.peersEpoch {
 		wk.mu.Unlock()
 		return false
 	}
-	if epoch != 0 {
-		wk.peersEpoch = epoch
-	}
+	wk.peersEpoch = epoch
 	wk.peers = next
 	wk.mu.Unlock()
 	wk.svc.ClusterCounters().SetPeers(len(next))

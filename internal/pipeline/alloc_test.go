@@ -81,9 +81,13 @@ func stepCycle(s *Sim) {
 // TestSteadyStateZeroAllocsPerCycle: after warm-up, the whole per-cycle
 // loop — fetch, dispatch, operand wakeup, IQ select, execute scheduling,
 // store drain, commit — must not touch the heap, on every issue-queue
-// organisation.
+// organisation and with misses beyond the event calendar's horizon.
 func TestSteadyStateZeroAllocsPerCycle(t *testing.T) {
-	for _, tc := range iqOrganisations() {
+	cases := append(iqOrganisations(), struct {
+		name string
+		cfg  Config
+	}{"base-farmiss", farMissConfig()})
+	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(tc.cfg)

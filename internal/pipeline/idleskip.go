@@ -27,14 +27,15 @@ import (
 //     cycle equals state at its start. Releasing due wakeups into the IQ
 //     ready set (wakeup.go) is not activity: the ready set is a function
 //     of the cycle and of which producers have issued, and every release
-//     cycle is a completion threshold in the wake heap.
+//     cycle is a completion threshold in the event calendar.
 //
 //  2. Every stage predicate depends on time only through comparisons
 //     against absolute-cycle thresholds (uop completion cycles, fuBusy
 //     busy-until cycles, D-port free cycles, fetchResumeAt, lineReadyAt,
-//     fetch-queue entry age). Each threshold is pushed into the wakeHeap
-//     at the instant a stage assigns it, so the heap top bounds the next
-//     cycle at which any predicate can change truth value. If it lies at
+//     fetch-queue entry age). Each threshold is pushed into the event
+//     calendar (calendar.go) at the instant a stage assigns it, so the
+//     calendar's next threshold bounds the next cycle at which any
+//     predicate can change truth value. If it lies at
 //     or beyond T, a null cycle at `now` implies cycles now+1 .. T-1 are
 //     null too, with byte-identical state and therefore the identical
 //     per-cycle tick.
@@ -58,21 +59,21 @@ const neverWakes = int64(math.MaxInt64)
 
 // nextWake returns the earliest future cycle at which any stage predicate
 // can change its truth value, or neverWakes if no such cycle is known. It
-// reads the event heap that stages feed as they create thresholds, so a
-// skip attempt costs the lazy stale-drain at the top rather than a rescan
-// of every uop, function unit, and port (nextWakeScan, kept below, is that
-// rescan — the audit tests and the microbenchmark compare against it).
-// The heap may hold thresholds that cannot matter in the current machine
+// reads the event calendar that stages feed as they create thresholds, so
+// a skip attempt costs a bitmap search rather than a rescan of every uop,
+// function unit, and port (nextWakeScan, kept below, is that rescan — the
+// audit tests and the microbenchmark compare against it).
+// The calendar may hold thresholds that cannot matter in the current machine
 // state (a busy FU nobody waits for, an overwritten line-fill time): a
 // spurious wakeup only shortens the skip — the landing cycle is simulated
 // normally and re-enters the skip if it too is null.
 func (s *Sim) nextWake() int64 {
-	return s.wake.next(s.now)
+	return s.cal.next(s.now)
 }
 
-// nextWakeScan is the pre-heap threshold rescan: the ground truth the
+// nextWakeScan is the pre-index threshold rescan: the ground truth the
 // event index is audited against (TestWakeHeapNeverLate) and benchmarked
-// against (BenchmarkNextWake). The heap must never report a later wake
+// against (BenchmarkNextWake). The index must never report a later wake
 // than this scan — that would skip across a real threshold — while it may
 // report an earlier, spurious one.
 func (s *Sim) nextWakeScan() int64 {

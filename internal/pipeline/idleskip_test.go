@@ -318,10 +318,21 @@ func TestIdleSkipDifferentialRandomPrograms(t *testing.T) {
 	runSkipVsPoll(t, inputs)
 }
 
+// farMissConfig is the base machine with a memory latency beyond the
+// event calendar's horizon: every miss completion, and the ready cycle of
+// every consumer waiting on one, starts out in the calendar's far tier.
+func farMissConfig() Config {
+	cfg := BaseConfig()
+	cfg.Name = "base-farmiss"
+	cfg.MemLatency = 10_000
+	return cfg
+}
+
 // TestIdleSkipDifferentialShapes: skip and poll must agree on the
 // fetch-drain and commit-run shapes, where one stage keeps acting while
 // the rest of the machine waits on a threshold, so the skip only gets the
-// cycles at the edges of each stall.
+// cycles at the edges of each stall. The far-miss variant runs the
+// fetch-drain shape with misses longer than the calendar's horizon.
 func TestIdleSkipDifferentialShapes(t *testing.T) {
 	// Long memory latency amplifies the backend wedge under the chase;
 	// the one-wide variant also pins the queue-full boundary.
@@ -333,6 +344,7 @@ func TestIdleSkipDifferentialShapes(t *testing.T) {
 	runSkipVsPoll(t, []skipInput{
 		{"fetch-drain", longMiss, fetchDrainProgram()},
 		{"fetch-drain-tinyfq", tinyLongMiss, fetchDrainProgram()},
+		{"fetch-drain-farmiss", farMissConfig(), fetchDrainProgram()},
 		{"commit-run", withTinyL1I(BaseConfig(), "base-tinyl1i"), commitRunProgram()},
 		{"commit-run-pubs", withTinyL1I(PUBSConfig(), "pubs-tinyl1i"), commitRunProgram()},
 	})

@@ -32,7 +32,6 @@ func (s *Sim) Reset() {
 	for i := range s.uops {
 		s.uops[i] = uop{}
 	}
-	s.readyQ.a = s.readyQ.a[:0]
 	s.freeU = s.freeU[:0]
 	for h := s.cfg.ROBSize - 1; h >= 0; h-- {
 		s.freeU = append(s.freeU, h)
@@ -78,7 +77,7 @@ func (s *Sim) Reset() {
 
 	s.act, s.stallCtr, s.stallRand = false, nil, false
 	s.polled, s.skipSpans, s.skippedCycles = 0, 0, 0
-	s.wake.clear()
+	s.cal.clear()
 	s.telemetryFlushed = SkipTelemetry{}
 
 	s.st = stats.Sim{}

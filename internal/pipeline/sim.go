@@ -203,10 +203,9 @@ type Sim struct {
 
 	// Operand wakeup state (wakeup.go): the intrusive producer→consumer
 	// links, linksPerUop per handle (each holds the next link on the same
-	// producer's list, plus one), and the consumers whose producers have
-	// all issued, ordered by the cycle their last operand arrives.
-	links  []int32
-	readyQ readyHeap
+	// producer's list, plus one). Consumers whose producers have all
+	// issued wait in cal, linked at the cycle their last operand arrives.
+	links []int32
 
 	// storeBuf is a fixed-capacity ring buffer of committed store addresses
 	// awaiting drain: sbHead indexes the oldest, sbLen counts occupancy.
@@ -231,13 +230,13 @@ type Sim struct {
 	// counts executed loop iterations — in poll mode it equals s.now; the
 	// invariant-check and context-poll cadences key on it so their
 	// behaviour is independent of how far each iteration advanced time.
-	// wake is the event-heap index nextWake reads instead of rescanning
-	// every threshold.
+	// cal is the event calendar nextWake reads instead of rescanning
+	// every threshold; it also holds the operand-ready releases.
 	act              bool
 	stallCtr         *uint64
 	stallRand        bool
 	polled           int64
-	wake             wakeHeap
+	cal              calendar
 	skipSpans        uint64
 	skippedCycles    uint64
 	telemetryFlushed SkipTelemetry // portion already flushed to the package counters
@@ -323,10 +322,7 @@ func New(cfg Config) (*Sim, error) {
 	s.storeBuf = make([]uint64, cfg.StoreBufferSize)
 	s.fuFn = s.fuTryAlloc
 	s.links = make([]int32, linksPerUop*cfg.ROBSize)
-	s.readyQ.a = make([]readyEntry, 0, cfg.ROBSize)
-	// Sized so the steady-state live-threshold population (bounded by the
-	// ROB plus the fixed structures) never forces a reallocation.
-	s.wake.init(4*cfg.ROBSize + 64)
+	s.cal.init(cfg.ROBSize, s.q)
 	if cfg.Profile {
 		s.occHist = stats.NewHistogram(cfg.IQSize + 1)
 		s.brProf = newBranchProfile()
@@ -461,7 +457,7 @@ func (s *Sim) lineReady(pc uint64) bool {
 		done := s.l1i.Access(pc, s.now, false)
 		s.lastLine, s.haveLine = line, true
 		s.lineReadyAt = done
-		s.wake.push(done, s.now) // fill arrival unblocks fetch
+		s.cal.push(done, s.now) // fill arrival unblocks fetch
 	}
 	return s.lineReadyAt <= s.now
 }
@@ -503,7 +499,7 @@ func (s *Sim) fetchControl(f *fqEntry) (stop bool) {
 			if tgt, hit := s.btb.Lookup(di.PC); !hit || tgt != di.Target {
 				s.st.BTBMisses++
 				s.fetchResumeAt = s.now + s.cfg.BTBMissPenalty
-				s.wake.push(s.fetchResumeAt, s.now) // redirect-bubble end
+				s.cal.push(s.fetchResumeAt, s.now) // redirect-bubble end
 			}
 			stop = true // taken branch ends the fetch group
 		}
@@ -512,7 +508,7 @@ func (s *Sim) fetchControl(f *fqEntry) (stop bool) {
 		if tgt, hit := s.btb.Lookup(di.PC); !hit || tgt != di.Target {
 			s.st.BTBMisses++
 			s.fetchResumeAt = s.now + s.cfg.BTBMissPenalty
-			s.wake.push(s.fetchResumeAt, s.now) // redirect-bubble end
+			s.cal.push(s.fetchResumeAt, s.now) // redirect-bubble end
 		}
 		s.btb.Insert(di.PC, di.Target)
 		if di.Inst.Op == isa.Jal {
@@ -585,7 +581,7 @@ func (s *Sim) fetch() {
 		s.act = true
 		// The staged entry matures for dispatch once it clears the
 		// front-end pipeline.
-		s.wake.push(s.now+s.cfg.FrontEndDepth, s.now)
+		s.cal.push(s.now+s.cfg.FrontEndDepth, s.now)
 		if stop {
 			break
 		}
@@ -757,7 +753,7 @@ func (s *Sim) dispatch() {
 			// Nop/Halt/direct jumps need no FU: complete next cycle.
 			u.scheduled = true
 			u.completeCycle = s.now + 1
-			s.wake.push(u.completeCycle, s.now) // commit-head unblock
+			s.cal.push(u.completeCycle, s.now) // commit-head unblock
 		}
 		s.fqHead = (s.fqHead + 1) % len(s.fetchQ)
 		s.fqLen--
@@ -850,12 +846,12 @@ func (s *Sim) schedule(h int) {
 	}
 	s.st.Issued++
 	// The completion wakes IQ dependents and unblocks the ROB head.
-	s.wake.push(u.completeCycle, s.now)
+	s.cal.push(u.completeCycle, s.now)
 	s.wakeDependents(u)
 
 	if u.mispredict && s.blockedOnSeq == u.di.Seq {
 		s.fetchResumeAt = u.completeCycle + s.cfg.RecoveryPenalty
-		s.wake.push(s.fetchResumeAt, s.now) // redirect arrival restarts fetch
+		s.cal.push(s.fetchResumeAt, s.now) // redirect arrival restarts fetch
 		s.blockedOnSeq = noSeq
 		s.wrongPathIdx = -1 // squash: stop polluting the tables
 		s.st.MisspecPenaltyCycles += u.completeCycle - u.fetchCycle
@@ -916,7 +912,7 @@ func (s *Sim) allocDPort(at int64) int64 {
 		start = s.dports[best]
 	}
 	s.dports[best] = start + 1
-	s.wake.push(start+1, s.now) // port free lets a committed store drain
+	s.cal.push(start+1, s.now) // port free lets a committed store drain
 	return start
 }
 
@@ -926,7 +922,7 @@ func (s *Sim) blockUnit(p int, lat int64) {
 	for i := range units {
 		if units[i] <= s.now {
 			units[i] = s.now + lat
-			s.wake.push(s.now+lat, s.now) // unit free can turn Select granting
+			s.cal.push(s.now+lat, s.now) // unit free can turn Select granting
 			return
 		}
 	}
@@ -943,7 +939,7 @@ func (s *Sim) drainStores() {
 		if s.dports[i] <= s.now {
 			s.act = true
 			s.dports[i] = s.now + 1
-			s.wake.push(s.now+1, s.now)
+			s.cal.push(s.now+1, s.now)
 			s.l1d.Access(s.storeBuf[s.sbHead], s.now, true)
 			s.sbHead = (s.sbHead + 1) % len(s.storeBuf)
 			s.sbLen--

@@ -142,12 +142,14 @@ func BenchmarkStoreBufferFillDrain(b *testing.B) {
 	}
 }
 
-// BenchmarkNextWake contrasts the event-heap wakeup index against the
-// pre-heap threshold rescan it replaced. One op is one nextWake query on a
+// BenchmarkNextWake contrasts the event calendar's wakeup query against
+// the threshold rescan it replaced. One op is one nextWake query on a
 // live steady-state machine (treewalk: in-flight misses, busy units, and
-// queued fetches keep the threshold population realistic). The heap's cost
-// is the lazy stale-drain at the top; the scan's is a walk over every uop,
-// function-unit slot, and port — the gap is the per-skip-attempt saving.
+// queued fetches keep the threshold population realistic), plus a share
+// of the cycle that refreshes the population every 64 queries. The
+// calendar's cost is a bitmap search from the current cycle; the scan's
+// is a walk over every uop, function-unit slot, and port — the gap is the
+// per-skip-attempt saving.
 func BenchmarkNextWake(b *testing.B) {
 	setup := func(b *testing.B) *Sim {
 		s, err := New(PUBSConfig())
@@ -164,7 +166,7 @@ func BenchmarkNextWake(b *testing.B) {
 		}
 		return s
 	}
-	b.Run("heap", func(b *testing.B) {
+	b.Run("calendar", func(b *testing.B) {
 		s := setup(b)
 		b.ReportAllocs()
 		b.ResetTimer()

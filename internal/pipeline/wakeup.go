@@ -23,69 +23,22 @@ import (
 //     architected).
 //   - schedule, once it knows the issuing uop's completion cycle, walks
 //     that uop's dependents. A consumer whose last producer just issued
-//     is ready at the maximum of its producers' completion cycles and
-//     enters readyQ, a small time-ordered heap.
-//   - issue first releases every readyQ entry whose cycle has come into
+//     is ready at the maximum of its producers' completion cycles and is
+//     linked into the event calendar (calendar.go) at that cycle.
+//   - issue first advances the calendar to the current cycle, which
+//     releases every entry linked at a cycle the clock has reached into
 //     the IQ's ready bitset (iq.Queue.MarkReady), then selects.
 //
 // Every ready cycle is a producer's completion cycle, which schedule has
-// already pushed into the wake heap. An idle skip therefore
-// always ends on or before it, and the release happens in the same cycle
-// the polled predicate would first have accepted the entry: results are
-// bit-identical to polling, and the ready set is part of the same
-// skip-invariant state as the rest of the queue.
+// already pushed into the same calendar as a wake threshold. An idle skip
+// therefore always ends on or before it, and the release happens in the
+// same cycle the polled predicate would first have accepted the entry:
+// results are bit-identical to polling, and the ready set is part of the
+// same skip-invariant state as the rest of the queue.
 
 // linksPerUop is the link slots per handle: slot 0 and 1 for the source
 // operands, slot 2 for a load's forwarding store.
 const linksPerUop = 3
-
-// readyEntry is an IQ entry whose producers have all issued, waiting for
-// the cycle its last operand arrives.
-type readyEntry struct {
-	at int64
-	h  int32
-}
-
-// readyHeap is a binary min-heap of readyEntry on at. It holds at most one
-// entry per handle, so its capacity is the ROB size.
-type readyHeap struct {
-	a []readyEntry
-}
-
-func (q *readyHeap) push(e readyEntry) {
-	q.a = append(q.a, e)
-	i := len(q.a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if q.a[p].at <= q.a[i].at {
-			break
-		}
-		q.a[p], q.a[i] = q.a[i], q.a[p]
-		i = p
-	}
-}
-
-func (q *readyHeap) pop() readyEntry {
-	top := q.a[0]
-	n := len(q.a) - 1
-	q.a[0] = q.a[n]
-	q.a = q.a[:n]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && q.a[l].at < q.a[m].at {
-			m = l
-		}
-		if r < n && q.a[r].at < q.a[m].at {
-			m = r
-		}
-		if m == i {
-			return top
-		}
-		q.a[i], q.a[m] = q.a[m], q.a[i]
-		i = m
-	}
-}
 
 // linkOperands wires a just-dispatched IQ entry to its producers and, if
 // none is still waiting to issue, schedules its readiness at once.
@@ -140,23 +93,19 @@ func (s *Sim) wakeDependents(u *uop) {
 }
 
 // readyWhen makes IQ entry h ready from cycle at on: immediately if that
-// cycle has come, otherwise through readyQ.
+// cycle has come, otherwise through the calendar.
 func (s *Sim) readyWhen(h int, at int64) {
 	if at <= s.now {
 		s.q.MarkReady(h)
 		return
 	}
-	s.readyQ.push(readyEntry{at: at, h: int32(h)})
+	s.cal.link(h, at)
 }
 
-// releaseReady marks every queued entry whose ready cycle has come. issue
+// releaseReady marks every linked entry whose ready cycle has come. issue
 // calls it before each Select; calling it again in the same cycle is a
 // no-op.
-func (s *Sim) releaseReady() {
-	for len(s.readyQ.a) > 0 && s.readyQ.a[0].at <= s.now {
-		s.q.MarkReady(int(s.readyQ.pop().h))
-	}
-}
+func (s *Sim) releaseReady() { s.cal.advance(s.now) }
 
 // valueReady reports whether the value identified by sr is available at the
 // start of the current cycle. A dead or recycled producer means the value
