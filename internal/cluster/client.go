@@ -159,18 +159,13 @@ func executeSweepBatch(ctx context.Context, hc *http.Client, base string, req sw
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		var lines []sweepLine
-		dec := json.NewDecoder(resp.Body)
-		for {
-			var ln sweepLine
-			if derr := dec.Decode(&ln); derr != nil {
-				if derr == io.EOF {
-					return lines, nil
-				}
-				return lines, fmt.Errorf("cluster: %s: sweep stream: %w", base, derr)
-			}
-			lines = append(lines, ln)
+		// Each line carries one cell's result, which executeCell bounds by
+		// maxWireBytes; the whole stream gets that much per cell.
+		lines, err := readSweepStream(io.LimitReader(resp.Body, int64(len(req.Cells))*maxWireBytes))
+		if err != nil {
+			return lines, fmt.Errorf("cluster: %s: sweep stream: %w", base, err)
 		}
+		return lines, nil
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, maxWireBytes))
 		after := time.Second
@@ -181,6 +176,24 @@ func executeSweepBatch(ctx context.Context, hc *http.Client, base string, req sw
 	default:
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, maxWireBytes))
 		return nil, fmt.Errorf("cluster: %s: sweep: %s: %s", base, resp.Status, strings.TrimSpace(string(data)))
+	}
+}
+
+// readSweepStream decodes a sweep response's NDJSON lines up to the end of
+// r. On a malformed or truncated stream it returns the lines decoded before
+// the fault together with the error.
+func readSweepStream(r io.Reader) ([]sweepLine, error) {
+	var lines []sweepLine
+	dec := json.NewDecoder(r)
+	for {
+		var ln sweepLine
+		if err := dec.Decode(&ln); err != nil {
+			if err == io.EOF {
+				return lines, nil
+			}
+			return lines, err
+		}
+		lines = append(lines, ln)
 	}
 }
 

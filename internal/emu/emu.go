@@ -6,6 +6,7 @@
 package emu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -27,18 +28,26 @@ type DynInst struct {
 }
 
 // Machine executes a program one instruction at a time.
+//
+// Memory is copy-on-write at page granularity. A page nobody has written
+// reads straight from the program's immutable data image (zero past its
+// end), shared by every machine built from the program; the first store to
+// a page copies it out into pages. Building a machine therefore costs
+// O(pages), not O(MemSize), and program data is never written.
 type Machine struct {
-	prog *isa.Program
-	regs [isa.NumLogicalRegs]uint64 // FP regs hold Float64bits
-	mem  []byte
-	pc   int // instruction index
-	seq  uint64
-	done bool
+	prog   *isa.Program
+	data   []byte                     // prog.Data: the shared, read-only initial image
+	regs   [isa.NumLogicalRegs]uint64 // FP regs hold Float64bits
+	memLen int
+	pc     int // instruction index
+	seq    uint64
+	done   bool
 
-	// dirty tracks which memory pages have been written since load, one bit
-	// per pageSize-byte page. Snapshot copies only dirty pages and Restore
-	// rebuilds clean ones from the pristine program image, so checkpoints of
-	// large, sparsely-written memories stay compact.
+	// pages holds this machine's private copy of every page written since
+	// load, one pageSize-byte slice per page, nil for a clean page. dirty
+	// mirrors it as a bitset (pages[p] != nil exactly when bit p is set),
+	// so Snapshot and Restore visit only written pages, 64 at a time.
+	pages [][]byte
 	dirty []uint64
 }
 
@@ -47,11 +56,15 @@ func New(p *isa.Program) (*Machine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{prog: p, pc: p.Entry}
-	m.mem = make([]byte, p.MemSize)
-	copy(m.mem, p.Data)
-	m.dirty = make([]uint64, (numPages(len(m.mem))+63)/64)
-	return m, nil
+	n := numPages(p.MemSize)
+	return &Machine{
+		prog:   p,
+		data:   p.Data,
+		memLen: p.MemSize,
+		pc:     p.Entry,
+		pages:  make([][]byte, n),
+		dirty:  make([]uint64, (n+63)/64),
+	}, nil
 }
 
 // MustNew is New, panicking on error.
@@ -79,32 +92,58 @@ func (m *Machine) FReg(r isa.Reg) float64 { return math.Float64frombits(m.regs[r
 func (m *Machine) ReadWord(addr uint64) uint64 { return m.load(addr) }
 
 func (m *Machine) load(addr uint64) uint64 {
-	if addr+8 > uint64(len(m.mem)) || addr%8 != 0 {
-		panic(fmt.Sprintf("emu %q: bad load address %#x (mem %d) at pc %d",
-			m.prog.Name, addr, len(m.mem), m.pc))
+	if addr+8 > uint64(m.memLen) || addr%8 != 0 {
+		m.badAccess("load", addr)
 	}
-	b := m.mem[addr : addr+8]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	if pg := m.pages[addr>>pageShift]; pg != nil {
+		return binary.LittleEndian.Uint64(pg[addr&(pageSize-1):])
+	}
+	return m.loadClean(addr)
+}
+
+// loadClean reads a word of a page no store has touched: from the data
+// image, or past its end the image's tail bytes, if any, then zeros.
+func (m *Machine) loadClean(addr uint64) uint64 {
+	if addr+8 <= uint64(len(m.data)) {
+		return binary.LittleEndian.Uint64(m.data[addr:])
+	}
+	var w [8]byte
+	if addr < uint64(len(m.data)) {
+		copy(w[:], m.data[addr:])
+	}
+	return binary.LittleEndian.Uint64(w[:])
 }
 
 func (m *Machine) store(addr, v uint64) {
-	if addr+8 > uint64(len(m.mem)) || addr%8 != 0 {
-		panic(fmt.Sprintf("emu %q: bad store address %#x (mem %d) at pc %d",
-			m.prog.Name, addr, len(m.mem), m.pc))
+	if addr+8 > uint64(m.memLen) || addr%8 != 0 {
+		m.badAccess("store", addr)
 	}
 	// A store is 8-byte aligned and pageSize is a multiple of 8, so the
 	// write never straddles a page boundary.
-	m.dirty[addr>>pageShift>>6] |= 1 << (addr >> pageShift & 63)
-	b := m.mem[addr : addr+8]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
+	pg := m.pages[addr>>pageShift]
+	if pg == nil {
+		pg = m.copyOut(int(addr >> pageShift))
+	}
+	binary.LittleEndian.PutUint64(pg[addr&(pageSize-1):], v)
+}
+
+// badAccess reports a misaligned or out-of-range memory access, a bug in
+// the program being run.
+func (m *Machine) badAccess(kind string, addr uint64) {
+	panic(fmt.Sprintf("emu %q: bad %s address %#x (mem %d) at pc %d",
+		m.prog.Name, kind, addr, m.memLen, m.pc))
+}
+
+// copyOut gives page p its private copy, filled from the data image, and
+// marks it dirty.
+func (m *Machine) copyOut(p int) []byte {
+	pg := make([]byte, pageSize)
+	if start := p << pageShift; start < len(m.data) {
+		copy(pg, m.data[start:])
+	}
+	m.pages[p] = pg
+	m.dirty[p>>6] |= 1 << (p & 63)
+	return pg
 }
 
 func (m *Machine) setReg(r isa.Reg, v uint64) {

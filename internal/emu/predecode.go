@@ -74,20 +74,16 @@ func (p *Predecode) Bytes() int64 {
 // consuming the record).
 func (p *Predecode) PCAt(i int) uint64 { return isa.PC(int(p.idx[i])) }
 
-// StaticDecode caches the per-static-instruction decode (the Class call)
-// for one program, shared by every replay of its windows.
+// StaticDecode is a program's static code, shared by every replay of its
+// windows. Decoding an instruction is a table load (isa.Inst.Class), so
+// nothing more is cached per static instruction.
 type StaticDecode struct {
-	Code  []isa.Inst
-	Class []isa.Class
+	Code []isa.Inst
 }
 
-// NewStaticDecode predecodes a program's static code.
+// NewStaticDecode wraps a program's static code.
 func NewStaticDecode(code []isa.Inst) *StaticDecode {
-	sd := &StaticDecode{Code: code, Class: make([]isa.Class, len(code))}
-	for i, in := range code {
-		sd.Class[i] = in.Class()
-	}
-	return sd
+	return &StaticDecode{Code: code}
 }
 
 // Fill reconstructs record i into di, bit-identically to the DynInst
@@ -102,7 +98,7 @@ func (p *Predecode) Fill(i int, sd *StaticDecode, di *DynInst) {
 	di.Idx = idx
 	di.PC = isa.PC(idx)
 	di.Inst = in
-	di.Class = sd.Class[idx]
+	di.Class = in.Class()
 	di.Taken = p.flags[i]&predTaken != 0
 	di.Addr = p.addr[i]
 	if in.Op == isa.Halt {

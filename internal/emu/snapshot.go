@@ -7,11 +7,11 @@ import (
 	"repro/internal/isa"
 )
 
-// Memory is checkpointed at page granularity: the machine records which
-// pages stores have touched, a snapshot copies only those, and a restore
-// rebuilds every other page from the pristine program image. pageSize is a
-// power of two and a multiple of the 8-byte store width, so no store
-// straddles a page.
+// Memory is copy-on-write at page granularity: a machine holds private
+// copies of only the pages stores have touched, a snapshot copies only
+// those, and a restore drops every other private page so it reads from the
+// pristine program image again. pageSize is a power of two and a multiple
+// of the 8-byte store width, so no store straddles a page.
 const (
 	pageShift = 12
 	pageSize  = 1 << pageShift
@@ -61,7 +61,7 @@ func (m *Machine) Snapshot() *Snapshot {
 		pc:      m.pc,
 		seq:     m.seq,
 		done:    m.done,
-		memLen:  len(m.mem),
+		memLen:  m.memLen,
 		dirty:   append([]uint64(nil), m.dirty...),
 		progLen: len(m.prog.Code),
 	}
@@ -69,50 +69,39 @@ func (m *Machine) Snapshot() *Snapshot {
 		for word != 0 {
 			p := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			start := p << pageShift
-			end := min(start+pageSize, len(m.mem))
-			page := make([]byte, pageSize)
-			copy(page, m.mem[start:end])
-			s.pages = append(s.pages, page)
+			s.pages = append(s.pages, append([]byte(nil), m.pages[p]...))
 		}
 	}
 	return s
 }
 
 // Restore rewinds the machine to a snapshot taken from the same program.
-// Pages the machine has dirtied since load that the snapshot does not carry
-// are rebuilt from the pristine program image; snapshot pages are copied
-// in. The snapshot is not mutated and may be restored concurrently into
-// other machines.
+// Private pages the machine has written since load that the snapshot does
+// not carry are dropped, so they read from the pristine program image
+// again; snapshot pages are copied in. The snapshot is not mutated and may
+// be restored concurrently into other machines.
 func (m *Machine) Restore(s *Snapshot) error {
-	if s.memLen != len(m.mem) || s.progLen != len(m.prog.Code) {
+	if s.memLen != m.memLen || s.progLen != len(m.prog.Code) {
 		return fmt.Errorf("emu %q: snapshot from a different program (mem %d vs %d, code %d vs %d)",
-			m.prog.Name, s.memLen, len(m.mem), s.progLen, len(m.prog.Code))
+			m.prog.Name, s.memLen, m.memLen, s.progLen, len(m.prog.Code))
 	}
-	// Clean pages dirty in the machine but absent from the snapshot.
 	for w, word := range m.dirty {
 		stale := word &^ s.dirty[w]
 		for stale != 0 {
 			p := w<<6 + bits.TrailingZeros64(stale)
 			stale &= stale - 1
-			start := p << pageShift
-			end := min(start+pageSize, len(m.mem))
-			n := 0
-			if start < len(m.prog.Data) {
-				n = copy(m.mem[start:end], m.prog.Data[start:])
-			}
-			clear(m.mem[start+n : end])
+			m.pages[p] = nil
 		}
 	}
-	// Apply the snapshot's pages.
 	i := 0
 	for w, word := range s.dirty {
 		for word != 0 {
 			p := w<<6 + bits.TrailingZeros64(word)
 			word &= word - 1
-			start := p << pageShift
-			end := min(start+pageSize, len(m.mem))
-			copy(m.mem[start:end], s.pages[i])
+			if m.pages[p] == nil {
+				m.pages[p] = make([]byte, pageSize)
+			}
+			copy(m.pages[p], s.pages[i])
 			i++
 		}
 	}

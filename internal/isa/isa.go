@@ -172,126 +172,116 @@ type Inst struct {
 	Imm int64
 }
 
-// Class returns the function-unit class of the instruction.
-func (in Inst) Class() Class {
-	switch in.Op {
-	case Mul, Div, Rem:
-		return ClassIntMulDiv
-	case Ld, Fld:
-		return ClassLoad
-	case St, Fst:
-		return ClassStore
-	case Fadd, Fsub, Fmul, Fdiv, Fclt, Fcvti, Fcvtf:
-		return ClassFPU
-	case Nop, Halt, Jmp, Jal:
-		return ClassNone
-	case Beq, Bne, Blt, Bge, Jr:
-		return ClassIntALU
-	default:
-		return ClassIntALU
-	}
+// Decode is table-driven: opTable holds, per operation code, everything the
+// predicates below report, so each is a single indexed load on the
+// simulator's per-instruction path. It has one row for every uint8 value,
+// which lets the compiler drop the bounds check; rows past numOps keep the
+// defaults an unknown op has always had (an integer-ALU op that writes Rd
+// and reads Rs1 and Rs2 in one pipelined cycle).
+type opInfo struct {
+	class   Class
+	flags   uint8
+	nsrc    uint8
+	latency uint8
 }
+
+const (
+	opCondBranch  uint8 = 1 << iota // conditional branch
+	opControl                       // can change control flow
+	opLoad                          // reads memory
+	opStore                         // writes memory
+	opWritesRd                      // writes Rd (unless Rd is RZero)
+	opImm                           // Imm substitutes for the second source
+	opUnpipelined                   // blocks its function unit while executing
+)
+
+var opTable = buildOpTable()
+
+func buildOpTable() (t [256]opInfo) {
+	for i := range t {
+		t[i] = opInfo{class: ClassIntALU, flags: opWritesRd, nsrc: 2, latency: 1}
+	}
+	set := func(class Class, flags, nsrc, latency uint8, ops ...Op) {
+		for _, o := range ops {
+			t[o] = opInfo{class: class, flags: flags, nsrc: nsrc, latency: latency}
+		}
+	}
+	set(ClassNone, 0, 0, 1, Nop, Halt)
+	set(ClassIntALU, opWritesRd, 2, 1, Add, Sub, And, Or, Xor, Shl, Shr, Sra, Slt, Sltu)
+	set(ClassIntALU, opWritesRd|opImm, 1, 1, Addi, Andi, Ori, Xori, Shli, Shri, Srai, Slti)
+	set(ClassIntMulDiv, opWritesRd, 2, 3, Mul)
+	set(ClassIntMulDiv, opWritesRd|opUnpipelined, 2, 20, Div, Rem)
+	set(ClassLoad, opLoad|opWritesRd|opImm, 1, 1, Ld, Fld)
+	set(ClassStore, opStore|opImm, 2, 1, St, Fst)
+	set(ClassFPU, opWritesRd, 2, 3, Fadd, Fsub, Fclt)
+	set(ClassFPU, opWritesRd, 1, 3, Fcvti, Fcvtf)
+	set(ClassFPU, opWritesRd, 2, 4, Fmul)
+	set(ClassFPU, opWritesRd|opUnpipelined, 2, 12, Fdiv)
+	set(ClassIntALU, opCondBranch|opControl, 2, 1, Beq, Bne, Blt, Bge)
+	set(ClassNone, opControl, 0, 1, Jmp)
+	set(ClassNone, opControl|opWritesRd, 0, 1, Jal)
+	set(ClassIntALU, opControl, 1, 1, Jr)
+	return t
+}
+
+// Class returns the function-unit class of the instruction.
+func (in Inst) Class() Class { return opTable[in.Op].class }
 
 // IsCondBranch reports whether the instruction is a conditional branch.
-func (in Inst) IsCondBranch() bool {
-	switch in.Op {
-	case Beq, Bne, Blt, Bge:
-		return true
-	}
-	return false
-}
+func (in Inst) IsCondBranch() bool { return opTable[in.Op].flags&opCondBranch != 0 }
 
 // IsControl reports whether the instruction can change control flow.
-func (in Inst) IsControl() bool {
-	switch in.Op {
-	case Beq, Bne, Blt, Bge, Jmp, Jal, Jr:
-		return true
-	}
-	return false
-}
+func (in Inst) IsControl() bool { return opTable[in.Op].flags&opControl != 0 }
 
 // IsIndirect reports whether the instruction's target comes from a register.
 func (in Inst) IsIndirect() bool { return in.Op == Jr }
 
 // IsLoad reports whether the instruction reads memory.
-func (in Inst) IsLoad() bool { return in.Op == Ld || in.Op == Fld }
+func (in Inst) IsLoad() bool { return opTable[in.Op].flags&opLoad != 0 }
 
 // IsStore reports whether the instruction writes memory.
-func (in Inst) IsStore() bool { return in.Op == St || in.Op == Fst }
+func (in Inst) IsStore() bool { return opTable[in.Op].flags&opStore != 0 }
 
 // IsMem reports whether the instruction accesses memory.
-func (in Inst) IsMem() bool { return in.IsLoad() || in.IsStore() }
+func (in Inst) IsMem() bool { return opTable[in.Op].flags&(opLoad|opStore) != 0 }
 
 // HasDest reports whether the instruction writes a register. Writes to the
 // hardwired zero register are discarded and count as no destination.
-func (in Inst) HasDest() bool {
-	switch in.Op {
-	case Nop, Halt, St, Fst, Beq, Bne, Blt, Bge, Jmp, Jr:
-		return false
-	}
-	return in.Rd != RZero
-}
+func (in Inst) HasDest() bool { return opTable[in.Op].flags&opWritesRd != 0 && in.Rd != RZero }
 
 // HasImmOperand reports whether Imm substitutes for the second source.
-func (in Inst) HasImmOperand() bool {
-	switch in.Op {
-	case Addi, Andi, Ori, Xori, Shli, Shri, Srai, Slti, Ld, St, Fld, Fst:
-		return true
+func (in Inst) HasImmOperand() bool { return opTable[in.Op].flags&opImm != 0 }
+
+// Sources returns the logical source registers read by the instruction:
+// Rs1 then Rs2, as many as the operation reads (a store's are its address
+// base and its stored value). Reads of the hardwired zero register are
+// reported (they are trivially ready) but never create slice links
+// (nothing writes R0).
+func (in Inst) Sources() (srcs [2]Reg, n int) {
+	n = in.NumSources()
+	switch n {
+	case 2:
+		srcs[1] = in.Rs2
+		fallthrough
+	case 1:
+		srcs[0] = in.Rs1
 	}
-	return false
+	return srcs, n
 }
 
-// Sources returns the logical source registers read by the instruction.
-// Reads of the hardwired zero register are reported (they are trivially
-// ready) but never create slice links (nothing writes R0).
-func (in Inst) Sources() (srcs [2]Reg, n int) {
-	switch in.Op {
-	case Nop, Halt, Jmp, Jal:
-		return srcs, 0
-	case Addi, Andi, Ori, Xori, Shli, Shri, Srai, Slti, Ld, Fld, Fcvti, Fcvtf, Jr:
-		srcs[0] = in.Rs1
-		return srcs, 1
-	case St, Fst:
-		srcs[0] = in.Rs1 // address base
-		srcs[1] = in.Rs2 // stored value
-		return srcs, 2
-	default:
-		srcs[0] = in.Rs1
-		srcs[1] = in.Rs2
-		return srcs, 2
-	}
-}
+// NumSources returns how many of Rs1, Rs2 (in that order) the instruction
+// reads — Sources' count, for callers that read the registers in place.
+func (in Inst) NumSources() int { return int(opTable[in.Op].nsrc) }
 
 // Latency returns the execution latency in cycles of the instruction on its
 // function unit. Loads return address-generation latency only; the cache
 // hierarchy supplies the rest. Divide latencies block (do not pipeline) the
 // iMULT/DIV and FPU units.
-func (in Inst) Latency() int64 {
-	switch in.Op {
-	case Mul:
-		return 3
-	case Div, Rem:
-		return 20
-	case Fadd, Fsub, Fclt, Fcvti, Fcvtf:
-		return 3
-	case Fmul:
-		return 4
-	case Fdiv:
-		return 12
-	default:
-		return 1
-	}
-}
+func (in Inst) Latency() int64 { return int64(opTable[in.Op].latency) }
 
 // Pipelined reports whether the instruction's function unit accepts a new
 // operation every cycle while this one executes.
-func (in Inst) Pipelined() bool {
-	switch in.Op {
-	case Div, Rem, Fdiv:
-		return false
-	}
-	return true
-}
+func (in Inst) Pipelined() bool { return opTable[in.Op].flags&opUnpipelined == 0 }
 
 func (in Inst) String() string {
 	switch {

@@ -88,6 +88,6 @@ func (s *Sim) Reset() {
 	s.committedTotal, s.lastCommitAt, s.measureStart = 0, 0, 0
 	s.baseL1I, s.baseL1D, s.baseL2 = cache.Stats{}, cache.Stats{}, cache.Stats{}
 	s.basePubs = [3]uint64{}
-	s.stream = nil
+	s.stream, s.mach = nil, nil
 	s.trace = nil
 }

@@ -43,6 +43,51 @@ func TestResetReuseGolden(t *testing.T) {
 	}
 }
 
+// TestResetReuseAcrossPrograms: a Sim that ran one program, through the
+// live emulator or the trace front end, and was Reset must run a different
+// program exactly as a fresh Sim does — no staged instruction, in-flight
+// record or static code of the first program may leak into the second.
+func TestResetReuseAcrossPrograms(t *testing.T) {
+	progA, progB := workload.MustProgram("chess"), workload.MustProgram("bfs")
+	for _, cfg := range []Config{BaseConfig(), PUBSConfig()} {
+		fresh := runBench(t, cfg, "bfs", goldenWarmup, goldenMeasure)
+
+		trace := func() InstStream {
+			m := emu.MustNew(progA)
+			pre := emu.NewPredecode(goldenWarmup + goldenMeasure)
+			for i := 0; i < goldenWarmup+goldenMeasure; i++ {
+				di, _ := m.Step()
+				pre.Append(di)
+			}
+			return &Replay{Pre: pre, Decode: emu.NewStaticDecode(progA.Code),
+				Fallback: func() (InstStream, error) { return Stream{M: m}, nil }}
+		}
+		for mode, first := range map[string]InstStream{
+			"live":  Stream{M: emu.MustNew(progA)},
+			"trace": trace(),
+		} {
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetStaticCode(progA.Code)
+			if _, err := s.Run(first, goldenWarmup, goldenMeasure); err != nil {
+				t.Fatal(err)
+			}
+			s.Reset()
+			s.SetStaticCode(progB.Code)
+			reused, err := s.Run(Stream{M: emu.MustNew(progB)}, goldenWarmup, goldenMeasure)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fresh, reused) {
+				t.Errorf("%s after %s chess: bfs diverged from a fresh Sim:\n fresh:  %+v\n reused: %+v",
+					cfg.Name, mode, fresh, reused)
+			}
+		}
+	}
+}
+
 // TestTraceReplayGolden: replaying a predecoded trace through the
 // trace-driven front end must reproduce the live-emulation Result
 // bit-identically for every golden machine variant.

@@ -3,11 +3,13 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/faultinject"
 	"repro/internal/iq"
 	"repro/internal/simerr"
@@ -110,6 +112,20 @@ func TestWatchdogCatchesInjectedHang(t *testing.T) {
 	}
 	if de.Oldest == nil {
 		t.Fatal("diagnosis missing the oldest stalled instruction")
+	}
+	// The ROB head is the next instruction in program order to commit:
+	// replay the program functionally to it and check the report names it.
+	if de.Oldest.Seq != de.Committed {
+		t.Errorf("oldest seq %d, want %d (the first uncommitted instruction)", de.Oldest.Seq, de.Committed)
+	}
+	m := emu.MustNew(workload.MustProgram("parser"))
+	var stalled emu.DynInst
+	for m.Seq() <= de.Oldest.Seq {
+		stalled, _ = m.Step()
+	}
+	if stalled.Seq != de.Oldest.Seq || de.Oldest.PC != stalled.PC || de.Oldest.Inst != fmt.Sprint(stalled.Inst) {
+		t.Errorf("oldest = seq %d pc %d %q, want the stalled instruction seq %d pc %d %q",
+			de.Oldest.Seq, de.Oldest.PC, de.Oldest.Inst, stalled.Seq, stalled.PC, stalled.Inst)
 	}
 	msg := de.Error()
 	for _, want := range []string{"no commit", "ROB", "IQ", "LSQ", "oldest"} {

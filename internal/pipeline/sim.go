@@ -72,12 +72,42 @@ type src struct {
 	seq uint64
 }
 
+// flight is the slim record of a fetched instruction: the part of its
+// emu.DynInst that any stage after fetch reads. The branch outcome (Taken,
+// Target, NextPC) is consumed by fetchControl while the DynInst is still
+// staged, and the PC is 4*idx, so neither is carried down the pipeline.
+type flight struct {
+	seq   uint64
+	addr  uint64 // effective address (loads/stores)
+	inst  isa.Inst
+	idx   int32 // static instruction index
+	class isa.Class
+}
+
+func (f *flight) pc() uint64 { return isa.PC(int(f.idx)) }
+
+// slim keeps the part of the staged di that outlives fetch. It writes
+// field by field: building a flight value and assigning it would go
+// through a stack temporary.
+func (f *flight) slim(di *emu.DynInst) {
+	f.seq, f.addr, f.inst, f.idx, f.class = di.Seq, di.Addr, di.Inst, int32(di.Idx), di.Class
+}
+
+// ring reduces i, which must lie in [0, 2n), modulo n: ring-buffer index
+// arithmetic without the integer division % costs on the
+// per-instruction path.
+func ring(i, n int) int {
+	if i >= n {
+		return i - n
+	}
+	return i
+}
+
 // uop is one in-flight instruction. Handles index the fixed pool (sized to
 // the ROB); (handle, seq) pairs disambiguate reuse.
 type uop struct {
+	flight
 	live        bool
-	di          emu.DynInst
-	class       isa.Class
 	fetchCycle  int64
 	unconf      bool
 	inPriority  bool
@@ -106,7 +136,7 @@ type uop struct {
 
 // fqEntry is one instruction flowing down the front end.
 type fqEntry struct {
-	di          emu.DynInst
+	flight
 	fetchCycle  int64
 	mispredict  bool
 	predCorrect bool
@@ -146,7 +176,8 @@ type Result struct {
 type Sim struct {
 	cfg    Config
 	stream InstStream
-	trace  *Replay // non-nil while the fetch stage reads a predecode buffer
+	mach   *emu.Machine // the machine behind stream when it is a Stream
+	trace  *Replay      // non-nil while the fetch stage reads a predecode buffer
 
 	bp   bpred.Predictor
 	btb  *bpred.BTB
@@ -178,7 +209,7 @@ type Sim struct {
 	haveLine      bool
 	lineReadyAt   int64
 
-	pending      emu.DynInst
+	pending      emu.DynInst // the staged instruction fetch reads in place
 	hasPending   bool
 	streamDone   bool
 	halted       bool
@@ -426,22 +457,31 @@ func (s *Sim) rand01() float64 {
 	return float64(s.rng*0x2545F4914F6CDD1D>>11) / float64(1<<53)
 }
 
-func (s *Sim) peek() (emu.DynInst, bool) {
+// peek stages the next instruction of the stream and returns a pointer to
+// the staged record, or nil at the end of the stream.
+func (s *Sim) peek() *emu.DynInst {
 	if s.streamDone {
-		return emu.DynInst{}, false
+		return nil
 	}
 	if !s.hasPending {
 		// Pulling from the stream steps the emulator (or trace cursor) —
 		// a one-time mutation, as is the done transition.
 		s.act = true
-		di, ok := s.stream.Next()
+		var ok bool
+		if s.mach != nil {
+			// Step the emulator directly: the interface call would copy
+			// the record once more on its way through Stream.Next.
+			s.pending, ok = s.mach.Step()
+		} else {
+			s.pending, ok = s.stream.Next()
+		}
 		if !ok {
 			s.streamDone = true
-			return emu.DynInst{}, false
+			return nil
 		}
-		s.pending, s.hasPending = di, true
+		s.hasPending = true
 	}
-	return s.pending, true
+	return &s.pending
 }
 
 func (s *Sim) take() { s.hasPending = false }
@@ -462,11 +502,11 @@ func (s *Sim) lineReady(pc uint64) bool {
 	return s.lineReadyAt <= s.now
 }
 
-// fetchControl runs the control-flow side of fetching f (prediction, BTB,
-// RAS, wrong-path setup) and reports whether f ends the fetch group. It is
-// shared by the live-emulator and trace-replay fetch paths.
-func (s *Sim) fetchControl(f *fqEntry) (stop bool) {
-	di := &f.di
+// fetchControl runs the control-flow side of fetching the staged di into
+// f (prediction, BTB, RAS, wrong-path setup) and reports whether it ends
+// the fetch group. It is shared by the live-emulator and trace-replay fetch
+// paths.
+func (s *Sim) fetchControl(f *fqEntry, di *emu.DynInst) (stop bool) {
 	switch {
 	case di.Inst.IsCondBranch():
 		pred := s.bp.Predict(di.PC)
@@ -546,17 +586,16 @@ func (s *Sim) fetch() {
 		if s.fqLen == len(s.fetchQ) {
 			break
 		}
-		var f *fqEntry
+		var di *emu.DynInst
 		if tr := s.trace; tr != nil {
 			// Trace fast path: reconstruct the DynInst straight from the
-			// predecode buffer into the fetch-queue slot — no emulator step,
-			// no pending-instruction staging.
+			// predecode buffer into the staging record — no emulator step,
+			// no stream call.
 			if !s.lineReady(tr.Pre.PCAt(tr.pos)) {
 				break
 			}
-			f = &s.fetchQ[(s.fqHead+s.fqLen)%len(s.fetchQ)]
-			*f = fqEntry{fetchCycle: s.now}
-			tr.Pre.Fill(tr.pos, tr.Decode, &f.di)
+			di = &s.pending
+			tr.Pre.Fill(tr.pos, tr.Decode, di)
 			tr.pos++
 			if tr.pos == tr.Pre.Len() {
 				// Buffer drained: later fetches go through the generic
@@ -565,18 +604,19 @@ func (s *Sim) fetch() {
 				s.trace = nil
 			}
 		} else {
-			di, ok := s.peek()
-			if !ok {
+			if di = s.peek(); di == nil {
 				break
 			}
 			if !s.lineReady(di.PC) {
 				break
 			}
 			s.take()
-			f = &s.fetchQ[(s.fqHead+s.fqLen)%len(s.fetchQ)]
-			*f = fqEntry{di: di, fetchCycle: s.now}
 		}
-		stop := s.fetchControl(f)
+		f := &s.fetchQ[ring(s.fqHead+s.fqLen, len(s.fetchQ))]
+		f.slim(di)
+		f.fetchCycle = s.now
+		f.mispredict, f.predCorrect, f.decoded, f.unconf = false, false, false, false
+		stop := s.fetchControl(f, di)
 		s.fqLen++
 		s.act = true
 		// The staged entry matures for dispatch once it clears the
@@ -603,7 +643,7 @@ func (s *Sim) dispatch() {
 		// dispatch subsequently stalls on a structural hazard.
 		if !f.decoded {
 			if s.pubs != nil {
-				f.unconf = s.pubs.Decode(f.di.PC, f.di.Inst)
+				f.unconf = s.pubs.Decode(f.pc(), f.inst)
 			}
 			f.decoded = true
 			s.act = true // one-time PUBS table update + decoded mark
@@ -618,13 +658,13 @@ func (s *Sim) dispatch() {
 			s.stallCtr = &s.st.DispatchStallROB
 			break
 		}
-		if f.di.Inst.IsMem() && s.lsq.Full() {
+		if f.inst.IsMem() && s.lsq.Full() {
 			s.st.DispatchStallLSQ++
 			s.stallCtr = &s.st.DispatchStallLSQ
 			break
 		}
-		if f.di.Inst.HasDest() {
-			if f.di.Inst.Rd.IsFP() {
+		if f.inst.HasDest() {
+			if f.inst.Rd.IsFP() {
 				if s.fpInFlight >= s.cfg.PhysFPRegs-32 {
 					s.st.DispatchStallRegs++
 					s.stallCtr = &s.st.DispatchStallRegs
@@ -638,9 +678,9 @@ func (s *Sim) dispatch() {
 		}
 
 		h := s.freeU[len(s.freeU)-1]
-		req := iq.Request{Handle: h, Seq: f.di.Seq, FU: int(f.di.Class)}
+		req := iq.Request{Handle: h, Seq: f.seq, FU: int(f.class)}
 		inPriority := false
-		if f.di.Class != isa.ClassNone {
+		if f.class != isa.ClassNone {
 			ok := false
 			switch {
 			case s.pubs != nil && s.pubs.Active() && s.cfg.PUBS.FlexibleSelect:
@@ -700,31 +740,31 @@ func (s *Sim) dispatch() {
 		s.freeU = s.freeU[:len(s.freeU)-1]
 		s.act = true
 
+		// Clear the slot and set fields in place: a composite-literal
+		// assignment would build the uop in a temporary and copy it.
 		u := &s.uops[h]
-		*u = uop{
-			live:          true,
-			di:            f.di,
-			class:         f.di.Class,
-			fetchCycle:    f.fetchCycle,
-			unconf:        f.unconf,
-			inPriority:    inPriority,
-			mispredict:    f.mispredict,
-			predCorrect:   f.predCorrect,
-			dispatchCycle: s.now,
-			issueCycle:    -1,
+		*u = uop{}
+		u.flight = f.flight
+		u.live = true
+		u.fetchCycle = f.fetchCycle
+		u.unconf = f.unconf
+		u.inPriority = inPriority
+		u.mispredict = f.mispredict
+		u.predCorrect = f.predCorrect
+		u.dispatchCycle = s.now
+		u.issueCycle = -1
+		// The sources, read in place: Rs1 then Rs2, as many as the op
+		// reads (isa.Inst.Sources). Copying Sources' two-byte array
+		// result stalls on store forwarding.
+		switch u.nsrc = f.inst.NumSources(); u.nsrc {
+		case 2:
+			u.srcs[1] = s.producer(f.inst.Rs2)
+			fallthrough
+		case 1:
+			u.srcs[0] = s.producer(f.inst.Rs1)
 		}
-		srcs, nsrc := f.di.Inst.Sources()
-		for i := 0; i < nsrc; i++ {
-			r := srcs[i]
-			if r == isa.RZero {
-				u.srcs[u.nsrc] = src{h: -1}
-			} else {
-				u.srcs[u.nsrc] = s.regProducer[r]
-			}
-			u.nsrc++
-		}
-		if f.di.Inst.IsLoad() {
-			if e, found := s.lsq.ForwardFrom(f.di.Seq, f.di.Addr&^7); found {
+		if f.inst.IsLoad() {
+			if e, found := s.lsq.ForwardFrom(f.seq, f.addr&^7); found {
 				u.fwd = src{h: e.Handle, seq: e.Seq}
 				u.hasFwd = true
 			}
@@ -732,32 +772,41 @@ func (s *Sim) dispatch() {
 		if u.class != isa.ClassNone {
 			s.linkOperands(h, u)
 		}
-		if f.di.Inst.IsMem() {
+		if f.inst.IsMem() {
 			s.lsq.Alloc(lsq.Entry{
 				Handle:  h,
-				Seq:     f.di.Seq,
-				IsStore: f.di.Inst.IsStore(),
-				Addr:    f.di.Addr &^ 7,
+				Seq:     f.seq,
+				IsStore: f.inst.IsStore(),
+				Addr:    f.addr &^ 7,
 			})
 		}
 		s.rob.Alloc(h)
-		if f.di.Inst.HasDest() {
-			s.regProducer[f.di.Inst.Rd] = src{h: h, seq: f.di.Seq}
-			if f.di.Inst.Rd.IsFP() {
+		if f.inst.HasDest() {
+			s.regProducer[f.inst.Rd] = src{h: h, seq: f.seq}
+			if f.inst.Rd.IsFP() {
 				s.fpInFlight++
 			} else {
 				s.intInFlight++
 			}
 		}
-		if f.di.Class == isa.ClassNone {
+		if f.class == isa.ClassNone {
 			// Nop/Halt/direct jumps need no FU: complete next cycle.
 			u.scheduled = true
 			u.completeCycle = s.now + 1
 			s.cal.push(u.completeCycle, s.now) // commit-head unblock
 		}
-		s.fqHead = (s.fqHead + 1) % len(s.fetchQ)
+		s.fqHead = ring(s.fqHead+1, len(s.fetchQ))
 		s.fqLen--
 	}
+}
+
+// producer returns the in-flight producer of logical register r; the
+// hardwired zero register depends on nothing.
+func (s *Sim) producer(r isa.Reg) src {
+	if r == isa.RZero {
+		return src{h: -1}
+	}
+	return s.regProducer[r]
 }
 
 // ---------- issue + execute scheduling ----------
@@ -800,7 +849,7 @@ func (s *Sim) schedule(h int) {
 	u.issued = true
 	u.scheduled = true
 	u.issueCycle = s.now
-	in := u.di.Inst
+	in := u.inst
 
 	switch {
 	case in.IsLoad():
@@ -808,7 +857,7 @@ func (s *Sim) schedule(h int) {
 		forwarded := false
 		if u.hasFwd {
 			f := &s.uops[u.fwd.h]
-			if f.live && f.di.Seq == u.fwd.seq {
+			if f.live && f.seq == u.fwd.seq {
 				forwarded = true
 				done := f.completeCycle
 				if agen > done {
@@ -820,9 +869,9 @@ func (s *Sim) schedule(h int) {
 		if !forwarded {
 			// The store may have committed but not yet drained: forward
 			// from the store buffer.
-			la := u.di.Addr &^ 7
+			la := u.addr &^ 7
 			for i := 0; i < s.sbLen; i++ {
-				if s.storeBuf[(s.sbHead+i)%len(s.storeBuf)]&^7 == la {
+				if s.storeBuf[ring(s.sbHead+i, len(s.storeBuf))]&^7 == la {
 					forwarded = true
 					u.completeCycle = agen + 2
 					break
@@ -833,7 +882,7 @@ func (s *Sim) schedule(h int) {
 			s.st.LoadsForwarded++
 		} else {
 			start := s.allocDPort(agen)
-			u.completeCycle = s.l1d.Access(u.di.Addr, start, false)
+			u.completeCycle = s.l1d.Access(u.addr, start, false)
 		}
 	case in.IsStore():
 		u.completeCycle = s.now + 1 // address+data staged into the LSQ
@@ -849,7 +898,7 @@ func (s *Sim) schedule(h int) {
 	s.cal.push(u.completeCycle, s.now)
 	s.wakeDependents(u)
 
-	if u.mispredict && s.blockedOnSeq == u.di.Seq {
+	if u.mispredict && s.blockedOnSeq == u.seq {
 		s.fetchResumeAt = u.completeCycle + s.cfg.RecoveryPenalty
 		s.cal.push(s.fetchResumeAt, s.now) // redirect arrival restarts fetch
 		s.blockedOnSeq = noSeq
@@ -941,7 +990,7 @@ func (s *Sim) drainStores() {
 			s.dports[i] = s.now + 1
 			s.cal.push(s.now+1, s.now)
 			s.l1d.Access(s.storeBuf[s.sbHead], s.now, true)
-			s.sbHead = (s.sbHead + 1) % len(s.storeBuf)
+			s.sbHead = ring(s.sbHead+1, len(s.storeBuf))
 			s.sbLen--
 			return
 		}
@@ -960,12 +1009,12 @@ func (s *Sim) commit() {
 		if !u.scheduled || u.completeCycle > s.now {
 			break
 		}
-		in := u.di.Inst
+		in := u.inst
 		if in.IsStore() {
 			if s.sbLen >= len(s.storeBuf) {
 				break // store buffer full: commit stalls (pure — no mutation)
 			}
-			s.storeBuf[(s.sbHead+s.sbLen)%len(s.storeBuf)] = u.di.Addr
+			s.storeBuf[ring(s.sbHead+s.sbLen, len(s.storeBuf))] = u.addr
 			s.sbLen++
 		}
 		s.act = true // the instruction retires this cycle
@@ -978,10 +1027,10 @@ func (s *Sim) commit() {
 				s.st.Mispredicts++
 			}
 			if s.pubs != nil {
-				s.pubs.BranchExecuted(u.di.PC, u.predCorrect)
+				s.pubs.BranchExecuted(u.pc(), u.predCorrect)
 			}
 			if s.brProf != nil {
-				bs := s.brProf.get(u.di.PC)
+				bs := s.brProf.get(u.pc())
 				bs.Executed++
 				if !u.predCorrect {
 					bs.Mispredicts++
@@ -995,7 +1044,7 @@ func (s *Sim) commit() {
 			}
 		}
 		if in.HasDest() {
-			if p := s.regProducer[in.Rd]; p.h == h && p.seq == u.di.Seq {
+			if p := s.regProducer[in.Rd]; p.h == h && p.seq == u.seq {
 				s.regProducer[in.Rd] = src{h: -1}
 			}
 			if in.Rd.IsFP() {
@@ -1093,6 +1142,10 @@ func (s *Sim) RunContext(ctx context.Context, stream InstStream, warmup, measure
 		watchdog = DefaultWatchdogCycles
 	}
 	s.stream = stream
+	s.mach = nil
+	if st, ok := stream.(Stream); ok {
+		s.mach = st.M
+	}
 	if tr, ok := stream.(*Replay); ok && tr.Pre != nil && tr.Decode != nil && tr.pos < tr.Pre.Len() && tr.live == nil {
 		s.trace = tr
 	}
@@ -1244,7 +1297,7 @@ func (s *Sim) emitPipeTrace(u *uop) {
 		issue = fmt.Sprint(u.issueCycle)
 	}
 	fmt.Fprintf(s.pipeTrace, "seq=%-8d pc=%-6d %-24s F=%-8d D=%-8d I=%-8s X=%-8d C=%-8d %s\n",
-		u.di.Seq, u.di.Idx, u.di.Inst, u.fetchCycle, u.dispatchCycle, issue,
+		u.seq, u.idx, u.inst, u.fetchCycle, u.dispatchCycle, issue,
 		u.completeCycle, s.now, flags)
 }
 

@@ -63,7 +63,7 @@ func (s *Sim) dependOn(h, slot int, u *uop, sr src) {
 		return
 	}
 	p := &s.uops[sr.h]
-	if !p.live || p.di.Seq != sr.seq {
+	if !p.live || p.seq != sr.seq {
 		return // committed: the value is architected
 	}
 	if p.scheduled {
@@ -115,7 +115,7 @@ func (s *Sim) valueReady(sr src) bool {
 		return true
 	}
 	u := &s.uops[sr.h]
-	if !u.live || u.di.Seq != sr.seq {
+	if !u.live || u.seq != sr.seq {
 		return true
 	}
 	return u.scheduled && u.completeCycle <= s.now
@@ -134,7 +134,7 @@ func (s *Sim) opReady(h int) bool {
 	}
 	if u.hasFwd {
 		f := &s.uops[u.fwd.h]
-		if f.live && f.di.Seq == u.fwd.seq && !f.issued {
+		if f.live && f.seq == u.fwd.seq && !f.issued {
 			return false // forwarding source must have executed
 		}
 	}

@@ -84,9 +84,9 @@ func (s *Sim) deadlockError() *DeadlockError {
 	if h, ok := s.rob.Head(); ok {
 		u := &s.uops[h]
 		e.Oldest = &StalledInst{
-			Seq:           u.di.Seq,
-			PC:            u.di.PC,
-			Inst:          fmt.Sprint(u.di.Inst),
+			Seq:           u.seq,
+			PC:            u.pc(),
+			Inst:          fmt.Sprint(u.inst),
 			DispatchCycle: u.dispatchCycle,
 			Issued:        u.issued,
 			Scheduled:     u.scheduled,
