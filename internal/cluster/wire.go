@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 
 	"repro/internal/service"
@@ -106,8 +108,16 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, wireError{Error: err.Error()})
 }
 
+// decodeBody decodes a request body that must be exactly one JSON value
+// of v's shape: no unknown fields, no trailing data, at most maxWireBytes.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWireBytes))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("cluster: request body has data after its JSON value")
+	}
+	return nil
 }

@@ -90,13 +90,14 @@ func (wk *Worker) SetPeers(peers map[string]string) {
 // coordinator stamped before it — a late AddNode broadcast cannot undo a
 // map wired by hand — while one stamped after it still applies. The
 // worker's own entry is dropped: fetching from yourself is tier 1, not
-// tier 2. Reports whether the snapshot was applied.
+// tier 2. So is an entry whose URL is empty once trailing slashes are
+// trimmed. Reports whether the snapshot was applied.
 func (wk *Worker) ApplyPeers(peers map[string]string, epoch uint64) bool {
 	self := wk.svc.NodeID()
 	next := make(map[string]string, len(peers))
 	for node, url := range peers {
-		if node != self && url != "" {
-			next[node] = strings.TrimRight(url, "/")
+		if url = strings.TrimRight(url, "/"); node != self && url != "" {
+			next[node] = url
 		}
 	}
 	wk.mu.Lock()

@@ -161,159 +161,163 @@ func (m *Machine) setF(r isa.Reg, v float64) {
 // Step executes one instruction and returns its dynamic record.
 // ok is false once the program has halted.
 func (m *Machine) Step() (di DynInst, ok bool) {
-	if m.done {
-		return DynInst{}, false
-	}
-	idx := m.pc
-	in := m.prog.Code[idx]
-	di = DynInst{
-		Seq:   m.seq,
-		Idx:   idx,
-		PC:    isa.PC(idx),
-		Inst:  in,
-		Class: in.Class(),
-	}
-	next := idx + 1
-
-	switch in.Op {
-	case isa.Nop:
-	case isa.Add:
-		m.setReg(in.Rd, m.regs[in.Rs1]+m.regs[in.Rs2])
-	case isa.Sub:
-		m.setReg(in.Rd, m.regs[in.Rs1]-m.regs[in.Rs2])
-	case isa.And:
-		m.setReg(in.Rd, m.regs[in.Rs1]&m.regs[in.Rs2])
-	case isa.Or:
-		m.setReg(in.Rd, m.regs[in.Rs1]|m.regs[in.Rs2])
-	case isa.Xor:
-		m.setReg(in.Rd, m.regs[in.Rs1]^m.regs[in.Rs2])
-	case isa.Shl:
-		m.setReg(in.Rd, m.regs[in.Rs1]<<(m.regs[in.Rs2]&63))
-	case isa.Shr:
-		m.setReg(in.Rd, m.regs[in.Rs1]>>(m.regs[in.Rs2]&63))
-	case isa.Sra:
-		m.setReg(in.Rd, uint64(int64(m.regs[in.Rs1])>>(m.regs[in.Rs2]&63)))
-	case isa.Slt:
-		m.setReg(in.Rd, b2u(int64(m.regs[in.Rs1]) < int64(m.regs[in.Rs2])))
-	case isa.Sltu:
-		m.setReg(in.Rd, b2u(m.regs[in.Rs1] < m.regs[in.Rs2]))
-
-	case isa.Addi:
-		m.setReg(in.Rd, m.regs[in.Rs1]+uint64(in.Imm))
-	case isa.Andi:
-		m.setReg(in.Rd, m.regs[in.Rs1]&uint64(in.Imm))
-	case isa.Ori:
-		m.setReg(in.Rd, m.regs[in.Rs1]|uint64(in.Imm))
-	case isa.Xori:
-		m.setReg(in.Rd, m.regs[in.Rs1]^uint64(in.Imm))
-	case isa.Shli:
-		m.setReg(in.Rd, m.regs[in.Rs1]<<(uint64(in.Imm)&63))
-	case isa.Shri:
-		m.setReg(in.Rd, m.regs[in.Rs1]>>(uint64(in.Imm)&63))
-	case isa.Srai:
-		m.setReg(in.Rd, uint64(int64(m.regs[in.Rs1])>>(uint64(in.Imm)&63)))
-	case isa.Slti:
-		m.setReg(in.Rd, b2u(int64(m.regs[in.Rs1]) < in.Imm))
-
-	case isa.Mul:
-		m.setReg(in.Rd, m.regs[in.Rs1]*m.regs[in.Rs2])
-	case isa.Div:
-		d := int64(m.regs[in.Rs2])
-		if d == 0 {
-			m.setReg(in.Rd, ^uint64(0))
-		} else {
-			m.setReg(in.Rd, uint64(int64(m.regs[in.Rs1])/d))
-		}
-	case isa.Rem:
-		d := int64(m.regs[in.Rs2])
-		if d == 0 {
-			m.setReg(in.Rd, m.regs[in.Rs1])
-		} else {
-			m.setReg(in.Rd, uint64(int64(m.regs[in.Rs1])%d))
-		}
-
-	case isa.Ld:
-		di.Addr = m.regs[in.Rs1] + uint64(in.Imm)
-		m.setReg(in.Rd, m.load(di.Addr))
-	case isa.St:
-		di.Addr = m.regs[in.Rs1] + uint64(in.Imm)
-		m.store(di.Addr, m.regs[in.Rs2])
-	case isa.Fld:
-		di.Addr = m.regs[in.Rs1] + uint64(in.Imm)
-		m.regs[in.Rd] = m.load(di.Addr)
-	case isa.Fst:
-		di.Addr = m.regs[in.Rs1] + uint64(in.Imm)
-		m.store(di.Addr, m.regs[in.Rs2])
-
-	case isa.Fadd:
-		m.setF(in.Rd, m.fval(in.Rs1)+m.fval(in.Rs2))
-	case isa.Fsub:
-		m.setF(in.Rd, m.fval(in.Rs1)-m.fval(in.Rs2))
-	case isa.Fmul:
-		m.setF(in.Rd, m.fval(in.Rs1)*m.fval(in.Rs2))
-	case isa.Fdiv:
-		m.setF(in.Rd, m.fval(in.Rs1)/m.fval(in.Rs2))
-	case isa.Fclt:
-		m.setReg(in.Rd, b2u(m.fval(in.Rs1) < m.fval(in.Rs2)))
-	case isa.Fcvti:
-		m.setReg(in.Rd, uint64(int64(m.fval(in.Rs1))))
-	case isa.Fcvtf:
-		m.setF(in.Rd, float64(int64(m.regs[in.Rs1])))
-
-	case isa.Beq:
-		di.Taken = m.regs[in.Rs1] == m.regs[in.Rs2]
-	case isa.Bne:
-		di.Taken = m.regs[in.Rs1] != m.regs[in.Rs2]
-	case isa.Blt:
-		di.Taken = int64(m.regs[in.Rs1]) < int64(m.regs[in.Rs2])
-	case isa.Bge:
-		di.Taken = int64(m.regs[in.Rs1]) >= int64(m.regs[in.Rs2])
-	case isa.Jmp:
-		di.Taken = true
-		next = int(in.Imm)
-	case isa.Jal:
-		di.Taken = true
-		m.setReg(in.Rd, uint64(idx+1))
-		next = int(in.Imm)
-	case isa.Jr:
-		di.Taken = true
-		next = int(m.regs[in.Rs1])
-		if next < 0 || next >= len(m.prog.Code) {
-			panic(fmt.Sprintf("emu %q: jr to invalid index %d at pc %d", m.prog.Name, next, idx))
-		}
-
-	case isa.Halt:
-		m.done = true
-		di.NextPC = di.PC
-		m.seq++
-		return di, true
-
-	default:
-		panic(fmt.Sprintf("emu %q: unimplemented op %v at pc %d", m.prog.Name, in.Op, idx))
-	}
-
-	if in.IsCondBranch() {
-		di.Target = isa.PC(int(in.Imm))
-		if di.Taken {
-			next = int(in.Imm)
-		}
-	} else if in.IsControl() {
-		di.Target = isa.PC(next)
-	}
-	di.NextPC = isa.PC(next)
-	m.pc = next
-	m.seq++
-	return di, true
+	ok = m.run(1, &di) == 1
+	return
 }
 
 // Run executes up to max instructions (all of them if max == 0), returning
-// the number executed. Useful for tests and workload calibration.
-func (m *Machine) Run(max uint64) uint64 {
+// the number executed. It builds no records: this is the fast-forward path.
+func (m *Machine) Run(max uint64) uint64 { return m.run(max, nil) }
+
+// run is the interpreter: the one copy of the instruction semantics behind
+// both Step and Run. It executes up to max instructions (no limit when max
+// == 0) and writes the last one's record into rec, field by field, only when
+// rec is non-nil. A panicking instruction leaves pc and seq where they were.
+func (m *Machine) run(max uint64, rec *DynInst) uint64 {
 	var n uint64
 	for !m.done && (max == 0 || n < max) {
-		if _, ok := m.Step(); !ok {
-			break
+		idx := m.pc
+		in := m.prog.Code[idx]
+		next := idx + 1
+		var taken bool
+		var addr uint64
+
+		switch in.Op {
+		case isa.Nop:
+		case isa.Add:
+			m.setReg(in.Rd, m.regs[in.Rs1]+m.regs[in.Rs2])
+		case isa.Sub:
+			m.setReg(in.Rd, m.regs[in.Rs1]-m.regs[in.Rs2])
+		case isa.And:
+			m.setReg(in.Rd, m.regs[in.Rs1]&m.regs[in.Rs2])
+		case isa.Or:
+			m.setReg(in.Rd, m.regs[in.Rs1]|m.regs[in.Rs2])
+		case isa.Xor:
+			m.setReg(in.Rd, m.regs[in.Rs1]^m.regs[in.Rs2])
+		case isa.Shl:
+			m.setReg(in.Rd, m.regs[in.Rs1]<<(m.regs[in.Rs2]&63))
+		case isa.Shr:
+			m.setReg(in.Rd, m.regs[in.Rs1]>>(m.regs[in.Rs2]&63))
+		case isa.Sra:
+			m.setReg(in.Rd, uint64(int64(m.regs[in.Rs1])>>(m.regs[in.Rs2]&63)))
+		case isa.Slt:
+			m.setReg(in.Rd, b2u(int64(m.regs[in.Rs1]) < int64(m.regs[in.Rs2])))
+		case isa.Sltu:
+			m.setReg(in.Rd, b2u(m.regs[in.Rs1] < m.regs[in.Rs2]))
+
+		case isa.Addi:
+			m.setReg(in.Rd, m.regs[in.Rs1]+uint64(in.Imm))
+		case isa.Andi:
+			m.setReg(in.Rd, m.regs[in.Rs1]&uint64(in.Imm))
+		case isa.Ori:
+			m.setReg(in.Rd, m.regs[in.Rs1]|uint64(in.Imm))
+		case isa.Xori:
+			m.setReg(in.Rd, m.regs[in.Rs1]^uint64(in.Imm))
+		case isa.Shli:
+			m.setReg(in.Rd, m.regs[in.Rs1]<<(uint64(in.Imm)&63))
+		case isa.Shri:
+			m.setReg(in.Rd, m.regs[in.Rs1]>>(uint64(in.Imm)&63))
+		case isa.Srai:
+			m.setReg(in.Rd, uint64(int64(m.regs[in.Rs1])>>(uint64(in.Imm)&63)))
+		case isa.Slti:
+			m.setReg(in.Rd, b2u(int64(m.regs[in.Rs1]) < in.Imm))
+
+		case isa.Mul:
+			m.setReg(in.Rd, m.regs[in.Rs1]*m.regs[in.Rs2])
+		case isa.Div:
+			d := int64(m.regs[in.Rs2])
+			if d == 0 {
+				m.setReg(in.Rd, ^uint64(0))
+			} else {
+				m.setReg(in.Rd, uint64(int64(m.regs[in.Rs1])/d))
+			}
+		case isa.Rem:
+			d := int64(m.regs[in.Rs2])
+			if d == 0 {
+				m.setReg(in.Rd, m.regs[in.Rs1])
+			} else {
+				m.setReg(in.Rd, uint64(int64(m.regs[in.Rs1])%d))
+			}
+
+		case isa.Ld:
+			addr = m.regs[in.Rs1] + uint64(in.Imm)
+			m.setReg(in.Rd, m.load(addr))
+		case isa.St:
+			addr = m.regs[in.Rs1] + uint64(in.Imm)
+			m.store(addr, m.regs[in.Rs2])
+		case isa.Fld:
+			addr = m.regs[in.Rs1] + uint64(in.Imm)
+			m.regs[in.Rd] = m.load(addr)
+		case isa.Fst:
+			addr = m.regs[in.Rs1] + uint64(in.Imm)
+			m.store(addr, m.regs[in.Rs2])
+
+		case isa.Fadd:
+			m.setF(in.Rd, m.fval(in.Rs1)+m.fval(in.Rs2))
+		case isa.Fsub:
+			m.setF(in.Rd, m.fval(in.Rs1)-m.fval(in.Rs2))
+		case isa.Fmul:
+			m.setF(in.Rd, m.fval(in.Rs1)*m.fval(in.Rs2))
+		case isa.Fdiv:
+			m.setF(in.Rd, m.fval(in.Rs1)/m.fval(in.Rs2))
+		case isa.Fclt:
+			m.setReg(in.Rd, b2u(m.fval(in.Rs1) < m.fval(in.Rs2)))
+		case isa.Fcvti:
+			m.setReg(in.Rd, uint64(int64(m.fval(in.Rs1))))
+		case isa.Fcvtf:
+			m.setF(in.Rd, float64(int64(m.regs[in.Rs1])))
+
+		case isa.Beq:
+			taken = m.regs[in.Rs1] == m.regs[in.Rs2]
+		case isa.Bne:
+			taken = m.regs[in.Rs1] != m.regs[in.Rs2]
+		case isa.Blt:
+			taken = int64(m.regs[in.Rs1]) < int64(m.regs[in.Rs2])
+		case isa.Bge:
+			taken = int64(m.regs[in.Rs1]) >= int64(m.regs[in.Rs2])
+		case isa.Jmp:
+			taken = true
+			next = int(in.Imm)
+		case isa.Jal:
+			taken = true
+			m.setReg(in.Rd, uint64(idx+1))
+			next = int(in.Imm)
+		case isa.Jr:
+			taken = true
+			next = int(m.regs[in.Rs1])
+			if next < 0 || next >= len(m.prog.Code) {
+				panic(fmt.Sprintf("emu %q: jr to invalid index %d at pc %d", m.prog.Name, next, idx))
+			}
+
+		case isa.Halt:
+			m.done = true
+			next = idx
+
+		default:
+			panic(fmt.Sprintf("emu %q: unimplemented op %v at pc %d", m.prog.Name, in.Op, idx))
 		}
+		if taken && in.IsCondBranch() {
+			next = int(in.Imm)
+		}
+
+		if rec != nil {
+			rec.Seq = m.seq
+			rec.Idx = idx
+			rec.PC = isa.PC(idx)
+			rec.Inst = in
+			rec.Class = in.Class()
+			rec.Taken = taken
+			rec.Target = 0
+			if in.IsCondBranch() {
+				rec.Target = isa.PC(int(in.Imm))
+			} else if in.IsControl() {
+				rec.Target = isa.PC(next)
+			}
+			rec.NextPC = isa.PC(next)
+			rec.Addr = addr
+		}
+		m.pc = next
+		m.seq++
 		n++
 	}
 	return n

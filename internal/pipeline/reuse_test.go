@@ -88,6 +88,45 @@ func TestResetReuseAcrossPrograms(t *testing.T) {
 	}
 }
 
+// TestResetDropsStagedInstruction: a first run that stops while fetch holds
+// a staged instruction (pulled from the stream, its I-cache line still in
+// flight) must not leak that record into the next program after Reset.
+// Measure windows are tried in turn until a run ends with one staged.
+func TestResetDropsStagedInstruction(t *testing.T) {
+	progA, progB := workload.MustProgram("chess"), workload.MustProgram("bfs")
+	for _, cfg := range []Config{BaseConfig(), PUBSConfig()} {
+		fresh := runBench(t, cfg, "bfs", goldenWarmup, goldenMeasure)
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		staged := uint64(0)
+		for measure := uint64(1); measure <= 2_000 && staged == 0; measure++ {
+			s.Reset()
+			s.SetStaticCode(progA.Code)
+			if _, err := s.Run(Stream{M: emu.MustNew(progA)}, 0, measure); err != nil {
+				t.Fatal(err)
+			}
+			if s.hasPending {
+				staged = measure
+			}
+		}
+		if staged == 0 {
+			t.Fatalf("%s: no chess run of up to 2,000 instructions ended with a staged instruction", cfg.Name)
+		}
+		s.Reset()
+		s.SetStaticCode(progB.Code)
+		reused, err := s.Run(Stream{M: emu.MustNew(progB)}, goldenWarmup, goldenMeasure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fresh, reused) {
+			t.Errorf("%s after chess staged at %d: bfs diverged from a fresh Sim:\n fresh:  %+v\n reused: %+v",
+				cfg.Name, staged, fresh, reused)
+		}
+	}
+}
+
 // TestTraceReplayGolden: replaying a predecoded trace through the
 // trace-driven front end must reproduce the live-emulation Result
 // bit-identically for every golden machine variant.
