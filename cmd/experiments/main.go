@@ -167,7 +167,6 @@ func main() {
 	}
 	opts.WindowMajor = *winMajor
 	opts.LiveDecode = *liveDec
-	opts.TraceBudgetBytes = *traceBud
 	opts.NoIdleSkip = !*idleSkip
 	// SIGINT/SIGTERM cancel the campaign: binding the signal context to the
 	// runner reaches every in-flight simulation (each stops within ~1K
@@ -176,7 +175,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	runner := pubsim.NewRunner(opts).BindContext(ctx)
+	runner := pubsim.NewRunner(opts).BindContext(ctx).WithStore(pubsim.NewSamplingStoreBudget(*traceBud))
 	if *ckptDir != "" {
 		var err error
 		if runner, err = runner.WithCheckpoint(*ckptDir); err != nil {

@@ -118,7 +118,7 @@ func serviceFlags(fs *flag.FlagSet) *service.Config {
 	fs.IntVar(&cfg.TenantBurst, "tenant-burst", 0, "per-tenant token-bucket burst (0 = 4)")
 	fs.IntVar(&cfg.BreakerThreshold, "breaker-threshold", 0, "consecutive simulator panics that trip the circuit breaker into cached-only mode (0 = 5, negative = disabled)")
 	fs.DurationVar(&cfg.BreakerCooldown, "breaker-cooldown", 0, "how long the tripped breaker stays open before a half-open probe (0 = 30s)")
-	fs.Int64Var(&cfg.TraceBudgetBytes, "trace-budget", 0, "byte budget for resident window snapshots + predecoded traces per window geometry, evicting whole plans LRU-first (0 = unbounded; exported as pubsd_trace_budget_bytes)")
+	fs.Int64Var(&cfg.TraceBudgetBytes, "trace-budget", 0, "byte budget for the daemon's one plan store: window snapshots, predecoded traces and wire forms across every window geometry and peer-pushed plan, evicting whole plans LRU-first (0 = unbounded; exported as pubsd_trace_budget_bytes)")
 	return cfg
 }
 

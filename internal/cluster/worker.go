@@ -45,8 +45,8 @@ type planHint struct {
 
 // NewWorker wraps a running daemon: it serves the cluster endpoints and
 // installs the daemon's plan-exchange seams, so the sampled path answers
-// plan misses from the fleet (replica cache, then peers) before paying a
-// functional pass, and replicates every local pass to the ring successor.
+// plan misses from peers (pushed plans are already in its plan store)
+// before paying a functional pass, and replicates every local pass to the ring successor.
 func NewWorker(svc *service.Service) *Worker {
 	wk := &Worker{
 		svc:       svc,
@@ -215,9 +215,8 @@ func (wk *Worker) expectingPlan(key string) bool {
 	return ok && planner == wk.svc.NodeID()
 }
 
-// planFetch is the daemon's plan-fetch seam (tier 1 of the plan answer
-// path; the replica cache is tier 0 and a local functional pass the
-// fallback). When a sweep batch designated a planner, a non-planner node
+// planFetch is the daemon's plan-fetch seam, consulted on a plan-store
+// miss (a local functional pass is the fallback). When a sweep batch designated a planner, a non-planner node
 // long-polls it — the planner is mid-pass by construction, so waiting
 // beats burning a redundant pass — retrying briefly to absorb the window
 // where concurrent batches are still being delivered. Designated or not,
@@ -445,8 +444,8 @@ func (wk *Worker) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// HERE, on the handler goroutine, not inside a service worker slot — so
 	// waiting for the planner can never starve this node's own planning (or
 	// any other job) of execution capacity. By the time the merged job runs,
-	// the plan sits in the replica cache and the runner's plan source
-	// answers instantly.
+	// the plan sits in the daemon's plan store and the runner's lookup
+	// hits.
 	if len(pending) > 0 && req.PlanKey != "" && req.Planner != "" && req.Planner != wk.svc.NodeID() {
 		wk.mu.Lock()
 		share := wk.replicate
@@ -629,8 +628,7 @@ func (wk *Worker) handleResultPush(w http.ResponseWriter, r *http.Request) {
 const planWaitBound = 30 * time.Second
 
 // handlePlanGet serves a serialized sampling plan by plan key, cache-only:
-// the replica cache and the runners' window stores are consulted, work is
-// never triggered. With ?wait=1 the handler parks while this node is the
+// the daemon's plan store is consulted, work is never triggered. With ?wait=1 the handler parks while this node is the
 // designated planner with the batch in flight — the window where "miss"
 // really means "seconds from now", and waiting is what saves the caller a
 // redundant functional pass.
@@ -659,11 +657,11 @@ func (wk *Worker) handlePlanGet(w http.ResponseWriter, r *http.Request) {
 
 // handlePlanPut accepts a proactively replicated plan. The envelope's
 // content hash gates admission (AdoptPlan re-verifies it), so a corrupt or
-// truncated push is a 400, never a resident replica.
+// truncated push is a 400, never a resident plan.
 func (wk *Worker) handlePlanPut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if wk.svc.HasPlan(key) {
-		// Resident in some tier already (this node planned it, or adopted
+		// Resident already (this node planned it, or adopted
 		// it via prefetch before the push arrived) — don't pay the decode.
 		w.WriteHeader(http.StatusOK)
 		return

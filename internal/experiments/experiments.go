@@ -68,24 +68,12 @@ type Options struct {
 	// a freshly built timing model — the pre-trace path, kept as the
 	// benchmark baseline. WindowMajor makes sampled sweeps walk the plan
 	// window-major (each predecoded window replays across every machine
-	// variant while it is hot; see RunSweepContext). TraceBudgetBytes bounds
-	// the bytes of snapshots + predecode buffers resident in the shared
-	// window store, evicting whole plans LRU-first (0 = unbounded).
-	// WindowObserve, when set, receives each detailed window's wall-clock
-	// duration; it must be safe for concurrent use.
-	LiveDecode       bool
-	WindowMajor      bool
-	TraceBudgetBytes int64
-	WindowObserve    func(time.Duration)
-
-	// Cluster plan-exchange seams, threaded into the runner's window
-	// store (sampling.Store.WithPlanExchange). PlanSource is consulted on
-	// every plan miss before the functional pass; PlanPlanned fires after
-	// each successful local pass. Both are result-neutral — an adopted
-	// plan is content-hash-verified and bit-identical to a local one — and
-	// therefore excluded from memo and checkpoint keys like WindowObserve.
-	PlanSource  sampling.PlanSource
-	PlanPlanned func(key string, ws []sampling.Window)
+	// variant while it is hot; see RunSweepContext). WindowObserve, when
+	// set, receives each detailed window's wall-clock duration; it must be
+	// safe for concurrent use.
+	LiveDecode    bool
+	WindowMajor   bool
+	WindowObserve func(time.Duration)
 
 	// NoIdleSkip forces every simulation onto the per-cycle polling loop
 	// (pipeline.Config.NoIdleSkip). The event-driven idle skip is
@@ -182,7 +170,7 @@ type Runner struct {
 
 	// snaps shares functional fast-forward work between sampled runs: all
 	// machine variants of one (workload, plan geometry) pair reuse one set
-	// of placed windows.
+	// of placed windows. Private and unbounded unless WithStore shares one.
 	snaps *sampling.Store
 }
 
@@ -193,8 +181,16 @@ func NewRunner(o Options) *Runner {
 		opts:  o,
 		cache: make(map[string]pipeline.Result),
 		sem:   make(chan struct{}, o.Parallelism),
-		snaps: sampling.NewStoreBudget(o.TraceBudgetBytes).WithPlanExchange(o.PlanSource, o.PlanPlanned),
+		snaps: sampling.NewStore(),
 	}
+}
+
+// WithStore makes the runner plan sampled windows through st — a budgeted
+// store, or one several runners share, since plan keys address content.
+// Call it before the first Run; it returns the runner for chaining.
+func (r *Runner) WithStore(st *sampling.Store) *Runner {
+	r.snaps = st
+	return r
 }
 
 // WithCheckpoint persists every finished run to dir (creating it if
@@ -279,22 +275,14 @@ func (r *Runner) Stats() RunnerStats {
 // versus answered from shared snapshots.
 func (r *Runner) SnapshotStats() sampling.StoreStats { return r.snaps.Stats() }
 
-// EncodedPlan serializes the runner's resident plan for key, if complete
-// — the local tier of the cluster's cache-only plan answer path.
-func (r *Runner) EncodedPlan(key string) ([]byte, bool) { return r.snaps.Encoded(key) }
-
-// HasPlan reports residency without serializing — the cheap pre-check.
-func (r *Runner) HasPlan(key string) bool { return r.snaps.Has(key) }
-
 func cfgKey(cfg pipeline.Config, wl string, o Options) string {
 	// ParallelWindows (like Parallelism) changes scheduling, never results,
-	// so it stays out of the key — as do LiveDecode, WindowMajor,
-	// TraceBudgetBytes, and WindowObserve, which are bit-identical by
-	// construction; the sampling geometry changes what is measured and must
-	// be part of it. Config.NoIdleSkip is likewise result-neutral (the idle
-	// skip is proven bit-identical, DESIGN.md §14), so it is zeroed here:
-	// a poll-mode run and a skipping run share every memo and checkpoint
-	// entry.
+	// so it stays out of the key — as do LiveDecode, WindowMajor and
+	// WindowObserve, which are bit-identical by construction; the sampling
+	// geometry changes what is measured and must be part of it.
+	// Config.NoIdleSkip is likewise result-neutral (the idle skip is proven
+	// bit-identical, DESIGN.md §14), so it is zeroed here: a poll-mode run
+	// and a skipping run share every memo and checkpoint entry.
 	cfg.NoIdleSkip = false
 	key := fmt.Sprintf("%s|%d|%d|%+v", wl, o.Warmup, o.Measure, cfg)
 	if o.Sampled() {

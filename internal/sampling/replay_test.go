@@ -164,7 +164,8 @@ func TestObserveCountsWindows(t *testing.T) {
 // TestStoreBudgetEviction: a bounded store stays within its byte budget by
 // dropping plans in LRU order, a hit refreshes recency, evicted plans are
 // replanned on the next request, and windows handed out before an eviction
-// stay fully usable.
+// stay fully usable. Encoded memoizes a plan's wire form on its entry and
+// counts it as resident, and Adopt never displaces a resident plan.
 func TestStoreBudgetEviction(t *testing.T) {
 	ctx := context.Background()
 	plan := Config{Windows: 2, FastForward: 10_000, Warmup: 1_000, Measure: 2_000}
@@ -190,6 +191,41 @@ func TestStoreBudgetEviction(t *testing.T) {
 	}
 	if st := sizer.Stats(); st.Evictions != 0 || st.ResidentPlans != 3 {
 		t.Fatalf("unbounded store evicted: %+v", st)
+	}
+
+	// The first Encoded encodes and accounts the wire bytes; the second
+	// returns the memoized bytes.
+	keyA := PlanKey(progs[0], plan)
+	before := sizer.Stats()
+	wire, ok := sizer.Encoded(keyA)
+	if !ok {
+		t.Fatal("resident plan not encoded")
+	}
+	if got := sizer.Stats().ResidentBytes; got != before.ResidentBytes+int64(len(wire)) {
+		t.Fatalf("resident %d bytes after encoding, want %d + %d wire bytes", got, before.ResidentBytes, len(wire))
+	}
+	again, ok := sizer.Encoded(keyA)
+	if !ok || len(again) != len(wire) || &again[0] != &wire[0] {
+		t.Fatal("second Encoded did not return the memoized bytes")
+	}
+
+	// Adopt over a resident entry changes nothing: not its windows, its
+	// wire form, or any counter.
+	keyB := PlanKey(progs[1], plan)
+	wsB, err := sizer.Windows(ctx, progs[1], plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = sizer.Stats()
+	sizer.Adopt(keyB, wsB[:1], []byte("not this plan"))
+	if after := sizer.Stats(); after != before {
+		t.Fatalf("Adopt over a resident plan changed the store: %+v -> %+v", before, after)
+	}
+	if got, err := sizer.Windows(ctx, progs[1], plan); err != nil || len(got) != len(wsB) || &got[0] != &wsB[0] {
+		t.Fatal("Adopt replaced a resident plan's windows")
+	}
+	if enc, _ := sizer.Encoded(keyB); string(enc) == "not this plan" {
+		t.Fatal("Adopt replaced a resident plan's wire form")
 	}
 
 	// Room for A plus whichever of B, C is larger: admitting C forces out

@@ -154,10 +154,10 @@ func planKey(prog *isa.Program, plan Config) string {
 // StoreStats counts what a Store actually computed, shared, and holds.
 type StoreStats struct {
 	Plans         uint64 // fast-forward passes executed locally
-	PeerPlans     uint64 // plans adopted from a PlanSource instead of computed
+	PeerPlans     uint64 // plans fetched from a PlanSource or installed by Adopt instead of computed
 	Hits          uint64 // requests answered from an existing (or in-flight) plan
 	Evictions     uint64 // completed plans dropped to stay within the byte budget
-	ResidentBytes int64  // snapshot + predecode bytes currently held
+	ResidentBytes int64  // snapshot + predecode + memoized wire bytes currently held
 	ResidentPlans int    // completed plans currently held
 }
 
@@ -184,7 +184,8 @@ type PlanSource func(ctx context.Context, key string) ([]Window, bool)
 // windows keep them (immutability + GC make that safe), and the next
 // request for the key replans. The most recently used plan always stays
 // resident even when it alone exceeds the budget, so a working set of one
-// cannot thrash.
+// cannot thrash. An entry's memoized wire form (Encoded, Adopt) counts in
+// its bytes and leaves with it.
 type Store struct {
 	mu        sync.Mutex
 	entries   map[string]*storeEntry
@@ -202,7 +203,7 @@ type Store struct {
 	// *local* pass (never for adopted plans, so plans cannot echo around a
 	// ring). Both are read without the lock — set them before first use.
 	fetch   PlanSource
-	planned func(key string, ws []Window)
+	planned func(key string)
 }
 
 type storeEntry struct {
@@ -210,6 +211,11 @@ type storeEntry struct {
 	done    chan struct{}
 	windows []Window
 	err     error
+
+	// wire memoizes the serialized plan: the bytes Adopt received, or the
+	// one encoding pass Encoded runs under encode.
+	wire   []byte
+	encode sync.Once
 
 	bytes      int64
 	prev, next *storeEntry
@@ -232,9 +238,10 @@ func NewStoreBudget(maxBytes int64) *Store {
 // WithPlanExchange installs the store's cluster seams and returns the
 // store. fetch (may be nil) is consulted on every miss before planning
 // locally; planned (may be nil) is invoked — outside the store lock, after
-// waiters are released — with the key and windows of every successful
-// local pass. Call before the store is shared between goroutines.
-func (s *Store) WithPlanExchange(fetch PlanSource, planned func(key string, ws []Window)) *Store {
+// waiters are released — with the key of every successful local pass, whose
+// wire form Encoded then serves. Call before the store is shared between
+// goroutines.
+func (s *Store) WithPlanExchange(fetch PlanSource, planned func(key string)) *Store {
 	s.fetch = fetch
 	s.planned = planned
 	return s
@@ -253,6 +260,26 @@ func windowsBytes(ws []Window) int64 {
 		}
 	}
 	return b
+}
+
+// ready reports whether e finished planning successfully. Once done is
+// closed, err is immutable.
+func (e *storeEntry) ready() bool {
+	select {
+	case <-e.done:
+		return e.err == nil
+	default:
+		return false
+	}
+}
+
+// admit makes a completed entry resident: it is accounted, linked at the
+// head of the LRU list and, from now on, evictable. Caller holds mu.
+func (s *Store) admit(e *storeEntry) {
+	e.bytes = windowsBytes(e.windows) + int64(len(e.wire))
+	s.resident += e.bytes
+	s.pushMRU(e)
+	s.evict()
 }
 
 // pushMRU links a completed entry at the head of the LRU list. Caller holds mu.
@@ -350,23 +377,18 @@ func (s *Store) Windows(ctx context.Context, prog *isa.Program, plan Config) ([]
 				}
 				// The plan becomes evictable only now that it is complete;
 				// waiters blocked on done still hold e and its windows.
-				e.bytes = windowsBytes(e.windows)
-				s.resident += e.bytes
-				s.pushMRU(e)
-				s.evict()
+				s.admit(e)
 			}
 			s.mu.Unlock()
 			close(e.done)
 			if e.err == nil && !adopted && s.planned != nil {
 				// Announce the fresh local plan (proactive push) after
 				// waiters are released; adopted plans are never re-announced.
-				s.planned(key, e.windows)
+				s.planned(key)
 			}
 			return e.windows, e.err
 		}
-		if e.inLRU {
-			s.touch(e)
-		}
+		s.touch(e)
 		s.mu.Unlock()
 		select {
 		case <-e.done:
@@ -410,35 +432,60 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
-// Encoded serializes the resident plan for key, if one has completed.
-// In-flight plans report a miss rather than block — the peer answer path
-// is cache-only by design (a fetch that could trigger planning on the
-// serving node would let two nodes plan for each other in a loop).
-// Serving a plan counts as a use for LRU purposes.
+// Adopt installs a plan computed elsewhere (a peer's proactive push) under
+// key, memoizing wire, the serialized form it arrived as, so serving it on
+// costs no re-encode. The entry is complete and resident like a local plan:
+// LRU-linked, budgeted (wire bytes included) and counted in PeerPlans. Any
+// existing entry for key, complete or in flight, wins, and Adopt changes
+// nothing. The caller vouches that ws is the plan key addresses, as
+// DecodePlan's content hash does.
+func (s *Store) Adopt(key string, ws []Window, wire []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.entries[key]; ok {
+		return
+	}
+	e := &storeEntry{key: key, done: make(chan struct{}), windows: ws, wire: wire}
+	close(e.done)
+	s.entries[key] = e
+	s.peerPlans++
+	s.admit(e)
+}
+
+// Encoded returns the serialized resident plan for key, if one has
+// completed. Each entry is encoded at most once; the bytes are memoized on
+// it, count against the budget and are evicted with the plan. In-flight
+// plans report a miss rather than block — the peer answer path is
+// cache-only by design (a fetch that could trigger planning on the serving
+// node would let two nodes plan for each other in a loop). Serving a plan
+// counts as a use for LRU purposes.
 func (s *Store) Encoded(key string) ([]byte, bool) {
 	s.mu.Lock()
 	e, ok := s.entries[key]
-	if ok {
-		select {
-		case <-e.done:
-		default:
-			ok = false // still planning
-		}
-	}
-	if !ok || e.err != nil {
+	if !ok || !e.ready() {
 		s.mu.Unlock()
 		return nil, false
 	}
-	if e.inLRU {
-		s.touch(e)
-	}
-	ws := e.windows
+	s.touch(e)
 	s.mu.Unlock()
-	data, err := EncodePlan(ws)
-	if err != nil {
-		return nil, false
-	}
-	return data, true
+	e.encode.Do(func() {
+		if e.wire != nil {
+			return // adopted with its wire form
+		}
+		data, err := EncodePlan(e.windows)
+		if err != nil {
+			return
+		}
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		e.wire = data
+		if e.inLRU { // still resident: the memo joins its budget
+			e.bytes += int64(len(data))
+			s.resident += int64(len(data))
+			s.evict()
+		}
+	})
+	return e.wire, e.wire != nil
 }
 
 // Has reports whether a completed plan for key is resident, without
@@ -447,13 +494,5 @@ func (s *Store) Has(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.entries[key]
-	if !ok {
-		return false
-	}
-	select {
-	case <-e.done:
-		return e.err == nil
-	default:
-		return false
-	}
+	return ok && e.ready()
 }

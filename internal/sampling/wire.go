@@ -52,12 +52,6 @@ func PlanKey(prog *isa.Program, plan Config) string {
 	return planKey(prog, plan)
 }
 
-// PlanBytes returns the resident footprint of a plan's windows — the
-// accounting unit byte budgets use for both live and adopted plans.
-func PlanBytes(ws []Window) int64 {
-	return windowsBytes(ws)
-}
-
 // EncodePlan serializes placed windows into the flate-compressed,
 // content-hash-sealed wire format.
 func EncodePlan(ws []Window) ([]byte, error) {

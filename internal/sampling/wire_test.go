@@ -44,8 +44,8 @@ func TestPlanCodecRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(dec, ws) {
 				t.Fatal("decoded plan differs from the planned windows")
 			}
-			if PlanBytes(dec) != PlanBytes(ws) {
-				t.Fatalf("decoded plan accounts %d bytes, original %d", PlanBytes(dec), PlanBytes(ws))
+			if windowsBytes(dec) != windowsBytes(ws) {
+				t.Fatalf("decoded plan accounts %d bytes, original %d", windowsBytes(dec), windowsBytes(ws))
 			}
 			reenc, err := EncodePlan(dec)
 			if err != nil {
@@ -190,10 +190,12 @@ func TestPeerPlanBitIdenticalAllVariants(t *testing.T) {
 }
 
 // TestAdoptedPlanEvictionKeepsHandedOutWindows: under a byte budget far
-// below one plan, a store cycling through peer-adopted plans evicts freely
-// — but windows already handed to callers stay valid and keep producing
+// below one plan, a store cycling through peer plans — fetched through its
+// PlanSource or installed by Adopt — evicts freely, wire memos included,
+// but windows already handed to callers stay valid and keep producing
 // bit-identical results, and the in-budget invariant (MRU always resident)
-// holds. Eviction is a cost knob, never a correctness boundary.
+// holds. Eviction is a cost knob, never a correctness boundary. Adopt over
+// an in-flight plan changes nothing.
 func TestAdoptedPlanEvictionKeepsHandedOutWindows(t *testing.T) {
 	ctx := context.Background()
 	plan := wireTestPlan()
@@ -211,56 +213,119 @@ func TestAdoptedPlanEvictionKeepsHandedOutWindows(t *testing.T) {
 		}
 		wires[PlanKey(workload.MustProgram(wl), plan)] = data
 	}
-
-	// Budget of one byte: every adopted plan exceeds it, so each new key
-	// evicts the previous plan the moment it completes.
-	store := NewStoreBudget(1).WithPlanExchange(
-		func(ctx context.Context, key string) ([]Window, bool) {
-			data, ok := wires[key]
-			if !ok {
-				return nil, false
-			}
-			ws, err := DecodePlan(data)
-			if err != nil {
-				return nil, false
-			}
-			return ws, true
-		}, nil)
-
-	held := make(map[string][]Window)
-	for _, wl := range workloads {
-		ws, err := store.Windows(ctx, workload.MustProgram(wl), plan)
+	decode := func(key string) ([]Window, bool) {
+		data, ok := wires[key]
+		if !ok {
+			return nil, false
+		}
+		ws, err := DecodePlan(data)
 		if err != nil {
-			t.Fatalf("store windows(%s): %v", wl, err)
+			return nil, false
 		}
-		held[wl] = ws
-		if n := store.Len(); n != 1 {
-			t.Fatalf("after %s: %d resident plans, want 1 (MRU only)", wl, n)
+		return ws, true
+	}
+
+	for _, adopt := range []bool{false, true} {
+		// Budget of one byte: every peer plan exceeds it, so each new key
+		// evicts the previous plan the moment it completes.
+		var fetches int
+		store := NewStoreBudget(1).WithPlanExchange(
+			func(ctx context.Context, key string) ([]Window, bool) {
+				fetches++
+				return decode(key)
+			}, nil)
+
+		held := make(map[string][]Window)
+		for _, wl := range workloads {
+			prog := workload.MustProgram(wl)
+			if adopt {
+				key := PlanKey(prog, plan)
+				ws, _ := decode(key)
+				store.Adopt(key, ws, wires[key])
+				if got, want := store.Stats().ResidentBytes, windowsBytes(ws)+int64(len(wires[key])); got != want {
+					t.Fatalf("adopted %s: resident %d bytes, want %d (windows + wire)", wl, got, want)
+				}
+				if enc, ok := store.Encoded(key); !ok || &enc[0] != &wires[key][0] {
+					t.Fatalf("adopted %s: Encoded did not serve the adopted wire bytes", wl)
+				}
+			}
+			ws, err := store.Windows(ctx, prog, plan)
+			if err != nil {
+				t.Fatalf("store windows(%s): %v", wl, err)
+			}
+			held[wl] = ws
+			if n := store.Len(); n != 1 {
+				t.Fatalf("after %s: %d resident plans, want 1 (MRU only)", wl, n)
+			}
 		}
+		st := store.Stats()
+		if st.PeerPlans != uint64(len(workloads)) || st.Plans != 0 {
+			t.Fatalf("stats: %d peer plans, %d local passes; want %d and 0", st.PeerPlans, st.Plans, len(workloads))
+		}
+		if st.Evictions != uint64(len(workloads)-1) {
+			t.Fatalf("stats: %d evictions, want %d", st.Evictions, len(workloads)-1)
+		}
+		if adopt && (fetches != 0 || st.Hits != uint64(len(workloads))) {
+			t.Fatalf("adopted plans: %d fetches, %d hits; want 0 and %d", fetches, st.Hits, len(workloads))
+		}
+		if adopt && store.Has(PlanKey(workload.MustProgram(workloads[0]), plan)) {
+			t.Fatal("evicted adopted plan still resident")
+		}
+
+		// Every held plan — including the evicted ones — still drives a
+		// sweep to the same result as a self-planned run.
+		for _, wl := range workloads {
+			prog := workload.MustProgram(wl)
+			cfg := pipeline.PUBSConfig()
+			got, err := RunWindows(ctx, cfg, prog, plan, held[wl])
+			if err != nil {
+				t.Fatalf("RunWindows(%s) on evicted plan: %v", wl, err)
+			}
+			want, err := Run(cfg, prog, plan)
+			if err != nil {
+				t.Fatalf("serial reference(%s): %v", wl, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: evicted-plan result diverged from self-planned run", wl)
+			}
+		}
+	}
+
+	// Adopt over an in-flight entry changes nothing: the fetch that owns
+	// the entry lands, and the adopted windows and wire bytes are dropped.
+	prog := workload.MustProgram(workloads[0])
+	key := PlanKey(prog, plan)
+	other := PlanKey(workload.MustProgram(workloads[1]), plan)
+	entered, release := make(chan struct{}), make(chan struct{})
+	store := NewStore().WithPlanExchange(
+		func(ctx context.Context, k string) ([]Window, bool) {
+			close(entered)
+			<-release
+			return decode(k)
+		}, nil)
+	type result struct {
+		ws  []Window
+		err error
+	}
+	done := make(chan result)
+	go func() {
+		ws, err := store.Windows(ctx, prog, plan)
+		done <- result{ws, err}
+	}()
+	<-entered
+	ws, _ := decode(other)
+	store.Adopt(key, ws, wires[other])
+	close(release)
+	r := <-done
+	want, _ := decode(key)
+	if r.err != nil || !reflect.DeepEqual(r.ws, want) {
+		t.Fatalf("Adopt over an in-flight plan replaced its windows (err %v)", r.err)
 	}
 	st := store.Stats()
-	if st.PeerPlans != uint64(len(workloads)) || st.Plans != 0 {
-		t.Fatalf("stats: %d peer plans, %d local passes; want %d and 0", st.PeerPlans, st.Plans, len(workloads))
+	if st.PeerPlans != 1 || st.ResidentBytes != windowsBytes(want) {
+		t.Fatalf("Adopt over an in-flight plan: %d peer plans, %d resident bytes; want 1 and %d", st.PeerPlans, st.ResidentBytes, windowsBytes(want))
 	}
-	if st.Evictions != uint64(len(workloads)-1) {
-		t.Fatalf("stats: %d evictions, want %d", st.Evictions, len(workloads)-1)
-	}
-
-	// Every held plan — including the evicted ones — still drives a sweep
-	// to the same result as a self-planned run.
-	for _, wl := range workloads {
-		prog := workload.MustProgram(wl)
-		cfg := pipeline.PUBSConfig()
-		got, err := RunWindows(ctx, cfg, prog, plan, held[wl])
-		if err != nil {
-			t.Fatalf("RunWindows(%s) on evicted plan: %v", wl, err)
-		}
-		want, err := Run(cfg, prog, plan)
-		if err != nil {
-			t.Fatalf("serial reference(%s): %v", wl, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: evicted-plan result diverged from self-planned run", wl)
-		}
+	if enc, ok := store.Encoded(key); !ok || !bytes.Equal(enc, wires[key]) {
+		t.Fatal("Adopt over an in-flight plan replaced its wire form")
 	}
 }

@@ -58,79 +58,52 @@ func newResultCache() *resultCache {
 // it, or runs build itself — whichever applies. The outcome reports which
 // path was taken so the metrics layer can expose the dedup rate.
 func (c *resultCache) Do(key string, build func() (CellResult, error)) (CellResult, cacheOutcome, error) {
-	c.mu.Lock()
-	if res, ok := c.done[key]; ok {
-		c.mu.Unlock()
-		return res, outcomeHit, nil
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
+	res, f, out := c.Claim(key)
+	switch out {
+	case outcomeHit:
+		return res, out, nil
+	case outcomeMerged:
 		<-f.done
-		return f.res, outcomeMerged, f.err
+		return f.res, out, f.err
 	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
-	c.mu.Unlock()
-
-	f.res, f.err = build()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if f.err == nil {
-		c.done[key] = f.res
-		// Chaos point: drop the entry right after storing it, simulating a
-		// cache loss between a cell finishing and a client reading it. The
-		// caller still gets f.res; later reads fall through to the
-		// checkpoint-backed runner, which must reproduce it bit-identically.
-		if faultinject.Fire(faultinject.CacheEvict, key) {
-			delete(c.done, key)
-		}
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.res, outcomeRun, f.err
+	res, err := build()
+	c.Resolve(key, f, res, err)
+	return res, out, err
 }
 
-// claimState is the outcome of Claim: a completed hit, a merge onto a
-// flight another claimant owns, or ownership of a fresh flight the caller
-// must Resolve.
-type claimState int
-
-const (
-	claimHit claimState = iota
-	claimMerged
-	claimOwned
-)
-
-// Claim is the two-phase form of Do for callers that resolve many keys
-// from one batched execution (the cluster's sweep dispatch): it returns a
-// completed result (claimHit), a flight to wait on (claimMerged), or
-// registers and returns a flight the caller now owns (claimOwned). Every
-// owned flight must eventually be passed to Resolve, or merged waiters
-// block forever.
-func (c *resultCache) Claim(key string) (CellResult, *flight, claimState) {
+// Claim is the first phase of Do, exposed for callers that resolve many
+// keys from one batched execution (the cluster's sweep dispatch): it
+// returns a completed result (outcomeHit), a flight to wait on
+// (outcomeMerged), or registers and returns a flight the caller now owns
+// (outcomeRun). Every owned flight must eventually be passed to Resolve,
+// or merged waiters block forever.
+func (c *resultCache) Claim(key string) (CellResult, *flight, cacheOutcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if res, ok := c.done[key]; ok {
-		return res, nil, claimHit
+		return res, nil, outcomeHit
 	}
 	if f, ok := c.inflight[key]; ok {
-		return CellResult{}, f, claimMerged
+		return CellResult{}, f, outcomeMerged
 	}
 	f := &flight{done: make(chan struct{})}
 	c.inflight[key] = f
-	return CellResult{}, f, claimOwned
+	return CellResult{}, f, outcomeRun
 }
 
-// Resolve completes a flight obtained from Claim with claimOwned,
-// mirroring Do's landing: failures are never cached, successes are stored
-// (subject to the same chaos point), and every merged waiter is released.
+// Resolve completes a flight Claim returned with outcomeRun — the one
+// landing path: failures are never cached, successes are stored, and
+// every merged waiter is released.
 func (c *resultCache) Resolve(key string, f *flight, res CellResult, err error) {
 	f.res, f.err = res, err
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if err == nil {
 		c.done[key] = res
+		// Chaos point: drop the entry right after storing it, simulating a
+		// cache loss between a cell finishing and a client reading it. The
+		// owner still gets res; later reads fall through to the
+		// checkpoint-backed runner, which must reproduce it bit-identically.
 		if faultinject.Fire(faultinject.CacheEvict, key) {
 			delete(c.done, key)
 		}

@@ -51,9 +51,9 @@ type metrics struct {
 	win   *stats.Histogram
 
 	// Plan exchange: the pubsd_plan_* family (zero-valued on a standalone
-	// daemon). Peer hits count plans adopted instead of computed — from the
-	// replica cache or a peer fetch; pushes count plans this node
-	// serialized and replicated proactively.
+	// daemon). Peer hits count plans fetched from peers instead of computed
+	// (pushed plans count as pubsd_snapshot_peer_plans_total when adopted);
+	// pushes count plans this node serialized and replicated proactively.
 	planPeerHits   atomic.Uint64
 	planPushes     atomic.Uint64
 	planPushBytes  atomic.Uint64
@@ -125,24 +125,22 @@ func quantileMS(h *stats.Histogram, q float64) int64 {
 
 // snapshotGauges is what the Service contributes at render time.
 type snapshotGauges struct {
-	queueDepth       int
-	workers          int
-	cacheEntries     int
-	simulated        uint64 // detailed simulations actually executed (runner stats)
-	memoHits         uint64
-	ckptHits         uint64
-	retries          uint64
-	snapPlans        uint64 // functional fast-forward passes for sampled jobs (local only)
-	snapPeerPlans    uint64 // plans adopted from the cluster instead of computed
-	snapHits         uint64 // sampled runs answered from shared snapshots
-	snapEvictions    uint64 // predecoded plans evicted by the trace byte budget
-	traceResident    int64  // bytes of snapshots + predecoded traces resident
-	traceBudget      int64  // configured budget (0 = unbounded)
-	planReplicas     int    // proactively pushed plans resident in the replica cache
-	planReplicaBytes int64
-	draining         bool
-	breakerState     int    // 0 closed | 1 half-open | 2 open
-	breakerTrips     uint64 // closed→open transitions since boot
+	queueDepth    int
+	workers       int
+	cacheEntries  int
+	simulated     uint64 // detailed simulations actually executed (runner stats)
+	memoHits      uint64
+	ckptHits      uint64
+	retries       uint64
+	snapPlans     uint64 // functional fast-forward passes for sampled jobs (local only)
+	snapPeerPlans uint64 // plans fetched or adopted from the cluster instead of computed
+	snapHits      uint64 // sampled runs answered from shared snapshots
+	snapEvictions uint64 // predecoded plans evicted by the trace byte budget
+	traceResident int64  // bytes of snapshots + predecoded traces + wire memos resident
+	traceBudget   int64  // configured budget (0 = unbounded)
+	draining      bool
+	breakerState  int    // 0 closed | 1 half-open | 2 open
+	breakerTrips  uint64 // closed→open transitions since boot
 }
 
 // render emits the metrics in Prometheus text exposition format. Every
@@ -197,8 +195,6 @@ func (m *metrics) render(node string, g snapshotGauges) string {
 	line("pubsd_plan_pushes_total", m.planPushes.Load())
 	line("pubsd_plan_bytes_pushed_total", m.planPushBytes.Load())
 	line("pubsd_plan_bytes_fetched_total", m.planFetchBytes.Load())
-	line("pubsd_plan_replicas_resident", g.planReplicas)
-	line("pubsd_plan_replica_bytes", g.planReplicaBytes)
 
 	line("pubsd_cells_completed_total", m.cellsCompleted.Load())
 	line("pubsd_cells_failed_total", m.cellsFailed.Load())

@@ -4,61 +4,38 @@ import (
 	"context"
 	"sync"
 
-	"repro/internal/experiments"
 	"repro/internal/sampling"
 )
 
-// planExchange is the daemon's side of cluster plan sharing: the seams the
-// cluster package installs (fetch pulls a serialized plan from peers, push
-// replicates a fresh local plan), plus a replica cache of plans peers
-// pushed here proactively. Replicas sit outside the runners' window
-// stores — a pushed plan must survive even if this node never runs the
-// workload — under their own byte budget with FIFO-order eviction.
-type planExchange struct {
+// planSeams are the cluster's plan-sharing hooks: fetch pulls a serialized
+// plan from peers, push replicates a fresh local plan. The plans themselves
+// — local, fetched or pushed here — all live in the Service's one store.
+type planSeams struct {
 	mu    sync.Mutex
 	fetch func(ctx context.Context, key string) ([]byte, bool)
 	push  func(key string, data []byte)
-
-	replicas map[string][]sampling.Window
-	order    []string // insertion order, oldest first — the eviction order
-	bytes    int64
-	budget   int64 // 0 = unbounded
-
-	// encoded memoizes the wire form per key — a plan is served to every
-	// long-poll waiter plus the successor push, and flate-compressing
-	// megabytes of snapshot pages per serve would cost a visible slice of
-	// the very pass the exchange exists to save. Evicted alongside the
-	// replica entry of the same key.
-	encoded map[string][]byte
 }
 
 // SetPlanExchange installs (or, with nils, removes) the cluster's plan
-// seams. fetch is consulted by every runner's window store on a plan miss,
-// after the replica cache; push is invoked asynchronously with the
-// serialized form of every plan this node computes locally.
+// seams. fetch is consulted by the plan store on a miss; push is invoked
+// asynchronously with the serialized form of every plan this node computes
+// locally.
 func (s *Service) SetPlanExchange(fetch func(ctx context.Context, key string) ([]byte, bool), push func(key string, data []byte)) {
-	s.plans.mu.Lock()
-	s.plans.fetch = fetch
-	s.plans.push = push
-	s.plans.mu.Unlock()
+	s.seams.mu.Lock()
+	s.seams.fetch = fetch
+	s.seams.push = push
+	s.seams.mu.Unlock()
 }
 
-// planSource is the sampling.PlanSource every runner shares. Tier 0 is the
-// replica cache (plans the ring predecessor pushed here); tier 1 is the
-// cluster fetch seam (cache-only peer GETs). Both yield content-verified
-// windows bit-identical to a local pass. Called inside the window store's
-// singleflight critical section, so each plan key is resolved at most once
-// per runner however many machine variants race.
+// planSource is the plan store's sampling.PlanSource: the cluster fetch
+// seam (cache-only peer GETs), yielding content-verified windows
+// bit-identical to a local pass. Called inside the store's singleflight
+// critical section, so each plan key is fetched at most once however many
+// machine variants race.
 func (s *Service) planSource(ctx context.Context, key string) ([]sampling.Window, bool) {
-	px := &s.plans
-	px.mu.Lock()
-	ws, ok := px.replicas[key]
-	fetch := px.fetch
-	px.mu.Unlock()
-	if ok {
-		s.m.planPeerHits.Add(1)
-		return ws, true
-	}
+	s.seams.mu.Lock()
+	fetch := s.seams.fetch
+	s.seams.mu.Unlock()
 	if fetch == nil {
 		return nil, false
 	}
@@ -78,135 +55,45 @@ func (s *Service) planSource(ctx context.Context, key string) ([]sampling.Window
 }
 
 // planPlanned fires after every successful local functional pass; it
-// serializes the plan and hands it to the push seam off the planning
-// goroutine, so replication cost never extends the pass's critical path.
-func (s *Service) planPlanned(key string, ws []sampling.Window) {
-	s.plans.mu.Lock()
-	push := s.plans.push
-	s.plans.mu.Unlock()
+// serializes the plan through the store's memo (so long-poll waiters parked
+// on this key are served the same bytes) and hands it to the push seam, off
+// the planning goroutine, so replication cost never extends the pass's
+// critical path. A plan evicted before it could be encoded is not pushed.
+func (s *Service) planPlanned(key string) {
+	s.seams.mu.Lock()
+	push := s.seams.push
+	s.seams.mu.Unlock()
 	if push == nil {
 		return
 	}
 	go func() {
-		data, err := sampling.EncodePlan(ws)
-		if err != nil {
+		data, ok := s.plans.Encoded(key)
+		if !ok {
 			return
 		}
-		// Memoize before pushing so long-poll waiters parked on this key
-		// are served the moment the bytes exist.
-		s.plans.mu.Lock()
-		s.plans.encoded[key] = data
-		s.plans.mu.Unlock()
 		s.m.planPushes.Add(1)
 		s.m.planPushBytes.Add(uint64(len(data)))
 		push(key, data)
 	}()
 }
 
-// PlanData serializes the resident plan for key if any tier holds it:
-// the replica cache first, then every runner's window store. Cache-only by
-// design — a miss is a miss, never a trigger to compute.
-func (s *Service) PlanData(key string) ([]byte, bool) {
-	s.plans.mu.Lock()
-	data, hit := s.plans.encoded[key]
-	ws, ok := s.plans.replicas[key]
-	s.plans.mu.Unlock()
-	if hit {
-		return data, true
-	}
-	if ok {
-		if data, err := sampling.EncodePlan(ws); err == nil {
-			s.plans.mu.Lock()
-			s.plans.encoded[key] = data
-			s.plans.mu.Unlock()
-			return data, true
-		}
-	}
-	s.mu.Lock()
-	runners := make([]*experiments.Runner, 0, len(s.runners))
-	for _, r := range s.runners {
-		runners = append(runners, r)
-	}
-	s.mu.Unlock()
-	for _, r := range runners {
-		if data, ok := r.EncodedPlan(key); ok {
-			s.plans.mu.Lock()
-			s.plans.encoded[key] = data
-			s.plans.mu.Unlock()
-			return data, true
-		}
-	}
-	return nil, false
-}
+// PlanData serializes the resident plan for key. Cache-only by design — a
+// miss is a miss, never a trigger to compute.
+func (s *Service) PlanData(key string) ([]byte, bool) { return s.plans.Encoded(key) }
 
-// HasPlan reports whether any tier holds the plan, without serializing it —
+// HasPlan reports whether the plan is resident, without serializing it —
 // the cheap guard the sweep handler consults before prefetching from peers.
-func (s *Service) HasPlan(key string) bool {
-	s.plans.mu.Lock()
-	_, enc := s.plans.encoded[key]
-	_, rep := s.plans.replicas[key]
-	s.plans.mu.Unlock()
-	if enc || rep {
-		return true
-	}
-	s.mu.Lock()
-	runners := make([]*experiments.Runner, 0, len(s.runners))
-	for _, r := range s.runners {
-		runners = append(runners, r)
-	}
-	s.mu.Unlock()
-	for _, r := range runners {
-		if r.HasPlan(key) {
-			return true
-		}
-	}
-	return false
-}
+func (s *Service) HasPlan(key string) bool { return s.plans.Has(key) }
 
 // AdoptPlan verifies and installs a plan a peer pushed proactively. The
 // content hash inside the envelope gates admission — a corrupt push is an
-// error, not a replica. An existing replica wins (bit-identical by the
+// error, not a resident plan. An existing entry wins (bit-identical by the
 // hash discipline).
 func (s *Service) AdoptPlan(key string, data []byte) error {
-	px := &s.plans
-	px.mu.Lock()
-	_, resident := px.replicas[key]
-	px.mu.Unlock()
-	if resident {
-		// Already verified and resident — skip the inflate-and-hash pass.
-		return nil
-	}
 	ws, err := sampling.DecodePlan(data)
 	if err != nil {
 		return err
 	}
-	px.mu.Lock()
-	defer px.mu.Unlock()
-	if _, ok := px.replicas[key]; ok {
-		return nil
-	}
-	px.replicas[key] = ws
-	px.encoded[key] = data
-	px.order = append(px.order, key)
-	px.bytes += sampling.PlanBytes(ws)
-	// Oldest-first eviction, never the replica just adopted: the budget is
-	// advisory headroom, not a correctness boundary — runners that already
-	// pulled a replica keep their windows regardless.
-	for px.budget > 0 && px.bytes > px.budget && len(px.order) > 1 {
-		victim := px.order[0]
-		px.order = px.order[1:]
-		if old, ok := px.replicas[victim]; ok {
-			px.bytes -= sampling.PlanBytes(old)
-			delete(px.replicas, victim)
-		}
-		delete(px.encoded, victim)
-	}
+	s.plans.Adopt(key, ws, data)
 	return nil
-}
-
-// planGauges snapshots the replica cache for /metrics.
-func (s *Service) planGauges() (resident int, bytes int64) {
-	s.plans.mu.Lock()
-	defer s.plans.mu.Unlock()
-	return len(s.plans.replicas), s.plans.bytes
 }

@@ -162,6 +162,65 @@ func TestWindowMajorJob(t *testing.T) {
 	}
 }
 
+// TestPlanBudgetBoundsDaemon: TraceBudgetBytes bounds the daemon, not
+// each window-geometry runner. Four sampled geometries under a one-byte
+// budget leave exactly the most recent plan resident.
+func TestPlanBudgetBoundsDaemon(t *testing.T) {
+	s := testService(t, Config{Workers: 2, TraceBudgetBytes: 1})
+	for _, ff := range []uint64{20_000, 21_000, 22_000, 23_000} {
+		spec := CampaignSpec{
+			Machines:  []MachineSpec{{Machine: "base"}},
+			Workloads: []string{"parser"},
+			Warmup:    2_000, Measure: 5_000,
+			Windows: 2, FastForward: ff,
+			WindowMajor: true,
+		}
+		if st := waitJob(t, mustSubmit(t, s, spec)); st.State != JobDone {
+			t.Fatalf("ff %d: %s %v", ff, st.State, st.Errors)
+		}
+	}
+	_, snaps := s.runnerStats()
+	if snaps.ResidentPlans != 1 || snaps.Evictions < 3 {
+		t.Errorf("four geometries under a 1-byte budget: %d plans resident, %d evictions; want 1 and >= 3",
+			snaps.ResidentPlans, snaps.Evictions)
+	}
+}
+
+// TestEvictedPlanIsNotServed: once later plans evict a plan, peers asking
+// for it get a miss from both HasPlan and PlanData, even after it was
+// served (and its wire form memoized) while resident.
+func TestEvictedPlanIsNotServed(t *testing.T) {
+	s := testService(t, Config{Workers: 2, TraceBudgetBytes: 1})
+	var keys []string
+	for _, wl := range []string{"parser", "chess", "bfs", "regex"} {
+		spec := CampaignSpec{
+			Machines:  []MachineSpec{{Machine: "base"}},
+			Workloads: []string{wl},
+			Warmup:    2_000, Measure: 5_000,
+			Windows: 2, FastForward: 20_000,
+		}
+		if st := waitJob(t, mustSubmit(t, s, spec)); st.State != JobDone {
+			t.Fatalf("%s: %s %v", wl, st.State, st.Errors)
+		}
+		key, err := spec.options(s.DefaultOptions()).PlanKey(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.PlanData(key); !ok {
+			t.Fatalf("%s: the most recent plan is not served", wl)
+		}
+		keys = append(keys, key)
+	}
+	last := len(keys) - 1
+	for i, key := range keys {
+		_, served := s.PlanData(key)
+		if has := s.HasPlan(key); has != (i == last) || served != (i == last) {
+			t.Errorf("plan %d of %d: HasPlan %v, PlanData hit %v; want both %v",
+				i+1, len(keys), has, served, i == last)
+		}
+	}
+}
+
 // TestWindowMajorSpecKeying: WindowMajor and LiveDecode pick distinct
 // runners (their stores cache different payloads) but must NOT change cell
 // content keys — results are bit-identical by construction.

@@ -73,10 +73,11 @@ type Config struct {
 	// vanishing. Pair it with CheckpointDir so the resumed job's already-
 	// finished cells are served from disk rather than re-simulated.
 	JournalDir string
-	// TraceBudgetBytes bounds, per window-geometry runner, the bytes of
-	// predecoded window traces and snapshots the sampled path keeps
-	// resident, evicting whole plans LRU-first (0 = unbounded). Exported
-	// live through the pubsd_trace_resident_bytes gauge.
+	// TraceBudgetBytes bounds the daemon's one plan store: the bytes of
+	// window snapshots, predecoded traces and memoized wire forms held for
+	// every window geometry and every peer-pushed plan together, evicting
+	// whole plans LRU-first (0 = unbounded). Exported live through the
+	// pubsd_trace_resident_bytes gauge.
 	TraceBudgetBytes int64
 	// NodeID is the daemon's stable identity in a cluster — the `node`
 	// label on every metric it exports ("" = "local"). It must be unique
@@ -125,7 +126,6 @@ func (c Config) normalized() Config {
 		c.DefaultOptions = experiments.DefaultOptions()
 	}
 	c.DefaultOptions.Parallelism = c.Workers
-	c.DefaultOptions.TraceBudgetBytes = c.TraceBudgetBytes
 	if c.NodeID == "" {
 		c.NodeID = "local"
 	}
@@ -163,9 +163,11 @@ type Service struct {
 	draining bool
 	seq      uint64
 
-	// plans is the cluster plan-exchange state: the fetch/push seams and
-	// the replica cache of proactively pushed plans (see plans.go).
-	plans planExchange
+	// plans is the daemon's one sampling-plan store: every runner plans
+	// through it, peer pushes are adopted into it, and TraceBudgetBytes
+	// bounds it. seams are the cluster's fetch/push hooks (see plans.go).
+	plans *sampling.Store
+	seams planSeams
 
 	q     *jobQueue
 	tasks chan task
@@ -180,7 +182,7 @@ type Service struct {
 
 // windowKey distinguishes runners by simulation window — including the
 // sampling geometry, so sampled and contiguous jobs (and different sampled
-// geometries) get separate runners and snapshot stores — plus the decode
+// geometries) get separate runners and memo caches — plus the decode
 // and scheduling modes, which are fixed per runner even though they never
 // change results; every other option is shared daemon-wide.
 type windowKey struct {
@@ -219,9 +221,10 @@ func New(cfg Config) (*Service, error) {
 		q:       newJobQueue(),
 		tasks:   make(chan task, cfg.Workers*2),
 	}
-	s.plans.replicas = make(map[string][]sampling.Window)
-	s.plans.encoded = make(map[string][]byte)
-	s.plans.budget = cfg.TraceBudgetBytes
+	// The store's seams are the Service methods, which read the live
+	// cluster hooks on every use: the cluster worker installs them after
+	// New (SetPlanExchange).
+	s.plans = sampling.NewStoreBudget(cfg.TraceBudgetBytes).WithPlanExchange(s.planSource, s.planPlanned)
 
 	// Recover the journal before opening it for appending: the compaction
 	// rename must land before the append handle exists, or appends would
@@ -293,15 +296,11 @@ func (s *Service) runnerFor(o experiments.Options) (*experiments.Runner, error) 
 	if r, ok := s.runners[k]; ok {
 		return r, nil
 	}
-	// Every runner feeds the daemon-wide replay-latency histogram and is
-	// gated by the daemon-wide breaker. The plan seams are bound to the
-	// Service methods, not the current hooks: SetPlanExchange may be called
-	// after runners exist (the cluster worker attaches post-New), and the
-	// methods read the live hooks on every miss.
+	// Every runner feeds the daemon-wide replay-latency histogram, is
+	// gated by the daemon-wide breaker and plans through the daemon-wide
+	// store: plan keys address content, so runners share entries safely.
 	o.WindowObserve = s.m.observeWindow
-	o.PlanSource = s.planSource
-	o.PlanPlanned = s.planPlanned
-	r := experiments.NewRunner(o).WithAdmit(s.admitSim)
+	r := experiments.NewRunner(o).WithAdmit(s.admitSim).WithStore(s.plans)
 	if s.cfg.CheckpointDir != "" {
 		var err error
 		if r, err = r.WithCheckpoint(s.cfg.CheckpointDir); err != nil {
@@ -765,13 +764,13 @@ func (s *Service) executeSweepRemote(t task) {
 
 	for _, i := range t.group {
 		key := j.cells[i].Key(opts)
-		res, f, st := s.cache.Claim(key)
-		switch st {
-		case claimHit:
+		res, f, out := s.cache.Claim(key)
+		switch out {
+		case outcomeHit:
 			s.m.cacheHits.Add(1)
 			s.m.cellsCompleted.Add(1)
 			j.cellDone(i, res, outcomeHit, nil)
-		case claimMerged:
+		case outcomeMerged:
 			mergedIdx = append(mergedIdx, i)
 			mergedF = append(mergedF, f)
 		default:
@@ -852,7 +851,8 @@ func (s *Service) executeSweepRemote(t task) {
 	}
 }
 
-// runnerStats sums the campaign and snapshot counters across all runners.
+// runnerStats sums the campaign counters across all runners and snapshots
+// the plan store they share.
 func (s *Service) runnerStats() (experiments.RunnerStats, sampling.StoreStats) {
 	s.mu.Lock()
 	runners := make([]*experiments.Runner, 0, len(s.runners))
@@ -861,7 +861,6 @@ func (s *Service) runnerStats() (experiments.RunnerStats, sampling.StoreStats) {
 	}
 	s.mu.Unlock()
 	var sum experiments.RunnerStats
-	var snaps sampling.StoreStats
 	for _, r := range runners {
 		st := r.Stats()
 		sum.Simulated += st.Simulated
@@ -870,15 +869,8 @@ func (s *Service) runnerStats() (experiments.RunnerStats, sampling.StoreStats) {
 		sum.Retries += st.Retries
 		sum.Failures += st.Failures
 		sum.CheckpointErrors += st.CheckpointErrors
-		ss := r.SnapshotStats()
-		snaps.Plans += ss.Plans
-		snaps.PeerPlans += ss.PeerPlans
-		snaps.Hits += ss.Hits
-		snaps.Evictions += ss.Evictions
-		snaps.ResidentBytes += ss.ResidentBytes
-		snaps.ResidentPlans += ss.ResidentPlans
 	}
-	return sum, snaps
+	return sum, s.plans.Stats()
 }
 
 // Draining reports whether Shutdown has begun.
@@ -965,26 +957,23 @@ func (s *Service) DefaultOptions() experiments.Options { return s.cfg.DefaultOpt
 func (s *Service) MetricsText() string {
 	rs, snaps := s.runnerStats()
 	brkState, brkTrips := s.brk.State()
-	replicas, replicaBytes := s.planGauges()
 	return s.m.render(s.cfg.NodeID, snapshotGauges{
-		queueDepth:       s.QueueDepth(),
-		workers:          s.cfg.Workers,
-		cacheEntries:     s.cache.Len(),
-		simulated:        rs.Simulated,
-		memoHits:         rs.MemoHits,
-		ckptHits:         rs.CheckpointHits,
-		retries:          rs.Retries,
-		snapPlans:        snaps.Plans,
-		snapPeerPlans:    snaps.PeerPlans,
-		snapHits:         snaps.Hits,
-		snapEvictions:    snaps.Evictions,
-		traceResident:    snaps.ResidentBytes,
-		traceBudget:      s.cfg.TraceBudgetBytes,
-		planReplicas:     replicas,
-		planReplicaBytes: replicaBytes,
-		draining:         s.Draining(),
-		breakerState:     brkState,
-		breakerTrips:     brkTrips,
+		queueDepth:    s.QueueDepth(),
+		workers:       s.cfg.Workers,
+		cacheEntries:  s.cache.Len(),
+		simulated:     rs.Simulated,
+		memoHits:      rs.MemoHits,
+		ckptHits:      rs.CheckpointHits,
+		retries:       rs.Retries,
+		snapPlans:     snaps.Plans,
+		snapPeerPlans: snaps.PeerPlans,
+		snapHits:      snaps.Hits,
+		snapEvictions: snaps.Evictions,
+		traceResident: snaps.ResidentBytes,
+		traceBudget:   s.cfg.TraceBudgetBytes,
+		draining:      s.Draining(),
+		breakerState:  brkState,
+		breakerTrips:  brkTrips,
 	})
 }
 
