@@ -86,44 +86,16 @@ func main() {
 		ckptDir  = flag.String("checkpoint", "", "directory for on-disk run checkpoints (resumable campaigns)")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget per simulation (0 = none)")
 		retries  = flag.Int("retries", 0, "extra attempts for transient per-run failures")
-		benchOut = flag.String("bench-out", "", "run the benchmark set and write a JSON report (BENCH_2.json schema) to this file")
-		benchCmp = flag.String("bench-baseline", "", "compare the benchmark run against this baseline report; exit 1 on >20% sims/sec regression")
 		sampWin  = flag.Int("sample-windows", 0, "run experiments with sampled simulation: N measurement windows per run (0 = contiguous)")
 		sampFF   = flag.Uint64("sample-ff", 1_000_000, "functionally fast-forwarded instructions between sampled windows")
 		parWin   = flag.Int("parallel-windows", 0, "sampled windows simulated concurrently per run (0/1 = serial, -1 = GOMAXPROCS)")
-		bsOut    = flag.String("bench-sampling-out", "", "run the parallel-sampling campaign benchmark and write a JSON report (BENCH_4.json schema) to this file")
-		bsCmp    = flag.String("bench-sampling-baseline", "", "compare the sampling benchmark against this baseline; exit 1 on lost bit-identity or speedup regression")
-		btOut    = flag.String("bench-trace-out", "", "run the trace-replay sweep benchmark and write a JSON report (BENCH_5.json schema) to this file")
-		btCmp    = flag.String("bench-trace-baseline", "", "compare the trace-replay benchmark against this baseline; exit 1 on lost bit-identity or speedup regression")
 		winMajor = flag.Bool("window-major", false, "sampled multi-machine sweeps replay each predecoded window across all machines while hot; never changes results")
 		liveDec  = flag.Bool("live-decode", false, "sampled windows re-decode through a live functional emulator instead of the shared predecoded trace; slower, bit-identical")
 		traceBud = flag.Int64("trace-budget", 0, "byte budget for resident window snapshots + predecoded traces, evicting whole plans LRU-first (0 = unbounded)")
 		idleSkip = flag.Bool("idle-skip", true, "event-driven idle-cycle skipping in every simulation (bit-identical; -idle-skip=false polls every cycle)")
-		skOut    = flag.String("bench-skip-out", "", "run the idle-skip benchmark and write a JSON report (BENCH_6.json schema) to this file")
-		skCmp    = flag.String("bench-skip-baseline", "", "compare the idle-skip benchmark against this baseline; exit 1 on lost bit-identity or speedup regression")
 	)
 	flag.Parse()
 	showCharts = *charts
-
-	if *benchOut != "" || *benchCmp != "" {
-		w, m := pubsim.QuickOptions().Warmup, pubsim.QuickOptions().Measure
-		if *warmup > 0 {
-			w = *warmup
-		}
-		if *measure > 0 {
-			m = *measure
-		}
-		os.Exit(runBenchMode(w, m, *benchOut, *benchCmp))
-	}
-	if *bsOut != "" || *bsCmp != "" {
-		os.Exit(runBenchSamplingMode(*bsOut, *bsCmp))
-	}
-	if *btOut != "" || *btCmp != "" {
-		os.Exit(runBenchTraceMode(*btOut, *btCmp))
-	}
-	if *skOut != "" || *skCmp != "" {
-		os.Exit(runBenchSkipMode(*skOut, *skCmp))
-	}
 
 	known := map[string]bool{}
 	for _, e := range all {

@@ -30,7 +30,6 @@ type Worker struct {
 	mu         sync.Mutex
 	peers      map[string]string // node ID -> base URL, self excluded
 	peersEpoch uint64            // epoch of the newest applied membership snapshot
-	replicate  bool              // push completed plans/results to the ring successor
 	// hints maps a sampling-plan key to the node the coordinator designated
 	// to compute it, refcounted across the concurrent sweep batches that
 	// share the key. A hint for self doubles as the "expecting" signal the
@@ -49,27 +48,13 @@ type planHint struct {
 // before paying a functional pass, and replicates every local pass to the ring successor.
 func NewWorker(svc *service.Service) *Worker {
 	wk := &Worker{
-		svc:       svc,
-		hc:        SharedClient(),
-		peers:     make(map[string]string),
-		replicate: true,
-		hints:     make(map[string]*planHint),
+		svc:   svc,
+		hc:    SharedClient(),
+		peers: make(map[string]string),
+		hints: make(map[string]*planHint),
 	}
 	svc.SetPlanExchange(wk.planFetch, wk.planPush)
 	return wk
-}
-
-// DisableReplication turns off everything proactive and shared about the
-// worker's sampling-plan handling: the plan-exchange seams are removed
-// (every plan miss pays a local functional pass) and completed plans and
-// results are no longer pushed to the ring successor. The benchmark's
-// plan-sharing-off topology and A/B experiments use it; the serving
-// endpoints stay up so peers can still pull.
-func (wk *Worker) DisableReplication() {
-	wk.svc.SetPlanExchange(nil, nil)
-	wk.mu.Lock()
-	wk.replicate = false
-	wk.mu.Unlock()
 }
 
 // SetPeers replaces the worker's member map (static configuration, tests,
@@ -254,12 +239,6 @@ func (wk *Worker) planFetch(ctx context.Context, key string) ([]byte, bool) {
 // planPush is the daemon's plan-replication seam: fire-and-forget to the
 // ring successor. The service already runs it off the planning goroutine.
 func (wk *Worker) planPush(key string, data []byte) {
-	wk.mu.Lock()
-	replicate := wk.replicate
-	wk.mu.Unlock()
-	if !replicate {
-		return
-	}
 	if base, ok := wk.successorURL(); ok {
 		_ = pushPlan(context.Background(), wk.hc, base, key, data)
 	}
@@ -270,10 +249,7 @@ func (wk *Worker) planPush(key string, data []byte) {
 // and best-effort — the pull path (peer fetch by content address) remains
 // the safety net.
 func (wk *Worker) replicateResult(res service.CellResult) {
-	wk.mu.Lock()
-	replicate := wk.replicate
-	wk.mu.Unlock()
-	if !replicate || res.Key == "" {
+	if res.Key == "" {
 		return
 	}
 	base, ok := wk.successorURL()
@@ -447,10 +423,7 @@ func (wk *Worker) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// the plan sits in the daemon's plan store and the runner's lookup
 	// hits.
 	if len(pending) > 0 && req.PlanKey != "" && req.Planner != "" && req.Planner != wk.svc.NodeID() {
-		wk.mu.Lock()
-		share := wk.replicate
-		wk.mu.Unlock()
-		if share && !wk.svc.HasPlan(req.PlanKey) {
+		if !wk.svc.HasPlan(req.PlanKey) {
 			if data, ok := wk.planFetch(r.Context(), req.PlanKey); ok {
 				_ = wk.svc.AdoptPlan(req.PlanKey, data)
 			}

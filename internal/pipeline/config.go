@@ -105,8 +105,8 @@ type Config struct {
 	// stalls (dispatch-stall counters, the weighted-dispatch RNG, the
 	// profile occupancy histogram) are integrated over the span. The flag
 	// is result-neutral and excluded from memoization/checkpoint keys;
-	// it exists for differential testing and for measuring the win
-	// (BENCH_6). See DESIGN.md §14.
+	// it exists for differential testing against the skipping loop. See
+	// DESIGN.md §14.
 	NoIdleSkip bool
 
 	// WatchdogCycles is the liveness budget: a run that commits nothing for

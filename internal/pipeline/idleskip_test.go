@@ -332,7 +332,9 @@ func farMissConfig() Config {
 // fetch-drain and commit-run shapes, where one stage keeps acting while
 // the rest of the machine waits on a threshold, so the skip only gets the
 // cycles at the edges of each stall. The far-miss variant runs the
-// fetch-drain shape with misses longer than the calendar's horizon.
+// fetch-drain shape with misses longer than the calendar's horizon. The
+// memory-bound suite workloads, where skipping covers the most cycles,
+// run on both anchor machines.
 func TestIdleSkipDifferentialShapes(t *testing.T) {
 	// Long memory latency amplifies the backend wedge under the chase;
 	// the one-wide variant also pins the queue-full boundary.
@@ -341,13 +343,19 @@ func TestIdleSkipDifferentialShapes(t *testing.T) {
 	longMiss.MemLatency = 1_000
 	tinyLongMiss := tinyFetchConfig()
 	tinyLongMiss.MemLatency = 1_000
-	runSkipVsPoll(t, []skipInput{
+	inputs := []skipInput{
 		{"fetch-drain", longMiss, fetchDrainProgram()},
 		{"fetch-drain-tinyfq", tinyLongMiss, fetchDrainProgram()},
 		{"fetch-drain-farmiss", farMissConfig(), fetchDrainProgram()},
 		{"commit-run", withTinyL1I(BaseConfig(), "base-tinyl1i"), commitRunProgram()},
 		{"commit-run-pubs", withTinyL1I(PUBSConfig(), "pubs-tinyl1i"), commitRunProgram()},
-	})
+	}
+	for _, wl := range []string{"sparse", "treewalk", "quantsim", "bfs"} {
+		for _, cfg := range []Config{BaseConfig(), PUBSConfig()} {
+			inputs = append(inputs, skipInput{wl + "-" + cfg.Name, cfg, workload.MustProgram(wl)})
+		}
+	}
+	runSkipVsPoll(t, inputs)
 }
 
 // TestIdleSkipWatchdogLongMiss: a memory latency far beyond the watchdog

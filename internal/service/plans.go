@@ -16,10 +16,9 @@ type planSeams struct {
 	push  func(key string, data []byte)
 }
 
-// SetPlanExchange installs (or, with nils, removes) the cluster's plan
-// seams. fetch is consulted by the plan store on a miss; push is invoked
-// asynchronously with the serialized form of every plan this node computes
-// locally.
+// SetPlanExchange installs the cluster's plan seams. fetch is consulted by
+// the plan store on a miss; push is invoked asynchronously with the
+// serialized form of every plan this node computes locally.
 func (s *Service) SetPlanExchange(fetch func(ctx context.Context, key string) ([]byte, bool), push func(key string, data []byte)) {
 	s.seams.mu.Lock()
 	s.seams.fetch = fetch

@@ -80,29 +80,6 @@ func TestSampledSpecKeying(t *testing.T) {
 	}
 }
 
-// TestLoadtestBurstOverlapsDuplicates: the duplicate-burst schedule must
-// place identical specs at adjacent submission slots so they are in flight
-// together, and the default burst must be on.
-func TestLoadtestBurstOverlapsDuplicates(t *testing.T) {
-	cfg := LoadtestConfig{}.normalized()
-	if cfg.DuplicateBurst < 2 {
-		t.Fatalf("default DuplicateBurst = %d, want >= 2", cfg.DuplicateBurst)
-	}
-	// With burst b, submissions i and i+1 use the same spec whenever
-	// i%b < b-1 — adjacent duplicates exist for any ring length.
-	b := cfg.DuplicateBurst
-	ring := len(cfg.Specs)
-	same := 0
-	for i := 0; i+1 < cfg.Jobs; i++ {
-		if (i/b)%ring == ((i+1)/b)%ring {
-			same++
-		}
-	}
-	if same == 0 {
-		t.Fatal("burst schedule never submits the same spec at adjacent slots")
-	}
-}
-
 // TestWindowMajorJob: a window-major sampled campaign completes with cells
 // bit-identical to per-cell scheduling, pays one fast-forward pass, and
 // exports the new trace metrics (resident bytes, predecode counters, and a

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -221,35 +222,68 @@ func TestHTTPHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-func TestLoadtestAgainstLiveServer(t *testing.T) {
+// TestConcurrentDuplicateSubmitsOverHTTP: six campaigns over two specs,
+// posted at once, are answered by simulating each distinct cell once; the
+// duplicates merge onto in-flight work or hit the cache.
+func TestConcurrentDuplicateSubmitsOverHTTP(t *testing.T) {
 	if testing.Short() {
-		t.Skip("loadtest in -short")
+		t.Skip("concurrent burst in -short")
 	}
-	_, srv := testServer(t, Config{Workers: 4, MaxActiveJobs: 4})
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	rep, err := Loadtest(ctx, LoadtestConfig{
-		BaseURL: srv.URL, Jobs: 6, Concurrency: 3,
-		PollInterval: 20 * time.Millisecond,
-		Specs: []CampaignSpec{
-			{Machines: []MachineSpec{{Machine: "base"}}, Workloads: []string{"matmul", "chess"}},
-			{Machines: []MachineSpec{{Machine: "pubs"}}, Workloads: []string{"matmul"}},
-		},
-	})
-	if err != nil {
-		t.Fatalf("Loadtest: %v", err)
+	s, srv := testServer(t, Config{Workers: 4, MaxActiveJobs: 4})
+	specs := []CampaignSpec{
+		{Machines: []MachineSpec{{Machine: "base"}}, Workloads: []string{"matmul", "chess"}},
+		{Machines: []MachineSpec{{Machine: "pubs"}}, Workloads: []string{"matmul"}},
 	}
-	if rep.Schema != "pubsd-load/2" || rep.Failed != 0 {
-		t.Fatalf("report %+v", rep)
+	ids := make([]string, 6)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, _ := json.Marshal(specs[i%len(specs)])
+			resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("job %d: POST /v1/jobs: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			var sub submitResponse
+			if resp.StatusCode != http.StatusAccepted {
+				t.Errorf("job %d: submit status %d", i, resp.StatusCode)
+			} else if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
+				t.Errorf("job %d: decode submit response: %v", i, err)
+			}
+			ids[i] = sub.ID
+		}()
 	}
-	if rep.LatencyP50MS <= 0 || rep.LatencyP99MS < rep.LatencyP50MS {
-		t.Errorf("quantiles p50=%v p99=%v", rep.LatencyP50MS, rep.LatencyP99MS)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
-	// 6 jobs over a 2-spec ring = heavy duplication: 3 unique cells total.
-	if rep.SimsExecuted != 3 {
-		t.Errorf("SimsExecuted = %d, want 3", rep.SimsExecuted)
+
+	deadline := time.Now().Add(120 * time.Second)
+	for _, id := range ids {
+		var st JobStatus
+		for {
+			getJSON(t, srv.URL+"/v1/jobs/"+id, &st)
+			if st.State.terminal() {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s stuck in %s", id, st.State)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+		if st.State != JobDone {
+			t.Errorf("job %s: %s %v", id, st.State, st.Errors)
+		}
 	}
-	if rep.CacheHits+rep.Merged+rep.MemoHits == 0 {
+	// 6 jobs over 2 specs = heavy duplication: 3 unique cells total.
+	rs, _ := s.runnerStats()
+	if rs.Simulated != 3 {
+		t.Errorf("Simulated = %d, want 3", rs.Simulated)
+	}
+	if s.m.cacheHits.Load()+s.m.merged.Load()+rs.MemoHits == 0 {
 		t.Error("no dedup observed under duplicate traffic")
 	}
 }

@@ -497,10 +497,6 @@ type SamplingWindow = sampling.Window
 // plan geometry).
 type SamplingStore = sampling.Store
 
-// SamplingStoreStats counts fast-forward passes executed vs shared, plans
-// evicted by a byte budget, and the resident footprint.
-type SamplingStoreStats = sampling.StoreStats
-
 // NewSamplingStore returns an empty, unbounded shared-window store.
 func NewSamplingStore() *SamplingStore { return sampling.NewStore() }
 

@@ -25,12 +25,12 @@ TRACE_BUDGET=268435456
 # parsed back out of the daemon's "serving on" line, so parallel smoke runs
 # never collide.
 #
-# 8 workers: more than the cells in any one loadtest spec, so a burst of
+# 8 workers: more than the cells in the burst spec below, so a burst of
 # duplicate jobs has identical cells in flight simultaneously — the
-# precondition for the singleflight-merge assertion below.
+# precondition for the singleflight-merge assertion.
 "$PUBSD" serve -addr 127.0.0.1:0 -workers 8 -warmup 2000 -insts 8000 -trace-budget $TRACE_BUDGET 2>>"$LOG" &
 PID=$!
-trap 'kill -9 $PID 2>/dev/null || true; rm -f "$LOG"' EXIT
+trap 'kill -9 $PID 2>/dev/null || true; rm -f "$LOG" "$LOG".burst*' EXIT
 
 for i in $(seq 1 50); do
   ADDR=$(sed -n 's/^pubsd: serving on \([0-9.]*:[0-9]*\) .*/\1/p' "$LOG" | tail -1)
@@ -44,8 +44,12 @@ for i in $(seq 1 50); do
 done
 
 submit_and_wait() {
-  local id spec=${1:-$SPEC}
-  id=$(curl -sf -X POST "$BASE/v1/jobs" -d "$spec" | jq -r .id)
+  wait_job "$(curl -sf -X POST "$BASE/v1/jobs" -d "${1:-$SPEC}" | jq -r .id)"
+}
+
+# wait_job ID — polls the job to completion and prints its ID.
+wait_job() {
+  local id=$1 state
   [[ -n "$id" && "$id" != null ]] || { echo "submission failed"; exit 1; }
   for i in $(seq 1 100); do
     state=$(curl -sf "$BASE/v1/jobs/$id" | jq -r .state)
@@ -110,14 +114,24 @@ BUDGET=$(metric pubsd_trace_budget_bytes)
 REPLAYS=$(metric pubsd_window_replay_latency_count)
 [[ "$REPLAYS" -ge 6 ]] || { echo "expected >=6 window replays (3 machines x 2 windows), got $REPLAYS"; exit 1; }
 
-# Loadtest against the live daemon: bursts of identical specs submitted
-# concurrently must exercise the singleflight path, not just the cache.
-# The default loadtest windows differ from $SPEC's, so nothing is answered
-# from the results cached above, and cells are big enough (~10ms) that a
-# burst's duplicates reliably arrive while the original is still in flight.
-LOADREP=$(go run ./cmd/pubsd loadtest -addr "$BASE" -jobs 8 -concurrency 4 -burst 4 2>/dev/null)
-MERGED=$(echo "$LOADREP" | jq .singleflight_merged)
-[[ "$MERGED" -gt 0 ]] || { echo "loadtest never merged a duplicate submission (singleflight_merged=$MERGED)"; exit 1; }
+# A burst of identical specs submitted concurrently must exercise the
+# singleflight path, not just the cache. BURST's windows differ from
+# $SPEC's, so nothing is answered from the results cached above, and its
+# cells are big enough (~10ms) that the burst's duplicates reliably arrive
+# while the original is still in flight.
+BURST='{"machines":[{"machine":"base"},{"machine":"pubs"}],"workloads":["matmul","chess"],"warmup":20000,"measure":80000}'
+MERGED0=$(metric pubsd_singleflight_merged_total)
+POSTS=()
+for i in 1 2 3 4; do
+  curl -sf -X POST "$BASE/v1/jobs" -d "$BURST" -o "$LOG.burst$i" &
+  POSTS+=($!)
+done
+wait "${POSTS[@]}"
+for i in 1 2 3 4; do
+  wait_job "$(jq -r .id "$LOG.burst$i")" >/dev/null
+done
+MERGED=$(( $(metric pubsd_singleflight_merged_total) - MERGED0 ))
+[[ "$MERGED" -gt 0 ]] || { echo "a burst of 4 identical submissions never merged a duplicate (singleflight_merged +$MERGED)"; exit 1; }
 
 # Graceful drain: SIGTERM flips healthz to 503, then the process exits 0.
 kill -TERM $PID
