@@ -90,9 +90,7 @@ func main() {
 		sampFF   = flag.Uint64("sample-ff", 1_000_000, "functionally fast-forwarded instructions between sampled windows")
 		parWin   = flag.Int("parallel-windows", 0, "sampled windows simulated concurrently per run (0/1 = serial, -1 = GOMAXPROCS)")
 		winMajor = flag.Bool("window-major", false, "sampled multi-machine sweeps replay each predecoded window across all machines while hot; never changes results")
-		liveDec  = flag.Bool("live-decode", false, "sampled windows re-decode through a live functional emulator instead of the shared predecoded trace; slower, bit-identical")
 		traceBud = flag.Int64("trace-budget", 0, "byte budget for resident window snapshots + predecoded traces, evicting whole plans LRU-first (0 = unbounded)")
-		idleSkip = flag.Bool("idle-skip", true, "event-driven idle-cycle skipping in every simulation (bit-identical; -idle-skip=false polls every cycle)")
 	)
 	flag.Parse()
 	showCharts = *charts
@@ -138,8 +136,6 @@ func main() {
 		opts.ParallelWindows = *parWin
 	}
 	opts.WindowMajor = *winMajor
-	opts.LiveDecode = *liveDec
-	opts.NoIdleSkip = !*idleSkip
 	// SIGINT/SIGTERM cancel the campaign: binding the signal context to the
 	// runner reaches every in-flight simulation (each stops within ~1K
 	// cycles), and with -checkpoint the completed runs are already on disk,

@@ -41,8 +41,6 @@ func main() {
 		sampleWin = flag.Int("sample-windows", 0, "run sampled simulation with N measurement windows (0 = one contiguous window)")
 		sampleFF  = flag.Uint64("sample-ff", 1_000_000, "functionally fast-forwarded instructions between sampled windows")
 		parWin    = flag.Int("parallel-windows", 0, "sampled windows simulated concurrently (0/1 = serial, -1 = GOMAXPROCS); never changes results")
-		liveDec   = flag.Bool("live-decode", false, "sampled windows re-decode through a live functional emulator instead of the shared predecoded trace; slower, bit-identical")
-		idleSkip  = flag.Bool("idle-skip", true, "event-driven idle-cycle skipping (bit-identical; -idle-skip=false polls every cycle)")
 		skipStats = flag.Bool("skip-stats", false, "report idle-skip efficacy (spans and cycles skipped); with -json, adds a skip_telemetry sibling to the result")
 		jsonOut   = flag.Bool("json", false, "emit the result as one JSON object (the pubsd job-result schema)")
 		list      = flag.Bool("list", false, "list benchmarks and exit")
@@ -66,7 +64,6 @@ func main() {
 	cfg.Profile = *profile
 	cfg.DistributedIQ = *distrib
 	cfg.WrongPathDecode = *wrongp
-	cfg.NoIdleSkip = !*idleSkip
 	if cfg.PUBS.Enable {
 		cfg.PUBS.PriorityEntries = *priority
 		cfg.PUBS.ConfCounterBits = *bits
@@ -104,7 +101,6 @@ func main() {
 		plan := pubsim.SamplingPlan{
 			Windows: *sampleWin, FastForward: *sampleFF,
 			Warmup: *warmup, Measure: *insts, Parallel: *parWin,
-			LiveDecode: *liveDec,
 		}
 		var sres pubsim.SampledResult
 		sres, err = pubsim.RunSampledContext(ctx, cfg, *wl, plan)

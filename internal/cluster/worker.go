@@ -441,8 +441,7 @@ func (wk *Worker) handleSweep(w http.ResponseWriter, r *http.Request) {
 			s := rc.Spec
 			if s.Workloads[0] != merged.Workloads[0] || s.Warmup != merged.Warmup ||
 				s.Measure != merged.Measure || s.Windows != merged.Windows ||
-				s.FastForward != merged.FastForward || s.WindowMajor != merged.WindowMajor ||
-				s.LiveDecode != merged.LiveDecode {
+				s.FastForward != merged.FastForward || s.WindowMajor != merged.WindowMajor {
 				writeError(w, http.StatusBadRequest, errors.New("cluster: sweep: cells disagree on workload or windows"))
 				return
 			}

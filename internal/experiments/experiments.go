@@ -62,25 +62,14 @@ type Options struct {
 	SampleFastForward uint64
 	ParallelWindows   int
 
-	// Trace-replay controls, all result-neutral and therefore excluded from
-	// memo and checkpoint keys. LiveDecode turns off the predecoded window
-	// traces and replays every window through a live functional emulator and
-	// a freshly built timing model — the pre-trace path, kept as the
-	// benchmark baseline. WindowMajor makes sampled sweeps walk the plan
-	// window-major (each predecoded window replays across every machine
-	// variant while it is hot; see RunSweepContext). WindowObserve, when
-	// set, receives each detailed window's wall-clock duration; it must be
-	// safe for concurrent use.
-	LiveDecode    bool
+	// Trace-replay controls, both result-neutral and therefore excluded
+	// from memo and checkpoint keys. WindowMajor makes sampled sweeps walk
+	// the plan window-major (each predecoded window replays across every
+	// machine variant while it is hot; see RunSweepContext). WindowObserve,
+	// when set, receives each detailed window's wall-clock duration; it must
+	// be safe for concurrent use.
 	WindowMajor   bool
 	WindowObserve func(time.Duration)
-
-	// NoIdleSkip forces every simulation onto the per-cycle polling loop
-	// (pipeline.Config.NoIdleSkip). The event-driven idle skip is
-	// bit-identical (DESIGN.md §14), so this is a diagnostic control like
-	// LiveDecode: result-neutral and excluded from memo and checkpoint
-	// keys.
-	NoIdleSkip bool
 }
 
 // Sampled reports whether runs use the sampled path.
@@ -105,7 +94,6 @@ func (o Options) samplingPlan() sampling.Config {
 		Warmup:      o.Warmup,
 		Measure:     o.Measure,
 		Parallel:    o.ParallelWindows,
-		LiveDecode:  o.LiveDecode,
 		Observe:     o.WindowObserve,
 	}
 }
@@ -277,13 +265,9 @@ func (r *Runner) SnapshotStats() sampling.StoreStats { return r.snaps.Stats() }
 
 func cfgKey(cfg pipeline.Config, wl string, o Options) string {
 	// ParallelWindows (like Parallelism) changes scheduling, never results,
-	// so it stays out of the key — as do LiveDecode, WindowMajor and
-	// WindowObserve, which are bit-identical by construction; the sampling
-	// geometry changes what is measured and must be part of it.
-	// Config.NoIdleSkip is likewise result-neutral (the idle skip is proven
-	// bit-identical, DESIGN.md §14), so it is zeroed here: a poll-mode run
-	// and a skipping run share every memo and checkpoint entry.
-	cfg.NoIdleSkip = false
+	// so it stays out of the key — as do WindowMajor and WindowObserve,
+	// which are bit-identical by construction; the sampling geometry
+	// changes what is measured and must be part of it.
 	key := fmt.Sprintf("%s|%d|%d|%+v", wl, o.Warmup, o.Measure, cfg)
 	if o.Sampled() {
 		key += fmt.Sprintf("|sw%d|ff%d", o.SampleWindows, o.SampleFastForward)
@@ -381,9 +365,6 @@ func (r *Runner) RunContext(ctx context.Context, cfg pipeline.Config, wl string)
 // model included — is recovered into a *simerr.PanicError, failing only
 // this run.
 func (r *Runner) simulate(ctx context.Context, cfg pipeline.Config, prog *isa.Program, wl string) (res pipeline.Result, err error) {
-	if r.opts.NoIdleSkip {
-		cfg.NoIdleSkip = true
-	}
 	if r.opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.opts.Timeout)
@@ -576,9 +557,6 @@ func (r *Runner) sweepBatch(ctx context.Context, cfgs []pipeline.Config, wl stri
 	runCfgs := make([]pipeline.Config, len(pending))
 	for k, i := range pending {
 		runCfgs[k] = cfgs[i]
-		if r.opts.NoIdleSkip {
-			runCfgs[k].NoIdleSkip = true
-		}
 	}
 	atomic.AddUint64(&r.stats.Simulated, uint64(len(runCfgs)))
 	sres, errs := sampling.RunSweep(ctx, runCfgs, prog, plan, windows)

@@ -93,9 +93,9 @@ type Config struct {
 	// the correct-path-only simplification is second-order.
 	WrongPathDecode bool
 
-	// NoIdleSkip disables event-driven idle-cycle skipping and polls every
-	// structure every cycle, the pre-skip behaviour. The default (false,
-	// skip enabled) fast-forwards across provably quiescent spans — fetch
+	// noIdleSkip disables event-driven idle-cycle skipping and polls every
+	// structure every cycle, the pre-skip behaviour. The default (skip
+	// enabled) fast-forwards across provably quiescent spans — fetch
 	// drained or redirecting, no selectable instruction, store buffer
 	// waiting on a port — directly to the next wakeup event (a cache-miss
 	// completion, a function-unit writeback, a redirect arrival, a
@@ -103,11 +103,10 @@ type Config struct {
 	// construction: a span is only skipped when the just-simulated cycle
 	// mutated nothing, and the per-cycle accumulators that do tick during
 	// stalls (dispatch-stall counters, the weighted-dispatch RNG, the
-	// profile occupancy histogram) are integrated over the span. The flag
-	// is result-neutral and excluded from memoization/checkpoint keys;
-	// it exists for differential testing against the skipping loop. See
-	// DESIGN.md §14.
-	NoIdleSkip bool
+	// profile occupancy histogram) are integrated over the span. The poll
+	// loop is the reference the skipping loop is tested against, so only
+	// tests set this field. See DESIGN.md §14.
+	noIdleSkip bool
 
 	// WatchdogCycles is the liveness budget: a run that commits nothing for
 	// this many consecutive polled (non-skipped) cycles is declared

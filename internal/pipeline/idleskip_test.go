@@ -14,7 +14,7 @@ import (
 	"repro/internal/workload"
 )
 
-// TestGoldenEquivalenceSkipOff: the poll-mode loop (NoIdleSkip) must still
+// TestGoldenEquivalenceSkipOff: the poll-mode loop (noIdleSkip) must still
 // reproduce the golden table for every machine variant. Together with
 // TestGoldenEquivalence (which runs the skipping default) this pins both
 // modes to the same pre-rewrite fingerprints — the bit-identity contract of
@@ -25,7 +25,7 @@ func TestGoldenEquivalenceSkipOff(t *testing.T) {
 		t.Run(gc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := gc.cfg
-			cfg.NoIdleSkip = true
+			cfg.noIdleSkip = true
 			res := runBench(t, cfg, gc.workload, goldenWarmup, goldenMeasure)
 			fp := goldenFingerprint(res)
 			want, ok := goldenTable[gc.name]
@@ -68,7 +68,7 @@ func TestTraceReplaySkipEquivalence(t *testing.T) {
 
 			run := func(poll bool) Result {
 				cfg := gc.cfg
-				cfg.NoIdleSkip = poll
+				cfg.noIdleSkip = poll
 				s, err := New(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -276,7 +276,7 @@ func runSkipVsPoll(t *testing.T, inputs []skipInput) {
 				t.Fatal(err)
 			}
 			poll := in.cfg
-			poll.NoIdleSkip = true
+			poll.noIdleSkip = true
 			want, err := RunProgram(poll, in.prog, 2_000, 8_000)
 			if err != nil {
 				t.Fatal(err)
@@ -374,7 +374,7 @@ func TestIdleSkipWatchdogLongMiss(t *testing.T) {
 		t.Errorf("skip mode: long miss spuriously tripped the watchdog: %v", err)
 	}
 
-	cfg.NoIdleSkip = true
+	cfg.noIdleSkip = true
 	_, err := RunProgram(cfg, workload.MustProgram("treewalk"), 500, 1_500)
 	var dead *DeadlockError
 	if !errors.As(err, &dead) {
@@ -390,7 +390,7 @@ func progressCadence(t *testing.T, cfg Config, prog *isa.Program) {
 	t.Helper()
 	run := func(poll bool) []uint64 {
 		cfg := cfg
-		cfg.NoIdleSkip = poll
+		cfg.noIdleSkip = poll
 		var fired []uint64
 		ctx := WithProgress(context.Background(), 1_000, func(committed uint64) {
 			fired = append(fired, committed)
@@ -435,7 +435,7 @@ func TestSkipStatsTelemetry(t *testing.T) {
 	prog := workload.MustProgram("sparse")
 	run := func(poll bool) (Result, uint64, uint64) {
 		cfg := BaseConfig()
-		cfg.NoIdleSkip = poll
+		cfg.noIdleSkip = poll
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

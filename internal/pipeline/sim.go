@@ -1157,7 +1157,7 @@ func (s *Sim) RunContext(ctx context.Context, stream InstStream, warmup, measure
 		s.resetMeasurement()
 	}
 
-	skipEnabled := !s.cfg.NoIdleSkip
+	skipEnabled := !s.cfg.noIdleSkip
 	nextCtxCheck := s.now + ctxCheckEvery
 	defer s.flushSkipTelemetry()
 

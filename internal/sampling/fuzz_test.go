@@ -39,8 +39,8 @@ func sealPlanPayload(t testing.TB, payload []byte) []byte {
 // hash would go unexercised.
 func FuzzDecodePlan(f *testing.F) {
 	// Real encoded plans of a program with one data page, so the seeds
-	// stay small enough to mutate quickly: one live-decode plan (snapshots
-	// only), one with predecode traces.
+	// stay small enough to mutate quickly: one with predecode traces, and
+	// the same windows with Pre cleared (snapshots only, as a peer may send).
 	b := asm.New("fuzz-seed")
 	data := b.Words(1, 2, 3, 4)
 	ctr, addr, v := isa.R(2), isa.R(3), isa.R(4)
@@ -54,12 +54,12 @@ func FuzzDecodePlan(f *testing.F) {
 	b.Bne(ctr, isa.RZero, "loop")
 	b.Halt()
 	prog := b.MustBuild()
-	for _, live := range []bool{true, false} {
-		plan := Config{Windows: 2, FastForward: 1_000, Warmup: 20, Measure: 30, LiveDecode: live}
-		ws, err := PlanWindows(context.Background(), prog, plan)
-		if err != nil || len(ws) != plan.Windows {
-			f.Fatalf("seed plan: %d windows, err %v", len(ws), err)
-		}
+	plan := Config{Windows: 2, FastForward: 1_000, Warmup: 20, Measure: 30}
+	traced, err := PlanWindows(context.Background(), prog, plan)
+	if err != nil || len(traced) != plan.Windows {
+		f.Fatalf("seed plan: %d windows, err %v", len(traced), err)
+	}
+	for _, ws := range [][]Window{traced, untraced(traced)} {
 		enc, err := EncodePlan(ws)
 		if err != nil {
 			f.Fatal(err)

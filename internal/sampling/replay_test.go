@@ -15,38 +15,58 @@ import (
 	"repro/internal/workload"
 )
 
+// untraced returns copies of ws with Pre cleared, so RunWindows replays
+// each window through runWindow: a fresh emulator restored from the
+// window's snapshot feeding a fresh timing model. That live stream is the
+// reference the predecoded trace path must equal bit for bit.
+func untraced(ws []Window) []Window {
+	out := append([]Window(nil), ws...)
+	for i := range out {
+		out[i].Pre = nil
+	}
+	return out
+}
+
+// traceVsLive runs plan over prog both ways on the same planned windows —
+// predecoded traces (serially and on the parallel window pool) and the
+// live runWindow reference — and fails on any divergence.
+func traceVsLive(t *testing.T, cfg pipeline.Config, prog *isa.Program, plan Config) {
+	t.Helper()
+	ctx := context.Background()
+	ws, err := PlanWindows(ctx, prog, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RunWindows(ctx, cfg, prog, plan, untraced(ws))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunWindows(ctx, cfg, prog, plan, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: trace replay diverged from live decode:\n got %+v\nwant %+v", cfg.Name, got, want)
+	}
+	par := plan
+	par.Parallel = 4
+	gotPar, err := RunWindows(ctx, cfg, prog, par, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotPar, want) {
+		t.Fatalf("%s: parallel trace replay diverged from live decode", cfg.Name)
+	}
+}
+
 // TestTraceBitIdenticalToLiveDecode: for every machine variant, a sampled
-// run over predecoded traces (the default) must equal a LiveDecode run bit
-// for bit — serially and on the parallel window pool.
+// run over predecoded traces must equal the live runWindow reference on the
+// same windows bit for bit — serially and on the parallel window pool.
 func TestTraceBitIdenticalToLiveDecode(t *testing.T) {
 	for _, vc := range variantCases() {
 		t.Run(vc.name, func(t *testing.T) {
-			prog := workload.MustProgram(vc.workload)
-			live := Config{Windows: 3, FastForward: 30_000, Warmup: 5_000, Measure: 10_000, LiveDecode: true}
-			trace := live
-			trace.LiveDecode = false
-
-			want, err := Run(vc.cfg, prog, live)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Run(vc.cfg, prog, trace)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trace replay diverged from live decode:\n got %+v\nwant %+v", got, want)
-			}
-
-			par := trace
-			par.Parallel = 4
-			gotPar, err := Run(vc.cfg, prog, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gotPar, want) {
-				t.Fatal("parallel trace replay diverged from live decode")
-			}
+			plan := Config{Windows: 3, FastForward: 30_000, Warmup: 5_000, Measure: 10_000}
+			traceVsLive(t, vc.cfg, workload.MustProgram(vc.workload), plan)
 		})
 	}
 }
@@ -450,8 +470,8 @@ func randomProgram(seed uint64) *isa.Program {
 // TestReplayPropertyRandomPrograms: for pseudo-random programs, (a) the
 // predecode buffer reconstructs the live retired-instruction stream exactly
 // — same PCs, branch outcomes, and memory addresses — and (b) sampled runs
-// over the recorded traces are bit-identical to live decode, serially and
-// in parallel. Runs under -race in CI.
+// over the recorded traces are bit-identical to the live runWindow
+// reference, serially and in parallel. Runs under -race in CI.
 func TestReplayPropertyRandomPrograms(t *testing.T) {
 	seeds := []uint64{1, 0xDEAD, 0xFEEDFACE}
 	if testing.Short() {
@@ -491,28 +511,7 @@ func TestReplayPropertyRandomPrograms(t *testing.T) {
 			// (b) Sampled-run identity across decode modes.
 			plan := Config{Windows: 3, FastForward: 15_000, Warmup: 2_000, Measure: 5_000}
 			for _, cfg := range []pipeline.Config{pipeline.BaseConfig(), pipeline.PUBSConfig()} {
-				livePlan := plan
-				livePlan.LiveDecode = true
-				want, err := Run(cfg, prog, livePlan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := Run(cfg, prog, plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: trace replay diverged from live decode", cfg.Name)
-				}
-				par := plan
-				par.Parallel = 3
-				gotPar, err := Run(cfg, prog, par)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(gotPar, want) {
-					t.Fatalf("%s: parallel trace replay diverged", cfg.Name)
-				}
+				traceVsLive(t, cfg, prog, plan)
 			}
 		})
 	}

@@ -36,15 +36,6 @@ type Config struct {
 	// excluded from plan keys (see Store) for the same reason.
 	Parallel int
 
-	// LiveDecode disables the predecoded window traces: the planner records
-	// nothing and every window re-emulates its instruction stream through a
-	// live functional machine feeding a freshly constructed timing model —
-	// the pre-trace code path, kept as the benchmark baseline and an escape
-	// hatch. Results are bit-identical either way; only the cost differs.
-	// Unlike Parallel it IS part of the plan key: a trace-recording plan and
-	// a live plan cache different window payloads.
-	LiveDecode bool
-
 	// Observe, when set, receives the wall-clock duration of each detailed
 	// window run (the service exports these as a replay-latency histogram).
 	// Like Parallel it cannot change results and is excluded from plan keys.
@@ -185,10 +176,10 @@ func RunContext(ctx context.Context, cfg pipeline.Config, prog *isa.Program, pla
 	return RunWindows(ctx, cfg, prog, plan, windows)
 }
 
-// runWindow executes one detailed window the live-decode way: a fresh
-// machine restored from the window's snapshot feeding a fresh timing model.
-// Windows therefore share no mutable state and can run in any order,
-// concurrently.
+// runWindow executes one detailed window without a trace: a fresh machine
+// restored from the window's snapshot feeding a fresh timing model. It
+// serves peer plans sent without traces, and tests use it as the reference
+// the trace path must match bit for bit.
 func runWindow(ctx context.Context, cfg pipeline.Config, prog *isa.Program, plan Config, w Window) (pipeline.Result, error) {
 	m, err := emu.NewFromSnapshot(prog, w.Snap)
 	if err != nil {
@@ -202,12 +193,11 @@ func runWindow(ctx context.Context, cfg pipeline.Config, prog *isa.Program, plan
 	return sim.RunContext(ctx, pipeline.Stream{M: m}, plan.Warmup, plan.Measure)
 }
 
-// windowRunner executes windows for one machine configuration. In trace
-// mode (the default) it feeds the recorded predecode buffer to the
-// simulator's trace front end and keeps one pooled simulator alive across
-// windows (Reset between runs — bit-identical to fresh construction, but
-// construction is paid once per sweep instead of once per window). In
-// live-decode mode, or for windows planned without a trace, it falls back
+// windowRunner executes windows for one machine configuration. It feeds
+// the recorded predecode buffer to the simulator's trace front end and
+// keeps one pooled simulator alive across windows (Reset between runs —
+// bit-identical to fresh construction, but construction is paid once per
+// sweep instead of once per window). A window without a trace falls back
 // to the fresh-everything runWindow path. Not safe for concurrent use; the
 // worker-pool paths build one runner per worker.
 type windowRunner struct {
@@ -215,15 +205,11 @@ type windowRunner struct {
 	prog *isa.Program
 	plan Config
 	sd   *emu.StaticDecode
-	sim  *pipeline.Sim // pooled; nil until first trace window, or always in live mode
+	sim  *pipeline.Sim // pooled; nil until the first trace window
 }
 
 func newWindowRunner(cfg pipeline.Config, prog *isa.Program, plan Config) *windowRunner {
-	wr := &windowRunner{cfg: cfg, prog: prog, plan: plan}
-	if !plan.LiveDecode {
-		wr.sd = emu.NewStaticDecode(prog.Code)
-	}
-	return wr
+	return &windowRunner{cfg: cfg, prog: prog, plan: plan, sd: emu.NewStaticDecode(prog.Code)}
 }
 
 func (wr *windowRunner) run(ctx context.Context, w Window) (pipeline.Result, error) {
@@ -237,7 +223,7 @@ func (wr *windowRunner) run(ctx context.Context, w Window) (pipeline.Result, err
 }
 
 func (wr *windowRunner) runWindow(ctx context.Context, w Window) (pipeline.Result, error) {
-	if wr.plan.LiveDecode || w.Pre == nil {
+	if w.Pre == nil {
 		return runWindow(ctx, wr.cfg, wr.prog, wr.plan, w)
 	}
 	sim := wr.sim

@@ -27,7 +27,8 @@ type Window struct {
 	// measure) instruction stream plus replaySlack of tail slack, recorded
 	// during the same functional pass that placed the window. Immutable
 	// once planned — one buffer feeds every machine variant of a sweep
-	// concurrently. Nil when the plan was made with LiveDecode.
+	// concurrently. Nil only for a peer plan sent without a trace; such a
+	// window replays on a live emulator restored from Snap.
 	Pre *emu.Predecode
 }
 
@@ -71,16 +72,9 @@ func PlanWindows(ctx context.Context, prog *isa.Program, plan Config) ([]Window,
 			break
 		}
 		win := Window{Index: w, StartInst: m.Seq(), Snap: m.Snapshot()}
-		if plan.LiveDecode {
-			windows = append(windows, win)
-			if ran := m.Run(detailed); ran < detailed {
-				break // program ends inside this window; no windows follow
-			}
-			continue
-		}
-		// Trace mode: the same pass that skips the detailed region records
-		// it (plus tail slack for the front end's bounded overfetch) into
-		// the window's predecode buffer.
+		// The same pass that skips the detailed region records it (plus
+		// tail slack for the front end's bounded overfetch) into the
+		// window's predecode buffer.
 		rec := emu.NewPredecode(int(detailed) + replaySlack)
 		full := true
 		for k := uint64(0); k < detailed; k++ {
@@ -98,7 +92,7 @@ func PlanWindows(ctx context.Context, prog *isa.Program, plan Config) ([]Window,
 		}
 		// Record the slack, then rewind the placement machine to the end of
 		// the detailed region so the next window starts exactly where a
-		// live-decode plan would place it.
+		// serial detailed run would leave off.
 		tail := m.Snapshot()
 		for k := 0; k < replaySlack; k++ {
 			di, ok := m.Step()
@@ -140,14 +134,10 @@ func planKey(prog *isa.Program, plan Config) string {
 	word(plan.FastForward)
 	word(plan.Warmup)
 	word(plan.Measure)
-	// Trace-recording plans cache a different window payload than live
-	// plans, and a slack change invalidates recorded traces.
-	if plan.LiveDecode {
-		word(1)
-	} else {
-		word(0)
-		word(replaySlack)
-	}
+	// A slack change invalidates recorded traces. The leading zero word
+	// keeps keys stable from when plans could also be made without traces.
+	word(0)
+	word(replaySlack)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -116,8 +116,9 @@ func TestPlanDecodeRejectsCorruption(t *testing.T) {
 
 // TestPeerPlanBitIdenticalAllVariants is the exchange's differential
 // contract, run over the full golden-variant set: a sweep fed by a
-// peer-fetched (encode → wire → decode) plan must produce results
-// bit-identical to a self-planned serial run, for every issue-queue
+// peer-fetched (encode → wire → decode) plan, sent with or without its
+// predecoded traces, must produce results bit-identical to a self-planned
+// serial run, for every issue-queue
 // organisation and PUBS mode — and the adopting store must pay zero
 // functional passes of its own.
 func TestPeerPlanBitIdenticalAllVariants(t *testing.T) {
@@ -125,10 +126,12 @@ func TestPeerPlanBitIdenticalAllVariants(t *testing.T) {
 	plan := wireTestPlan()
 
 	// One "planner node": plans each workload once and serves the wire
-	// form, exactly like a worker answering GET /v1/cluster/plan/{key}.
+	// form, exactly like a worker answering GET /v1/cluster/plan/{key} —
+	// once with the predecoded traces and once without them (Pre cleared),
+	// which the adopter must replay on live emulators.
 	planner := NewStore()
-	encoded := make(map[string][]byte)
-	serve := func(prog string) []byte {
+	encoded := make(map[string][][]byte)
+	serve := func(prog string) [][]byte {
 		if data, ok := encoded[prog]; ok {
 			return data
 		}
@@ -136,54 +139,59 @@ func TestPeerPlanBitIdenticalAllVariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("planner windows(%s): %v", prog, err)
 		}
-		data, err := EncodePlan(ws)
-		if err != nil {
-			t.Fatalf("EncodePlan(%s): %v", prog, err)
+		for _, sent := range [][]Window{ws, untraced(ws)} {
+			data, err := EncodePlan(sent)
+			if err != nil {
+				t.Fatalf("EncodePlan(%s): %v", prog, err)
+			}
+			encoded[prog] = append(encoded[prog], data)
 		}
-		encoded[prog] = data
-		return data
+		return encoded[prog]
 	}
 
 	for _, vc := range variantCases() {
 		vc := vc
 		t.Run(vc.name, func(t *testing.T) {
 			prog := workload.MustProgram(vc.workload)
-			wire := serve(vc.workload)
-
-			// A fresh "worker node" whose only plan source is the peer's
-			// serialized plan.
-			adopter := NewStore().WithPlanExchange(
-				func(ctx context.Context, key string) ([]Window, bool) {
-					if key != PlanKey(prog, plan) {
-						t.Errorf("fetch for unexpected key %s", key)
-						return nil, false
-					}
-					ws, err := DecodePlan(wire)
-					if err != nil {
-						t.Errorf("decoding served plan: %v", err)
-						return nil, false
-					}
-					return ws, true
-				}, nil)
-
-			windows, err := adopter.Windows(ctx, prog, plan)
-			if err != nil {
-				t.Fatalf("adopter windows: %v", err)
-			}
-			got, err := RunWindows(ctx, vc.cfg, prog, plan, windows)
-			if err != nil {
-				t.Fatalf("RunWindows: %v", err)
-			}
 			want, err := Run(vc.cfg, prog, plan)
 			if err != nil {
 				t.Fatalf("serial reference: %v", err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("peer-planned result diverged from self-planned serial run:\n got %+v\nwant %+v", got, want)
-			}
-			st := adopter.Stats()
-			if st.Plans != 0 || st.PeerPlans != 1 {
-				t.Fatalf("adopter paid %d local passes, adopted %d plans; want 0 and 1", st.Plans, st.PeerPlans)
+			for i, wire := range serve(vc.workload) {
+				// A fresh "worker node" whose only plan source is the
+				// peer's serialized plan.
+				adopter := NewStore().WithPlanExchange(
+					func(ctx context.Context, key string) ([]Window, bool) {
+						if key != PlanKey(prog, plan) {
+							t.Errorf("fetch for unexpected key %s", key)
+							return nil, false
+						}
+						ws, err := DecodePlan(wire)
+						if err != nil {
+							t.Errorf("decoding served plan: %v", err)
+							return nil, false
+						}
+						return ws, true
+					}, nil)
+
+				windows, err := adopter.Windows(ctx, prog, plan)
+				if err != nil {
+					t.Fatalf("adopter windows: %v", err)
+				}
+				if traced := windows[0].Pre != nil; traced != (i == 0) {
+					t.Fatalf("wire %d: decoded windows traced=%v", i, traced)
+				}
+				got, err := RunWindows(ctx, vc.cfg, prog, plan, windows)
+				if err != nil {
+					t.Fatalf("RunWindows: %v", err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("wire %d: peer-planned result diverged from self-planned serial run:\n got %+v\nwant %+v", i, got, want)
+				}
+				st := adopter.Stats()
+				if st.Plans != 0 || st.PeerPlans != 1 {
+					t.Fatalf("adopter paid %d local passes, adopted %d plans; want 0 and 1", st.Plans, st.PeerPlans)
+				}
 			}
 		})
 	}

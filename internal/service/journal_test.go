@@ -194,21 +194,35 @@ func TestJournalCompactionBoundsTheLog(t *testing.T) {
 
 // TestJournalRecoveryRejectsStaleSpecs: a journaled spec that no longer
 // validates (its workload vanished across a version change, say) must land
-// as a failed job, not crash the boot or run garbage.
+// as a failed job, not crash the boot or run garbage. A spec that still
+// carries fields a later build removed (live_decode, no_idle_skip) recovers
+// and finishes: the journal decoder ignores unknown fields, unlike
+// POST /v1/jobs.
 func TestJournalRecoveryRejectsStaleSpecs(t *testing.T) {
 	dir := t.TempDir()
 	bad := CampaignSpec{Machines: []MachineSpec{{Machine: "no-such-machine"}}}
 	writeJournalLines(t, dir,
 		journalRecord{Type: "submit", Job: "j000001", Time: time.Now(), Spec: &bad},
 	)
-	s := testService(t, Config{Workers: 1, JournalDir: dir})
-	job, ok := s.Job("j000001")
-	if !ok {
-		t.Fatal("stale job not surfaced")
+	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := waitJob(t, job)
-	if st.State != JobFailed {
-		t.Fatalf("stale job state %s, want failed", st.State)
+	if _, err := f.WriteString(`{"type":"submit","job":"j000002","time":"2025-01-01T00:00:00Z","spec":` +
+		`{"machines":[{"machine":"base","no_idle_skip":true}],"workloads":["matmul"],` +
+		`"windows":2,"fast_forward":10000,"live_decode":true}}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	s := testService(t, Config{Workers: 1, JournalDir: dir})
+	for id, want := range map[string]JobState{"j000001": JobFailed, "j000002": JobDone} {
+		job, ok := s.Job(id)
+		if !ok {
+			t.Fatalf("journaled job %s not surfaced", id)
+		}
+		if st := waitJob(t, job); st.State != want {
+			t.Errorf("journaled job %s state %s, want %s", id, st.State, want)
+		}
 	}
 }
 

@@ -60,7 +60,6 @@ func (j *Job) remoteSpec(idx int) (CampaignSpec, bool) {
 		// Result-neutral scheduling knobs are relayed so the worker runs
 		// the cell the way the submitter asked, but they never enter keys.
 		ParallelWindows: j.opts.ParallelWindows,
-		LiveDecode:      j.opts.LiveDecode,
 		WindowMajor:     j.opts.WindowMajor,
 		Tenant:          j.spec.Tenant,
 		Priority:        j.spec.Priority,

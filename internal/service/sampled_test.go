@@ -198,9 +198,9 @@ func TestEvictedPlanIsNotServed(t *testing.T) {
 	}
 }
 
-// TestWindowMajorSpecKeying: WindowMajor and LiveDecode pick distinct
-// runners (their stores cache different payloads) but must NOT change cell
-// content keys — results are bit-identical by construction.
+// TestWindowMajorSpecKeying: WindowMajor picks a distinct runner but must
+// NOT change cell content keys — results are bit-identical by
+// construction.
 func TestWindowMajorSpecKeying(t *testing.T) {
 	def := testOptions()
 	base := CampaignSpec{
@@ -209,21 +209,14 @@ func TestWindowMajorSpecKeying(t *testing.T) {
 	}
 	wm := base
 	wm.WindowMajor = true
-	live := base
-	live.LiveDecode = true
 	if keyFor(base.options(def)) == keyFor(wm.options(def)) {
 		t.Fatal("window-major job shares a runner with per-cell scheduling")
-	}
-	if keyFor(base.options(def)) == keyFor(live.options(def)) {
-		t.Fatal("live-decode job shares a runner (and store) with trace mode")
 	}
 	cells, err := base.Cells(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, other := range []CampaignSpec{wm, live} {
-		if cells[0].Key(base.options(def)) != cells[0].Key(other.options(def)) {
-			t.Fatal("scheduling/decode mode leaked into the cell content key")
-		}
+	if cells[0].Key(base.options(def)) != cells[0].Key(wm.options(def)) {
+		t.Fatal("scheduling mode leaked into the cell content key")
 	}
 }

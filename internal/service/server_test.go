@@ -111,15 +111,23 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body: %d, want 400", resp.StatusCode)
 	}
-	// Unknown field (schema typo) is a 400, not silently ignored.
-	resp, err = http.Post(srv.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"machines":[{"machine":"base"}],"warmpu":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: %d, want 400", resp.StatusCode)
+	// An unknown field — a schema typo, or a field this build removed — is
+	// a 400 that names it, not silently ignored.
+	for field, body := range map[string]string{
+		"warmpu":       `{"machines":[{"machine":"base"}],"warmpu":1}`,
+		"live_decode":  `{"machines":[{"machine":"base"}],"windows":2,"live_decode":true}`,
+		"no_idle_skip": `{"machines":[{"machine":"base","no_idle_skip":true}]}`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e apiError
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"`+field+`"`) {
+			t.Errorf("unknown field %s: %d %q, want 400 naming it", field, resp.StatusCode, e.Error)
+		}
 	}
 	// Invalid spec.
 	if _, resp := postJob(t, srv, CampaignSpec{Machines: []MachineSpec{{Machine: "nope"}}}); resp.StatusCode != http.StatusBadRequest {

@@ -182,15 +182,14 @@ type Service struct {
 
 // windowKey distinguishes runners by simulation window — including the
 // sampling geometry, so sampled and contiguous jobs (and different sampled
-// geometries) get separate runners and memo caches — plus the decode
-// and scheduling modes, which are fixed per runner even though they never
-// change results; every other option is shared daemon-wide.
+// geometries) get separate runners and memo caches — plus the scheduling
+// modes, which are fixed per runner even though they never change results;
+// every other option is shared daemon-wide.
 type windowKey struct {
 	warmup, measure uint64
 	windows         int
 	fastForward     uint64
 	parallelWindows int
-	liveDecode      bool
 	windowMajor     bool
 }
 
@@ -199,7 +198,6 @@ func keyFor(o experiments.Options) windowKey {
 		warmup: o.Warmup, measure: o.Measure,
 		windows: o.SampleWindows, fastForward: o.SampleFastForward,
 		parallelWindows: o.ParallelWindows,
-		liveDecode:      o.LiveDecode,
 		windowMajor:     o.WindowMajor,
 	}
 }

@@ -38,12 +38,6 @@ type MachineSpec struct {
 	// Machine-level toggles.
 	Distributed bool `json:"distributed,omitempty"`
 	WrongPath   bool `json:"wrongpath,omitempty"`
-
-	// NoIdleSkip forces the per-cycle polling loop (diagnostics; the
-	// event-driven idle skip is bit-identical and on by default). It is
-	// result-neutral, so it does not enter the machine name or any
-	// content-addressed key.
-	NoIdleSkip bool `json:"no_idle_skip,omitempty"`
 }
 
 // MachineConfig resolves a machine name to its configuration — the same
@@ -134,9 +128,6 @@ func (m MachineSpec) Config() (pipeline.Config, error) {
 		cfg.WrongPathDecode = true
 		cfg.Name += "-wp"
 	}
-	// Result-neutral, deliberately not folded into the name: a poll-mode
-	// submission must share cache entries with the skipping default.
-	cfg.NoIdleSkip = m.NoIdleSkip
 	if err := cfg.Validate(); err != nil {
 		return pipeline.Config{}, err
 	}
@@ -153,9 +144,8 @@ func (m MachineSpec) Config() (pipeline.Config, error) {
 // (negative = GOMAXPROCS); it never changes results. WindowMajor schedules
 // a sampled job's machines window-major: each workload's predecoded windows
 // replay across every machine of the grid while the trace is hot, one sweep
-// per worker slot. LiveDecode turns the predecoded traces off and replays
-// windows through a live functional emulator — slower, bit-identical.
-// Neither changes results, so they do not enter result keys.
+// per worker slot. Neither changes results, so they do not enter result
+// keys.
 type CampaignSpec struct {
 	Machines        []MachineSpec `json:"machines"`
 	Workloads       []string      `json:"workloads,omitempty"`
@@ -165,7 +155,6 @@ type CampaignSpec struct {
 	FastForward     uint64        `json:"fast_forward,omitempty"`
 	ParallelWindows int           `json:"parallel_windows,omitempty"`
 	WindowMajor     bool          `json:"window_major,omitempty"`
-	LiveDecode      bool          `json:"live_decode,omitempty"`
 
 	// Admission-control metadata. Tenant names the submitter for the
 	// per-tenant token buckets (empty = the shared "default" bucket);
@@ -233,9 +222,6 @@ func (s CampaignSpec) options(def experiments.Options) experiments.Options {
 	}
 	if s.WindowMajor {
 		o.WindowMajor = true
-	}
-	if s.LiveDecode {
-		o.LiveDecode = true
 	}
 	return o
 }

@@ -8,7 +8,6 @@
 //
 //	ErrInvalidConfig — a configuration was structurally impossible
 //	                   (rejected before any simulation starts).
-//	ErrCorruptTrace  — a trace stream failed header or record parsing.
 //	ErrDeadlock      — the cycle-level watchdog saw no commit for the
 //	                   configured budget (pipeline.DeadlockError carries
 //	                   the occupancy dump).
@@ -39,8 +38,6 @@ import (
 var (
 	// ErrInvalidConfig marks a structurally invalid configuration.
 	ErrInvalidConfig = errors.New("invalid configuration")
-	// ErrCorruptTrace marks a malformed or truncated trace stream.
-	ErrCorruptTrace = errors.New("corrupt trace")
 	// ErrDeadlock marks a simulation whose commit stage made no progress
 	// for the watchdog budget.
 	ErrDeadlock = errors.New("simulator deadlock")

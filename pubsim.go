@@ -50,7 +50,6 @@ import (
 	"repro/internal/service"
 	"repro/internal/simerr"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -98,8 +97,6 @@ type (
 var (
 	// ErrInvalidConfig marks a structurally impossible configuration.
 	ErrInvalidConfig = simerr.ErrInvalidConfig
-	// ErrCorruptTrace marks a malformed or truncated trace stream.
-	ErrCorruptTrace = simerr.ErrCorruptTrace
 	// ErrDeadlock marks a run the liveness watchdog stopped (no commit for
 	// Config.WatchdogCycles cycles); errors.As to *DeadlockError for the dump.
 	ErrDeadlock = simerr.ErrDeadlock
@@ -257,14 +254,6 @@ func Speedup(baseIPC, newIPC float64) float64 { return stats.Speedup(baseIPC, ne
 // Geomean returns the geometric mean of positive values.
 func Geomean(xs []float64) float64 { return stats.Geomean(xs) }
 
-// SkipCounters reports the process-wide idle-skip telemetry: null-skip
-// spans and the cycles they covered. pubsd exports these as the
-// node-labeled pubsd_skip_* metrics; pubsim -skip-stats prints the same
-// counters for a single run.
-func SkipCounters() (skipSpans, skippedCycles uint64) {
-	return pipeline.SkipCounters()
-}
-
 // GlobalSkipTelemetry returns the process-wide counters as one struct —
 // for a single-run process (the pubsim CLI) this is exactly that run's
 // telemetry.
@@ -385,30 +374,16 @@ func ExtWrongPath(r *Runner) (ExtWrongPathResult, error) {
 	return experiments.ExtWrongPath(r)
 }
 
-// --- campaign grids and the service daemon ---
+// --- campaign grids ---
 
-// Campaign service types (see cmd/pubsd): a CampaignSpec expands to a
-// (machine × workload) grid of Cells; each finished Cell is a CellResult
-// addressed by the same content key the checkpoint store uses.
+// Campaign grid types shared with cmd/pubsd: each finished Cell is a
+// CellResult addressed by the same content key the checkpoint store uses.
 type (
 	// Cell is one (configuration, workload) point of a campaign grid.
 	Cell = experiments.Cell
-	// MachineSpec names a machine plus optional PUBS overrides (the JSON
-	// mirror of cmd/pubsim's machine flags).
-	MachineSpec = service.MachineSpec
-	// CampaignSpec is a grid submission: machines × workloads + windows.
-	CampaignSpec = service.CampaignSpec
 	// CellResult is the wire schema shared by pubsd and `pubsim -json`.
 	CellResult = service.CellResult
-	// Service is the campaign daemon behind cmd/pubsd.
-	Service = service.Service
-	// ServiceConfig sizes a Service (workers, queue, windows, checkpoints).
-	ServiceConfig = service.Config
 )
-
-// Grid enumerates the (configuration × workload) campaign grid in
-// deterministic order: configurations outer, workloads inner.
-func Grid(cfgs []Config, workloads []string) []Cell { return experiments.Grid(cfgs, workloads) }
 
 // MachineConfig resolves a machine name (base, pubs, age, pubs+age,
 // {base,pubs}-{small,medium,large,huge}) to its configuration — one naming
@@ -420,51 +395,12 @@ func NewCellResult(cell Cell, o Options, res Result) CellResult {
 	return service.NewCellResult(cell, o, res)
 }
 
-// NewService builds and starts a campaign daemon; see cmd/pubsd for the
-// HTTP front end.
-func NewService(cfg ServiceConfig) (*Service, error) { return service.New(cfg) }
-
 // WithProgress returns a context that delivers in-simulation progress
 // callbacks: fn is invoked (on the simulation goroutine) roughly every
 // `every` committed instructions by any Run*Context under the returned
 // context. Progress observation never changes simulation results.
 func WithProgress(ctx context.Context, every uint64, fn func(committed uint64)) context.Context {
 	return pipeline.WithProgress(ctx, every, fn)
-}
-
-// --- trace capture and replay ---
-
-// TraceReader replays a captured trace as an instruction stream.
-type TraceReader = trace.Reader
-
-// CaptureTrace emulates prog for up to n instructions and writes the
-// compact binary trace to w, returning the number of records written.
-func CaptureTrace(w io.Writer, prog *Program, n uint64) (uint64, error) {
-	return trace.Capture(w, prog, n)
-}
-
-// NewTraceReader opens a captured trace for replay or inspection.
-func NewTraceReader(r io.Reader) (*TraceReader, error) { return trace.NewReader(r) }
-
-// ReplayTrace simulates a captured trace on cfg — the exact same dynamic
-// stream every time, making cross-machine comparisons apples-to-apples.
-func ReplayTrace(cfg Config, r io.Reader, warmup, measure uint64) (Result, error) {
-	tr, err := trace.NewReader(r)
-	if err != nil {
-		return Result{}, err
-	}
-	sim, err := pipeline.New(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := sim.Run(tr, warmup, measure)
-	if err != nil {
-		return Result{}, err
-	}
-	if tr.Err() != nil {
-		return Result{}, tr.Err()
-	}
-	return res, nil
 }
 
 // --- sampled simulation ---
@@ -479,26 +415,11 @@ type SamplingPlan = sampling.Config
 // one Result with the window counters summed.
 type SampledResult = sampling.Result
 
-// Snapshot is an immutable architectural checkpoint of the functional
-// emulator: registers, PC, instruction count, and the dirty pages of the
-// memory image. Snapshots are what make sampled windows independently
-// (and concurrently) executable, and shareable across machine variants.
-type Snapshot = emu.Snapshot
-
-// SamplingWindow is one placed measurement window: its start position in
-// the dynamic instruction stream, the snapshot that seeds it, and (unless
-// the plan set LiveDecode) the predecoded trace of its detailed region.
-// Placement is machine-config-independent.
-type SamplingWindow = sampling.Window
-
 // SamplingStore is a content-addressed, singleflight-deduplicated cache of
 // placed windows: every machine variant of a sweep shares one functional
 // fast-forward pass — and one set of predecoded traces — per (workload,
 // plan geometry).
 type SamplingStore = sampling.Store
-
-// NewSamplingStore returns an empty, unbounded shared-window store.
-func NewSamplingStore() *SamplingStore { return sampling.NewStore() }
 
 // NewSamplingStoreBudget returns a shared-window store bounded to roughly
 // maxBytes of resident snapshot + predecode data, evicting whole plans
@@ -506,35 +427,6 @@ func NewSamplingStore() *SamplingStore { return sampling.NewStore() }
 func NewSamplingStoreBudget(maxBytes int64) *SamplingStore {
 	return sampling.NewStoreBudget(maxBytes)
 }
-
-// PlanSamplingWindows fast-forwards once through prog, snapshotting at
-// each window start. The windows can then feed RunSampledWindows for any
-// number of machine configurations.
-func PlanSamplingWindows(ctx context.Context, prog *Program, plan SamplingPlan) ([]SamplingWindow, error) {
-	return sampling.PlanWindows(ctx, prog, plan)
-}
-
-// RunSampledWindows executes pre-placed windows against one machine
-// configuration — serially or concurrently per plan.Parallel — and merges
-// them in window order, bit-identically to the serial reference.
-func RunSampledWindows(ctx context.Context, cfg Config, prog *Program, plan SamplingPlan, windows []SamplingWindow) (SampledResult, error) {
-	return sampling.RunWindows(ctx, cfg, prog, plan, windows)
-}
-
-// RunSampledSweep executes pre-placed windows window-major across several
-// machine configurations: each window's shared payload (snapshot +
-// predecoded trace) replays through every machine while it is hot, with
-// machines running concurrently on plan.Parallel workers and one persistent
-// simulator per machine. The returned slices are indexed like cfgs; each
-// entry is bit-identical to RunSampledWindows with that configuration
-// alone.
-func RunSampledSweep(ctx context.Context, cfgs []Config, prog *Program, plan SamplingPlan, windows []SamplingWindow) ([]SampledResult, []error) {
-	return sampling.RunSweep(ctx, cfgs, prog, plan, windows)
-}
-
-// DefaultSamplingPlan returns 8 windows × 100K measured instructions with
-// 1M-instruction fast-forward gaps.
-func DefaultSamplingPlan() SamplingPlan { return sampling.DefaultPlan() }
 
 // RunSampled executes a sampling plan over a named benchmark.
 func RunSampled(cfg Config, workloadName string, plan SamplingPlan) (SampledResult, error) {

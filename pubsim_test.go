@@ -1,7 +1,6 @@
 package pubsim
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -103,40 +102,6 @@ func TestQuickRunnerExperimentSmoke(t *testing.T) {
 	}
 	if !strings.Contains(f9.Table(), "Pearson") {
 		t.Error("Fig9 table missing correlation")
-	}
-}
-
-func TestTraceAPIs(t *testing.T) {
-	prog, err := WorkloadProgram("crypto")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	n, err := CaptureTrace(&buf, prog, 30_000)
-	if err != nil || n != 30_000 {
-		t.Fatalf("capture: %d, %v", n, err)
-	}
-	r, err := NewTraceReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Name() != "crypto" {
-		t.Errorf("trace name %q", r.Name())
-	}
-	res, err := ReplayTrace(BaseConfig(), bytes.NewReader(buf.Bytes()), 5_000, 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.IPC() <= 0 {
-		t.Error("replay produced no progress")
-	}
-	// Replay must equal a live run of the same windows.
-	live, err := Run(BaseConfig(), "crypto", 5_000, 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.Cycles != res.Cycles {
-		t.Errorf("replay %d cycles vs live %d", res.Cycles, live.Cycles)
 	}
 }
 
