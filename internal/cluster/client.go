@@ -15,7 +15,7 @@ import (
 )
 
 // Timeouts for the traffic classes of the wire protocol. Execute bounds a
-// detailed simulation (and a whole sweep batch), so it is generous; a
+// whole sweep batch of detailed simulations, so it is generous; a
 // peer-cache fetch is a map lookup, so a peer that cannot answer fast is
 // treated as a miss; the control plane (join, membership pushes) sits in
 // between. Plan transfers move megabytes and — with ?wait=1 — deliberately
@@ -64,49 +64,6 @@ type saturatedError struct {
 
 func (e *saturatedError) Error() string { return e.msg }
 
-// executeCell runs one cell on the node at base. A nil error means the
-// worker answered (possibly with a cell-level failure inside the response);
-// a *saturatedError means admission pushed back; any other error means the
-// node itself failed and should leave the ring.
-func executeCell(ctx context.Context, hc *http.Client, base string, rc service.RemoteCell) (executeResponse, error) {
-	body, err := json.Marshal(rc)
-	if err != nil {
-		return executeResponse{}, fmt.Errorf("cluster: encoding cell: %w", err)
-	}
-	ctx, cancel := context.WithTimeout(ctx, executeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/cluster/execute", bytes.NewReader(body))
-	if err != nil {
-		return executeResponse{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := hc.Do(req)
-	if err != nil {
-		return executeResponse{}, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxWireBytes))
-	if err != nil {
-		return executeResponse{}, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var out executeResponse
-		if err := json.Unmarshal(data, &out); err != nil {
-			return executeResponse{}, fmt.Errorf("cluster: decoding execute response: %w", err)
-		}
-		return out, nil
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		after := time.Second
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-			after = time.Duration(secs) * time.Second
-		}
-		return executeResponse{}, &saturatedError{after: after, msg: fmt.Sprintf("cluster: %s saturated: %s", base, strings.TrimSpace(string(data)))}
-	default:
-		return executeResponse{}, fmt.Errorf("cluster: %s: execute: %s: %s", base, resp.Status, strings.TrimSpace(string(data)))
-	}
-}
-
 // fetchResult asks the node at base for a finished cell by content address —
 // the peer tier of the two-tier cache. Any failure (timeout, 404, a dead
 // peer) is simply a miss.
@@ -132,10 +89,10 @@ func fetchResult(ctx context.Context, hc *http.Client, base, key string) (servic
 	return res, true
 }
 
-// executeSweepBatch dispatches one workload batch to the node at base and
-// collects the streamed NDJSON lines. Error classification mirrors
-// executeCell: nil means the node answered the batch (individual cells may
-// still carry errors in their lines); *saturatedError means admission
+// executeSweepBatch dispatches one batch — one workload's cells, or a
+// single cell — to the node at base and collects the streamed NDJSON
+// lines. A nil error means the node answered the batch (individual cells
+// may still carry errors in their lines); *saturatedError means admission
 // pushed back and the whole batch should be offered elsewhere; anything
 // else is a node fault. A response that dies mid-stream returns the lines
 // that landed plus the transport error — the already-settled cells stay
@@ -159,8 +116,8 @@ func executeSweepBatch(ctx context.Context, hc *http.Client, base string, req sw
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		// Each line carries one cell's result, which executeCell bounds by
-		// maxWireBytes; the whole stream gets that much per cell.
+		// Each line carries one cell's result, bounded by maxWireBytes; the
+		// whole stream gets that much per cell.
 		lines, err := readSweepStream(io.LimitReader(resp.Body, int64(len(req.Cells))*maxWireBytes))
 		if err != nil {
 			return lines, fmt.Errorf("cluster: %s: sweep stream: %w", base, err)

@@ -321,10 +321,11 @@ func TestClusterFailover(t *testing.T) {
 	w1Dir := t.TempDir()
 	w1Journal := t.TempDir()
 
-	// w1 dies the moment it finishes its first cell: connections are
-	// severed mid-flight (responses in flight may or may not land — both
-	// happen in real failures) and every later request aborts. The kill is
-	// synchronous with the first execute's completion: an asynchronous kill
+	// w1 dies the moment it finishes its first batch (one cell: the test
+	// spec is not window-major): connections are severed mid-flight
+	// (responses in flight may or may not land — both happen in real
+	// failures) and every later request aborts. The kill is synchronous
+	// with the first sweep's completion: an asynchronous kill
 	// raced against the remaining cells, and fast simulation (the idle-skip
 	// bursts) let w1 finish its whole share before the kill landed, leaving
 	// the ring intact.
@@ -333,7 +334,7 @@ func TestClusterFailover(t *testing.T) {
 		var firstDone sync.Once
 		killer.inner = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			inner.ServeHTTP(w, r)
-			if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/execute") {
+			if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/sweep") {
 				firstDone.Do(killer.kill)
 			}
 		})

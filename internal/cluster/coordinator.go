@@ -157,63 +157,23 @@ func (c *Coordinator) plan(key string) (order []string, urls map[string]string, 
 // it past a second, so a draining queue is re-offered promptly.
 const stealBackoffCap = time.Second
 
-// Remote is the service.RemoteFunc a coordinator daemon runs with. For
-// each cell it tries the ring owner, steals to the other members when the
-// owner pushes back, drops members that stop answering (their cells
-// re-shard by construction), and backs off briefly when the whole fleet is
-// saturated. With no live workers it declines the cell, which makes an
-// empty or fully failed cluster degrade to a plain single-node daemon.
+// Remote is the service.RemoteFunc a coordinator daemon runs with: a
+// one-cell sweep batch with no plan key, so it takes dispatchBatch's
+// placement loop — ring owner first, steals on saturation, node removal on
+// transport failure, capped backoff when the fleet is full. With no live
+// workers it declines the cell, which makes an empty or fully failed
+// cluster degrade to a plain single-node daemon.
 func (c *Coordinator) Remote(ctx context.Context, rc service.RemoteCell) (service.CellResult, bool, error) {
-	for {
-		order, urls, owner, ok := c.plan(rc.Key)
-		if !ok {
-			return service.CellResult{}, false, nil
-		}
-		wait := time.Duration(0)
-		for _, node := range order {
-			resp, err := executeCell(ctx, c.hc, urls[node], rc)
-			var sat *saturatedError
-			switch {
-			case err == nil:
-				cc := c.countersRef()
-				cc.AddRemoteCell()
-				if node != owner {
-					cc.AddSteal()
-				}
-				if resp.Source == "error" || resp.Error != "" {
-					return service.CellResult{}, true, errors.New(resp.Error)
-				}
-				return resp.Result, true, nil
-			case errors.As(err, &sat):
-				// Healthy but full: a steal candidate for this round and a
-				// backoff hint for the next.
-				if wait == 0 || sat.after < wait {
-					wait = sat.after
-				}
-			case ctx.Err() != nil:
-				// Shutdown or cancellation, not a node fault.
-				return service.CellResult{}, true, ctx.Err()
-			default:
-				// The node itself failed (connection refused, mid-request
-				// death, 5xx): remove it so every cell it owned re-shards,
-				// and keep trying this cell on the rest of this round's
-				// snapshot.
-				c.countersRef().AddNodeFailure()
-				c.RemoveNode(node)
-			}
-		}
-		if wait <= 0 {
-			wait = 50 * time.Millisecond
-		}
-		if wait > stealBackoffCap {
-			wait = stealBackoffCap
-		}
-		select {
-		case <-ctx.Done():
-			return service.CellResult{}, true, ctx.Err()
-		case <-time.After(wait):
-		}
+	// A declined batch returns nil maps, and a key missing from both maps
+	// was declined too.
+	res, errs, _ := c.RemoteSweep(ctx, "", []service.RemoteCell{rc})
+	if r, ok := res[rc.Key]; ok {
+		return r, true, nil
 	}
+	if err, ok := errs[rc.Key]; ok {
+		return service.CellResult{}, true, err
+	}
+	return service.CellResult{}, false, nil
 }
 
 // RemoteSweep is the service.RemoteSweepFunc a coordinator daemon runs
@@ -280,14 +240,14 @@ func (c *Coordinator) RemoteSweep(ctx context.Context, planKey string, cells []s
 	return res, errs, true
 }
 
-// dispatchBatch drives one owner-group of a sweep to completion, mirroring
-// Remote's placement loop at batch granularity: the (current) ring owner
-// first, steals to the other members on saturation, node removal on
-// transport failure, capped backoff when the fleet is full. Cells settle
-// line by line as the stream arrives — a node that dies mid-stream loses
-// only its unsettled remainder, which re-offers to the survivors. Keys
-// still unresolved when the ring empties are left out of both maps: the
-// caller's local-fallback contract.
+// dispatchBatch drives one owner-group of a sweep to completion — the
+// coordinator's one placement loop: the (current) ring owner first, steals
+// to the other members on saturation, node removal on transport failure,
+// capped backoff when the fleet is full. Cells settle line by line as the
+// stream arrives — a node that dies mid-stream loses only its unsettled
+// remainder, which re-offers to the survivors. Keys still unresolved when
+// the ring empties are left out of both maps: the caller's local-fallback
+// contract.
 func (c *Coordinator) dispatchBatch(ctx context.Context, planKey, planner string, cells []service.RemoteCell) (map[string]service.CellResult, map[string]error) {
 	res := make(map[string]service.CellResult, len(cells))
 	errs := make(map[string]error)

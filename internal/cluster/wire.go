@@ -12,10 +12,10 @@ import (
 // The cluster wire protocol is HTTP/JSON, mounted under /v1/cluster/ next
 // to the public pubsd API:
 //
-//	POST /v1/cluster/execute      coordinator -> worker: run one cell
-//	POST /v1/cluster/sweep        coordinator -> worker: run one workload's
-//	                              machine batch; streaming NDJSON response,
-//	                              one sweepLine per cell as it completes
+//	POST /v1/cluster/sweep        coordinator -> worker: run a batch of
+//	                              cells (one workload's machines, or one
+//	                              cell); streaming NDJSON response, one
+//	                              sweepLine per cell as it completes
 //	GET  /v1/cluster/result/{key} peer -> peer: cache-only fetch by hash
 //	POST /v1/cluster/result       peer -> peer: proactive result replication
 //	GET  /v1/cluster/plan/{key}   peer -> peer: cache-only serialized
@@ -26,25 +26,12 @@ import (
 //	POST /v1/cluster/join         worker -> coordinator: announce self
 //	GET  /v1/cluster/nodes        anyone -> coordinator: member map
 //
-// The execute body is a service.RemoteCell and every result payload is the
+// A sweep body lists service.RemoteCells and every result payload is the
 // service.CellResult schema — the same record the public API serves, which
 // is what makes cluster bit-identity checkable byte for byte. Plan
 // payloads are the sampling package's sealed envelope (sampling.EncodePlan):
 // flate-compressed windows behind a SHA-256 content hash, so a corrupt or
 // truncated plan is rejected at decode, never replayed.
-
-// executeResponse is the 200 body of POST /v1/cluster/execute. Source says
-// which cache tier answered: "cache" (the worker's own store), "peer" (a
-// peer fetch by hash), "executed" (the worker's Submit path ran it — which
-// may itself have been answered by the worker's memo or checkpoint without
-// a fresh simulation), or "error". Simulation failures travel as Source
-// "error" with Error set, still HTTP 200: the cell failed, the node did
-// not, and the coordinator must not drop a healthy node over a bad spec.
-type executeResponse struct {
-	Result service.CellResult `json:"result,omitempty"`
-	Source string             `json:"source"`
-	Error  string             `json:"error,omitempty"`
-}
 
 // joinRequest is the body of POST /v1/cluster/join: a worker announcing
 // its stable node ID and the base URL peers reach it at.
@@ -64,20 +51,25 @@ type peersMsg struct {
 }
 
 // sweepRequest is the body of POST /v1/cluster/sweep: every still-unresolved
-// cell of one workload's machine sweep owned by the receiving node, plus the
-// sampling-plan coordinates. PlanKey is the plan content address all cells
-// share; Planner is the node ID the coordinator designated to pay the
-// workload's one functional pass — the receiver plans immediately if that is
-// itself, and otherwise long-polls the planner's plan endpoint before
-// falling back to a local pass.
+// cell of one workload's machine sweep owned by the receiving node (or the
+// one cell of a per-cell dispatch), plus the sampling-plan coordinates.
+// PlanKey is the plan content address all cells share ("" for a per-cell
+// dispatch, which names no planner); Planner is the node ID the coordinator
+// designated to pay the workload's one functional pass — the receiver plans
+// immediately if that is itself, and otherwise long-polls the planner's
+// plan endpoint before falling back to a local pass.
 type sweepRequest struct {
 	Cells   []service.RemoteCell `json:"cells"`
 	PlanKey string               `json:"plan_key,omitempty"`
 	Planner string               `json:"planner,omitempty"`
 }
 
-// sweepLine is one NDJSON line of the sweep response: executeResponse plus
-// the content key it settles, written as the cell completes.
+// sweepLine is one NDJSON line of the sweep response, written as a cell
+// settles: the content key, and Source saying which tier answered —
+// "cache" (the worker's own store), "peer" (a peer fetch by hash),
+// "executed" (the worker's Submit path ran it, which may itself have been
+// answered by its memo or checkpoint without a fresh simulation), or
+// "error", with Error set.
 type sweepLine struct {
 	Key    string             `json:"key"`
 	Result service.CellResult `json:"result,omitempty"`

@@ -267,7 +267,6 @@ func (wk *Worker) replicateResult(res service.CellResult) {
 // (the daemon's public API) for every other path.
 func (wk *Worker) Handler(next http.Handler) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/cluster/execute", wk.handleExecute)
 	mux.HandleFunc("POST /v1/cluster/sweep", wk.handleSweep)
 	mux.HandleFunc("GET /v1/cluster/result/{key}", wk.handleResult)
 	mux.HandleFunc("POST /v1/cluster/result", wk.handleResultPush)
@@ -280,101 +279,20 @@ func (wk *Worker) Handler(next http.Handler) http.Handler {
 	return mux
 }
 
-// handleExecute runs one cell through the two-tier cache and then the
-// daemon's own Submit path. Admission refusals surface as 429/503 with the
-// daemon's Retry-After hint — the coordinator's steal trigger. Simulation
-// failures return 200 with Source "error": the cell failed, the node is
-// healthy.
-func (wk *Worker) handleExecute(w http.ResponseWriter, r *http.Request) {
-	var rc service.RemoteCell
-	if err := decodeBody(w, r, &rc); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if rc.Key == "" {
-		writeError(w, http.StatusBadRequest, errors.New("cluster: execute: empty key"))
-		return
-	}
-	// Tier 1: this node already has it (its own earlier execution, an
-	// adopted peer result, or a duplicate in a concurrent burst).
-	if res, ok := wk.svc.Result(rc.Key); ok {
-		writeJSON(w, http.StatusOK, executeResponse{Result: res, Source: "cache"})
-		return
-	}
-	// Tier 2: a peer has it — after a ring change (join, failover) the old
-	// owner still holds the result, and moving it is cheaper than ever
-	// re-simulating. Adopt so this node answers tier-1 next time.
-	for _, base := range wk.peerList() {
-		if res, ok := fetchResult(r.Context(), wk.hc, base, rc.Key); ok {
-			wk.svc.AdoptResult(res)
-			wk.svc.ClusterCounters().AddPeerHit()
-			writeJSON(w, http.StatusOK, executeResponse{Result: res, Source: "peer"})
-			return
-		}
-	}
-	// Tier 3: execute, via the full single-node pipeline. The single-cell
-	// spec carries resolved windows, so the worker derives the same content
-	// address the coordinator sharded by.
-	job, err := wk.svc.Submit(rc.Spec)
-	if err != nil {
-		var ra *service.RetryAfterError
-		if errors.As(err, &ra) {
-			w.Header().Set("Retry-After", strconv.Itoa(int(ra.After.Round(time.Second).Seconds())))
-		}
-		switch {
-		case errors.Is(err, service.ErrQueueFull), errors.Is(err, service.ErrRateLimited):
-			writeError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, service.ErrDraining):
-			writeError(w, http.StatusServiceUnavailable, err)
-		default:
-			writeError(w, http.StatusBadRequest, err)
-		}
-		return
-	}
-	select {
-	case <-job.Done():
-	case <-r.Context().Done():
-		// The coordinator gave up (or died). The job keeps running: its
-		// result lands in the local cache, so the inevitable re-dispatch —
-		// here or on a peer that fetches from here — is a cache hit, not a
-		// second simulation.
-		return
-	}
-	st := job.Status()
-	if st.State == service.JobFailed {
-		writeJSON(w, http.StatusOK, executeResponse{Source: "error", Error: strings.Join(st.Errors, "; ")})
-		return
-	}
-	for _, res := range st.Results {
-		if res.Key == rc.Key {
-			wk.replicateResult(res)
-			writeJSON(w, http.StatusOK, executeResponse{Result: res, Source: "executed"})
-			return
-		}
-	}
-	// The worker resolved the spec to a different content address than the
-	// coordinator — a protocol bug worth failing loudly, not silently
-	// serving the wrong cell.
-	keys := make([]string, 0, len(st.Results))
-	for _, res := range st.Results {
-		keys = append(keys, res.Key)
-	}
-	writeJSON(w, http.StatusOK, executeResponse{
-		Source: "error",
-		Error:  fmt.Sprintf("cluster: key mismatch: coordinator asked for %s, worker computed %v", rc.Key, keys),
-	})
-}
-
-// handleSweep runs one workload's machine batch: every cell the coordinator
-// still needs from this node, answered as a stream of NDJSON sweepLines so
-// settled cells reach the coordinator the moment they finish. The answer
-// path per cell is the same two-tier cache as handleExecute; the remainder
-// is merged into ONE window-major submission, so the whole batch shares a
-// single sampling plan and each workload window replays across every
-// machine while its trace is hot. The request's planner designation is
-// registered first — before any tier check — because it is what the plan
-// endpoint's long-poll and the plan-fetch seam consult to keep the fleet at
-// exactly one functional pass per plan key.
+// handleSweep runs one batch — one workload's machine sweep, or a single
+// cell — answering it as a stream of NDJSON sweepLines so settled cells
+// reach the coordinator the moment they finish. Each cell is answered from
+// the two-tier cache when it can be: this node's store first, a peer fetch
+// by content address second. The remainder is merged into ONE submission
+// through the daemon's own Submit path (admission control, journal,
+// runner), so a sweep shares a single sampling plan and each workload
+// window replays across every machine while its trace is hot. Admission
+// refusals surface as 429/503 with the daemon's Retry-After hint — the
+// coordinator's steal trigger; simulation failures travel as lines with
+// Source "error": the cell failed, the node is healthy. The request's
+// planner designation is registered first — before any tier check —
+// because it is what the plan endpoint's long-poll and the plan-fetch seam
+// consult to keep the fleet at exactly one functional pass per plan key.
 func (wk *Worker) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -537,6 +455,8 @@ func (wk *Worker) handleSweep(w http.ResponseWriter, r *http.Request) {
 			// The coordinator hung up; the job runs on and lands in the
 			// cache, so the re-dispatch is a tier-1 hit.
 			return
+		case <-job.Done():
+			// Terminal: the next poll drains the last events and breaks.
 		case <-time.After(5 * time.Millisecond):
 		}
 	}

@@ -8,8 +8,10 @@
 // with the rest of the campaign unharmed.
 //
 // When nothing is armed, Fire costs one atomic load, so the hooks are safe
-// to leave in hot paths. The registry is process-global: tests that arm
-// faults must not run in parallel with each other and should defer Reset.
+// to leave in hot paths. Arming a point changes nothing else: the pipeline
+// keeps its idle skip, so fault tests exercise the loop that ships. The
+// registry is process-global: tests that arm faults must not run in
+// parallel with each other and should defer Reset.
 package faultinject
 
 import (
@@ -89,12 +91,6 @@ func Reset() {
 	}
 	armed.Store(0)
 }
-
-// Armed reports whether any injection point is currently armed (one atomic
-// load). The pipeline's idle skip consults it: fast-forwarding while a
-// fault is armed would change how many times the per-cycle Fire hooks run,
-// and the robustness tests rely on that cadence.
-func Armed() bool { return armed.Load() != 0 }
 
 // Fire reports whether the named point should inject a fault for the given
 // detail, consuming one firing when it does. The disarmed fast path is a

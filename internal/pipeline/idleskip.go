@@ -48,11 +48,10 @@ import (
 //     Config.Profile. skipCycles replays k of each in closed form — the
 //     RNG via the precomputed GF(2) jump matrices (rngjump.go), O(log k).
 //
-// The skip is disabled while any fault-injection point is armed (the
-// robustness tests count per-cycle Fire calls) and after an injected hang
-// (the watchdog must diagnose it on the polled path). A machine with no
-// future event — a genuine deadlock — never skips, so the watchdog retains
-// its full diagnostic power.
+// The skip is disabled after an injected hang (the watchdog must diagnose
+// it on the polled path); arming a fault-injection point leaves it on. A
+// machine with no future event — a genuine deadlock — never skips, so the
+// watchdog retains its full diagnostic power.
 
 // neverWakes is nextWake's "no future event" sentinel.
 const neverWakes = int64(math.MaxInt64)

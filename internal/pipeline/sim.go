@@ -1199,10 +1199,10 @@ func (s *Sim) RunContext(ctx context.Context, stream InstStream, warmup, measure
 		}
 		// Idle skip: if this cycle mutated nothing, fast-forward to just
 		// before the next wakeup event (idleskip.go) so the s.now++ below
-		// lands exactly on it. Disabled while fault injection is armed
-		// (robustness tests count per-cycle Fire calls) and after an
-		// injected hang (the watchdog diagnoses it on the polled path).
-		if skipEnabled && !s.act && !s.hangInjected && !faultinject.Armed() {
+		// lands exactly on it. Disabled after an injected hang (the
+		// watchdog diagnoses it on the polled path); an armed PipelineHang
+		// fires on the first loop iteration, skipping or not.
+		if skipEnabled && !s.act && !s.hangInjected {
 			if t := s.nextWake(); t > s.now+1 {
 				s.skipCycles(t - s.now - 1)
 			}

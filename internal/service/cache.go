@@ -54,29 +54,11 @@ func newResultCache() *resultCache {
 	}
 }
 
-// Do returns the cached result for key, joins an in-flight execution of
-// it, or runs build itself — whichever applies. The outcome reports which
-// path was taken so the metrics layer can expose the dedup rate.
-func (c *resultCache) Do(key string, build func() (CellResult, error)) (CellResult, cacheOutcome, error) {
-	res, f, out := c.Claim(key)
-	switch out {
-	case outcomeHit:
-		return res, out, nil
-	case outcomeMerged:
-		<-f.done
-		return f.res, out, f.err
-	}
-	res, err := build()
-	c.Resolve(key, f, res, err)
-	return res, out, err
-}
-
-// Claim is the first phase of Do, exposed for callers that resolve many
-// keys from one batched execution (the cluster's sweep dispatch): it
-// returns a completed result (outcomeHit), a flight to wait on
-// (outcomeMerged), or registers and returns a flight the caller now owns
-// (outcomeRun). Every owned flight must eventually be passed to Resolve,
-// or merged waiters block forever.
+// Claim returns a completed result (outcomeHit), a flight another task
+// owns to wait on (outcomeMerged), or registers and returns a flight the
+// caller now owns (outcomeRun) — the outcome is what the metrics layer
+// exposes as the dedup rate. Every owned flight must eventually be passed
+// to Resolve, or merged waiters block forever.
 func (c *resultCache) Claim(key string) (CellResult, *flight, cacheOutcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

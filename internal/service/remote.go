@@ -17,12 +17,12 @@ type RemoteCell struct {
 }
 
 // RemoteFunc is the dispatcher's remote-execution seam, installed via
-// Config.Remote. It is called inside the result cache's singleflight
-// critical section — at most one call per content address is in flight —
-// so whatever fabric sits behind it observes each unique cell exactly
-// once per coordinator. Returning handled=false (only meaningful with a
-// nil error) declines the cell: the dispatcher falls back to the local
-// worker pool, which keeps a coordinator with no live peers behaving
+// Config.Remote. It is called only for a cell whose singleflight flight
+// the calling task owns — at most one call per content address is in
+// flight — so whatever fabric sits behind it observes each unique cell
+// exactly once per coordinator. Returning handled=false (only meaningful
+// with a nil error) declines the cell: the dispatcher falls back to the
+// local runner, which keeps a coordinator with no live peers behaving
 // exactly like a single-node daemon. When handled is true, res/err are the
 // cell's outcome, errors included — a remote simulation failure is the
 // cell's failure, not a reason to retry locally.

@@ -86,9 +86,9 @@ type Config struct {
 	// back exactly the cells it owned.
 	NodeID string
 	// Remote, when set, is the cluster fabric's remote-execution seam: the
-	// dispatcher offers every cell to it (inside the singleflight critical
-	// section, so each unique cell is offered once) before falling back to
-	// the local worker pool. See RemoteFunc.
+	// dispatcher offers every cell it has claimed in the singleflight table
+	// to it (so each unique cell is offered once) before falling back to
+	// the local runner. See RemoteFunc.
 	Remote RemoteFunc
 	// RemoteSweep, when set alongside Remote, dispatches window-major
 	// sampled jobs as one batch per (workload, owner node) instead of one
@@ -132,12 +132,11 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// task is work scheduled onto the worker pool: one cell of one job, or —
-// for window-major sampled jobs — one workload's whole machine sweep
-// (group lists the cell indices; idx is unused then).
+// task is work scheduled onto the worker pool: the indices of the job's
+// cells it covers — one cell, or for window-major sampled jobs one
+// workload's whole machine sweep.
 type task struct {
 	job   *Job
-	idx   int
 	group []int
 }
 
@@ -465,18 +464,13 @@ func (s *Service) runJob(j *Job) {
 	defer s.m.activeJobs.Add(-1)
 	j.start()
 	j.cellWG.Add(len(j.cells))
-	// The cluster dispatcher shards per cell — except window-major sampled
-	// jobs when the fabric supports batched sweep dispatch, which keep
-	// their per-workload group shape end to end.
-	perCell := s.cfg.Remote != nil &&
-		!(s.cfg.RemoteSweep != nil && j.opts.WindowMajor && j.opts.Sampled())
-	for _, t := range j.tasks(perCell) {
+	for _, t := range j.tasks(s.sweeps(j)) {
 		select {
 		case s.tasks <- t:
 		case <-s.rootCtx.Done():
 			// Forced shutdown mid-expansion: fail the remaining cells here;
 			// cells already queued are failed by the workers.
-			for _, i := range t.indices() {
+			for _, i := range t.group {
 				j.cellDone(i, CellResult{}, outcomeRun, s.rootCtx.Err())
 			}
 		}
@@ -511,7 +505,7 @@ func (s *Service) executeRecover(t task) {
 		if v := recover(); v != nil {
 			perr := &simerr.PanicError{Value: v, Stack: debug.Stack()}
 			s.brk.Record(perr)
-			for _, i := range t.indices() {
+			for _, i := range t.group {
 				// Idempotent: only cells the panic cut short still count.
 				s.m.cellsFailed.Add(1)
 				t.job.cellDone(i, CellResult{}, outcomeRun, perr)
@@ -521,24 +515,23 @@ func (s *Service) executeRecover(t task) {
 	s.execute(t)
 }
 
-// indices returns the cell indices a task covers.
-func (t task) indices() []int {
-	if t.group != nil {
-		return t.group
-	}
-	return []int{t.idx}
+// sweeps reports whether a job runs as whole workload sweeps rather than
+// cell by cell: window-major sampled jobs do, unless the cluster fabric
+// routes cells individually by content address (Remote without
+// RemoteSweep) — each worker daemon then re-applies window-major locally.
+func (s *Service) sweeps(j *Job) bool {
+	return j.opts.WindowMajor && j.opts.Sampled() &&
+		(s.cfg.Remote == nil || s.cfg.RemoteSweep != nil)
 }
 
-// tasks shards the job for the worker pool: one task per cell, except
-// window-major sampled jobs, which get one task per workload covering that
-// workload's whole machine sweep. perCell forces the per-cell shape even
-// then — the cluster dispatcher routes cells individually by content
-// address, and each worker daemon re-applies window-major locally.
-func (j *Job) tasks(perCell bool) []task {
-	if perCell || !j.opts.WindowMajor || !j.opts.Sampled() {
+// tasks shards the job for the worker pool: one task per workload covering
+// that workload's whole machine sweep when sweep is set, one task per cell
+// otherwise.
+func (j *Job) tasks(sweep bool) []task {
+	if !sweep {
 		out := make([]task, len(j.cells))
 		for i := range j.cells {
-			out[i] = task{job: j, idx: i}
+			out[i] = task{job: j, group: []int{i}}
 		}
 		return out
 	}
@@ -556,184 +549,44 @@ func (j *Job) tasks(perCell bool) []task {
 	return out
 }
 
-// execute runs one task — a cell, or a window-major sweep of cells.
+// ownedCell is a cell whose singleflight flight a task owns: the task must
+// pass it to Resolve exactly once, or merged waiters block forever.
+type ownedCell struct {
+	idx  int
+	key  string
+	f    *flight
+	done bool
+}
+
+// execute runs one task. Every cell is first claimed in the singleflight
+// table — hits land at once, concurrent duplicates merge — so each unique
+// content address executes once per daemon, whichever path runs it. The
+// owned cells are offered to the cluster fabric; whatever it declines (no
+// fabric, no live peers, ring churn mid-batch) runs through the local
+// runner, window-major when the job asks for it.
 func (s *Service) execute(t task) {
-	if t.group != nil {
-		if s.cfg.RemoteSweep != nil {
-			s.executeSweepRemote(t)
-			return
-		}
-		s.executeSweep(t)
-		return
-	}
-	cell := t.job.cells[t.idx]
-	if faultinject.Fire(faultinject.ServicePanic, cell.Workload) {
-		panic(fmt.Sprintf("injected service worker panic on %s", cell.Workload))
-	}
-	if err := s.rootCtx.Err(); err != nil {
-		t.job.cellDone(t.idx, CellResult{}, outcomeRun, err)
-		s.m.cellsFailed.Add(1)
-		return
-	}
-	runner, err := s.runnerFor(t.job.opts)
-	if err != nil {
-		t.job.cellDone(t.idx, CellResult{}, outcomeRun, err)
-		s.m.cellsFailed.Add(1)
-		return
-	}
-	opts := runner.Options()
-	key := cell.Key(opts)
-	// Progress streams to the job that triggered the execution; a merged
-	// submission sees cell completions but not mid-cell progress.
-	every := (opts.Warmup + opts.Measure) / 4
-	ctx := pipeline.WithProgress(s.rootCtx, every, func(committed uint64) {
-		t.job.progress(cell, key, committed)
-	})
-	res, outcome, err := s.cache.Do(key, func() (CellResult, error) {
-		// Offer the cell to the cluster fabric first. Running inside the
-		// singleflight critical section means the fabric sees each unique
-		// content address at most once per coordinator — the cluster-wide
-		// exactly-once contract rests on this ordering. A declined cell
-		// (no live peers) falls through to the local runner unchanged.
-		if s.cfg.Remote != nil {
-			if spec, ok := t.job.remoteSpec(t.idx); ok {
-				if rres, handled, rerr := s.cfg.Remote(ctx, RemoteCell{Key: key, Spec: spec}); handled {
-					return rres, rerr
-				}
-			}
-		}
-		r, err := runner.RunCell(ctx, cell)
-		if err != nil {
-			return CellResult{}, err
-		}
-		return NewCellResult(cell, opts, r), nil
-	})
-	switch outcome {
-	case outcomeHit:
-		s.m.cacheHits.Add(1)
-	case outcomeMerged:
-		s.m.merged.Add(1)
-	default:
-		s.m.cacheMisses.Add(1)
-	}
-	if err != nil {
-		s.m.cellsFailed.Add(1)
-	} else {
-		s.m.cellsCompleted.Add(1)
-	}
-	t.job.cellDone(t.idx, res, outcome, err)
-}
-
-// executeSweep runs one workload's machine sweep window-major through the
-// runner's batched scheduler, then lands each cell in the content cache.
-// The sweep shares one predecoded window set across every machine; mid-cell
-// progress events are not emitted (cells complete in window-major order).
-func (s *Service) executeSweep(t task) {
-	j := t.job
-	failAll := func(err error) {
-		for _, i := range t.group {
-			s.m.cellsFailed.Add(1)
-			j.cellDone(i, CellResult{}, outcomeRun, err)
-		}
-	}
-	wl := j.cells[t.group[0]].Workload
-	if faultinject.Fire(faultinject.ServicePanic, wl) {
-		panic(fmt.Sprintf("injected service worker panic on %s", wl))
-	}
-	if err := s.rootCtx.Err(); err != nil {
-		failAll(err)
-		return
-	}
-	runner, err := s.runnerFor(j.opts)
-	if err != nil {
-		failAll(err)
-		return
-	}
-	opts := runner.Options()
-	cfgs := make([]pipeline.Config, len(t.group))
-	for k, i := range t.group {
-		cfgs[k] = j.cells[i].Config
-	}
-	results, serr := runner.RunSweepContext(s.rootCtx, cfgs, wl)
-	failed := make(map[string]error)
-	if serr != nil {
-		var ce *experiments.CampaignError
-		if errors.As(serr, &ce) {
-			for _, f := range ce.Failures {
-				failed[f.Config] = f
-			}
-		} else {
-			failAll(serr)
-			return
-		}
-	}
-	for k, i := range t.group {
-		cell := j.cells[i]
-		if ferr, ok := failed[cell.Config.Name]; ok {
-			s.m.cellsFailed.Add(1)
-			j.cellDone(i, CellResult{}, outcomeRun, ferr)
-			continue
-		}
-		res := results[k]
-		cres, outcome, cerr := s.cache.Do(cell.Key(opts), func() (CellResult, error) {
-			return NewCellResult(cell, opts, res), nil
-		})
-		switch outcome {
-		case outcomeHit:
-			s.m.cacheHits.Add(1)
-		case outcomeMerged:
-			s.m.merged.Add(1)
-		default:
-			s.m.cacheMisses.Add(1)
-		}
-		if cerr != nil {
-			s.m.cellsFailed.Add(1)
-		} else {
-			s.m.cellsCompleted.Add(1)
-		}
-		j.cellDone(i, cres, outcome, cerr)
-	}
-}
-
-// executeSweepRemote runs one workload's machine sweep through the
-// cluster's batched dispatch seam. Every cell is first claimed in the
-// singleflight table — hits land immediately, concurrent duplicates merge —
-// and only the owned remainder travels, as one batch sharing one plan key.
-// Cells the fabric declines (no live peers, ring churn mid-batch) fall
-// back to the local window-major sweep, so the job completes regardless.
-func (s *Service) executeSweepRemote(t task) {
 	j := t.job
 	wl := j.cells[t.group[0]].Workload
 	if faultinject.Fire(faultinject.ServicePanic, wl) {
 		panic(fmt.Sprintf("injected service worker panic on %s", wl))
 	}
-	failAll := func(err error) {
+	err := s.rootCtx.Err()
+	var runner *experiments.Runner
+	if err == nil {
+		runner, err = s.runnerFor(j.opts)
+	}
+	if err != nil {
 		for _, i := range t.group {
 			s.m.cellsFailed.Add(1)
 			j.cellDone(i, CellResult{}, outcomeRun, err)
 		}
-	}
-	if err := s.rootCtx.Err(); err != nil {
-		failAll(err)
-		return
-	}
-	runner, err := s.runnerFor(j.opts)
-	if err != nil {
-		failAll(err)
 		return
 	}
 	opts := runner.Options()
 
-	type ownedCell struct {
-		idx  int
-		key  string
-		f    *flight
-		done bool
-	}
 	var owned []*ownedCell
 	var mergedIdx []int
 	var mergedF []*flight
-	var rcs []RemoteCell
 	// A panic below must not leave owned flights unresolved — merged
 	// waiters on other jobs would block forever. Resolve them with the
 	// panic and re-raise for executeRecover's idempotent cell sweep.
@@ -772,27 +625,24 @@ func (s *Service) executeSweepRemote(t task) {
 			mergedIdx = append(mergedIdx, i)
 			mergedF = append(mergedF, f)
 		default:
-			o := &ownedCell{idx: i, key: key, f: f}
-			owned = append(owned, o)
-			if spec, ok := j.remoteSpec(i); ok {
-				rcs = append(rcs, RemoteCell{Key: key, Spec: spec})
-			}
-			// !ok (an unreconstructable recovered grid) leaves the cell to
-			// the local sweep below.
+			owned = append(owned, &ownedCell{idx: i, key: key, f: f})
 		}
 	}
 
-	var remoteRes map[string]CellResult
-	var remoteErrs map[string]error
-	if len(rcs) > 0 {
-		planKey, kerr := opts.PlanKey(wl)
-		if kerr != nil {
-			planKey = ""
-		}
-		if res, errs, handled := s.cfg.RemoteSweep(s.rootCtx, planKey, rcs); handled {
-			remoteRes, remoteErrs = res, errs
-		}
+	sweep := s.sweeps(j)
+	ctx := s.rootCtx
+	if !sweep && len(owned) == 1 {
+		// Progress streams to the job that triggered a one-cell execution; a
+		// merged submission sees cell completions but not mid-cell progress,
+		// and a sweep completes its cells in window-major order.
+		cell, key := j.cells[owned[0].idx], owned[0].key
+		every := (opts.Warmup + opts.Measure) / 4
+		ctx = pipeline.WithProgress(ctx, every, func(committed uint64) {
+			j.progress(cell, key, committed)
+		})
 	}
+
+	remoteRes, remoteErrs := s.offer(ctx, j, wl, owned, sweep)
 	var local []*ownedCell
 	for _, o := range owned {
 		if res, ok := remoteRes[o.key]; ok {
@@ -809,27 +659,23 @@ func (s *Service) executeSweepRemote(t task) {
 		for k, o := range local {
 			cfgs[k] = j.cells[o.idx].Config
 		}
-		results, serr := runner.RunSweepContext(s.rootCtx, cfgs, wl)
+		// RunSweepContext runs a window-major job's multi-machine sweep in
+		// one batch and everything else cell by cell; its error, when
+		// non-nil, is a *CampaignError naming each failed cell.
+		results, serr := runner.RunSweepContext(ctx, cfgs, wl)
+		failed := make(map[string]error)
 		var ce *experiments.CampaignError
-		switch {
-		case serr == nil || errors.As(serr, &ce):
-			failed := make(map[string]error)
-			if ce != nil {
-				for _, f := range ce.Failures {
-					failed[f.Config] = f
-				}
+		if errors.As(serr, &ce) {
+			for _, f := range ce.Failures {
+				failed[f.Config] = f
 			}
-			for k, o := range local {
-				cell := j.cells[o.idx]
-				if ferr, ok := failed[cell.Config.Name]; ok {
-					finish(o, CellResult{}, ferr)
-					continue
-				}
+		}
+		for k, o := range local {
+			cell := j.cells[o.idx]
+			if ferr, ok := failed[cell.Config.Name]; ok {
+				finish(o, CellResult{}, ferr)
+			} else {
 				finish(o, NewCellResult(cell, opts, results[k]), nil)
-			}
-		default:
-			for _, o := range local {
-				finish(o, CellResult{}, serr)
 			}
 		}
 	}
@@ -847,6 +693,42 @@ func (s *Service) executeSweepRemote(t task) {
 		}
 		j.cellDone(i, f.res, outcomeMerged, f.err)
 	}
+}
+
+// offer hands a task's owned cells to the cluster fabric: a sweep as one
+// batch sharing its plan key, any other cell on its own. A key absent from
+// both returned maps was declined and runs locally; so does a cell whose
+// single-cell spec cannot be rebuilt (an unreconstructable recovered grid).
+func (s *Service) offer(ctx context.Context, j *Job, wl string, owned []*ownedCell, sweep bool) (map[string]CellResult, map[string]error) {
+	var rcs []RemoteCell
+	for _, o := range owned {
+		if spec, ok := j.remoteSpec(o.idx); ok {
+			rcs = append(rcs, RemoteCell{Key: o.key, Spec: spec})
+		}
+	}
+	switch {
+	case len(rcs) == 0:
+	case sweep && s.cfg.RemoteSweep != nil:
+		planKey, err := j.opts.PlanKey(wl)
+		if err != nil {
+			planKey = ""
+		}
+		if res, errs, handled := s.cfg.RemoteSweep(ctx, planKey, rcs); handled {
+			return res, errs
+		}
+	case !sweep && s.cfg.Remote != nil:
+		// A per-cell task owns at most one cell.
+		rc := rcs[0]
+		res, handled, err := s.cfg.Remote(ctx, rc)
+		switch {
+		case !handled:
+		case err != nil:
+			return nil, map[string]error{rc.Key: err}
+		default:
+			return map[string]CellResult{rc.Key: res}, nil
+		}
+	}
+	return nil, nil
 }
 
 // runnerStats sums the campaign counters across all runners and snapshots

@@ -112,16 +112,7 @@ func TestCampaignSpecValidation(t *testing.T) {
 
 func TestResultCacheSingleflight(t *testing.T) {
 	c := newResultCache()
-	var builds int
-	var mu sync.Mutex
 	gate := make(chan struct{})
-	build := func() (CellResult, error) {
-		mu.Lock()
-		builds++
-		mu.Unlock()
-		<-gate
-		return CellResult{Key: "k", Workload: "w"}, nil
-	}
 	const callers = 8
 	var wg sync.WaitGroup
 	outcomes := make([]cacheOutcome, callers)
@@ -129,9 +120,18 @@ func TestResultCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, out, err := c.Do("k", build)
-			if err != nil || res.Key != "k" {
-				t.Errorf("Do: res=%+v err=%v", res, err)
+			res, f, out := c.Claim("k")
+			switch out {
+			case outcomeRun:
+				<-gate
+				res = CellResult{Key: "k", Workload: "w"}
+				c.Resolve("k", f, res, nil)
+			case outcomeMerged:
+				<-f.done
+				res = f.res
+			}
+			if res.Key != "k" {
+				t.Errorf("claim %v: res=%+v", out, res)
 			}
 			outcomes[i] = out
 		}(i)
@@ -140,9 +140,6 @@ func TestResultCacheSingleflight(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	close(gate)
 	wg.Wait()
-	if builds != 1 {
-		t.Fatalf("build ran %d times, want 1", builds)
-	}
 	var runs, merged int
 	for _, o := range outcomes {
 		switch o {
@@ -156,7 +153,7 @@ func TestResultCacheSingleflight(t *testing.T) {
 		t.Fatalf("runs=%d merged=%d, want 1/%d", runs, merged, callers-1)
 	}
 	// After completion it's a plain hit.
-	if _, out, _ := c.Do("k", build); out != outcomeHit {
+	if _, _, out := c.Claim("k"); out != outcomeHit {
 		t.Fatalf("post-completion outcome = %v, want hit", out)
 	}
 }
@@ -164,28 +161,60 @@ func TestResultCacheSingleflight(t *testing.T) {
 func TestResultCacheDoesNotCacheFailures(t *testing.T) {
 	c := newResultCache()
 	boom := errors.New("boom")
-	if _, _, err := c.Do("k", func() (CellResult, error) { return CellResult{}, boom }); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
+	_, f, _ := c.Claim("k")
+	_, waiter, out := c.Claim("k")
+	if out != outcomeMerged {
+		t.Fatalf("second claim outcome = %v, want merged", out)
+	}
+	c.Resolve("k", f, CellResult{}, boom)
+	<-waiter.done
+	if !errors.Is(waiter.err, boom) {
+		t.Fatalf("merged err = %v, want boom", waiter.err)
 	}
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("failure was cached")
 	}
 	// Next attempt runs fresh and can succeed.
-	res, out, err := c.Do("k", func() (CellResult, error) { return CellResult{Key: "k"}, nil })
-	if err != nil || out != outcomeRun || res.Key != "k" {
-		t.Fatalf("retry: res=%+v out=%v err=%v", res, out, err)
+	if _, f, out = c.Claim("k"); out != outcomeRun {
+		t.Fatalf("retry outcome = %v, want run", out)
+	}
+	c.Resolve("k", f, CellResult{Key: "k"}, nil)
+	if res, ok := c.Get("k"); !ok || res.Key != "k" {
+		t.Fatalf("retry: res=%+v ok=%v", res, ok)
 	}
 }
 
-// TestConcurrentDuplicateSubmissions is the issue's acceptance test: the
+// TestConcurrentDuplicateSubmissions pins the exactly-once contract: the
 // same spec submitted twice concurrently completes both jobs with
 // identical results, the grid executes exactly once, and the results are
-// bit-identical to an equivalent direct Runner campaign.
+// bit-identical to an equivalent direct Runner campaign — for per-cell
+// tasks and for window-major sweeps alike.
 func TestConcurrentDuplicateSubmissions(t *testing.T) {
-	s := testService(t, Config{Workers: 4, MaxActiveJobs: 4})
-	spec := CampaignSpec{
-		Machines:  []MachineSpec{{Machine: "base"}, {Machine: "pubs"}},
-		Workloads: []string{"matmul", "chess"},
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		spec CampaignSpec
+	}{
+		{"per-cell", Config{Workers: 4, MaxActiveJobs: 4}, CampaignSpec{
+			Machines:  []MachineSpec{{Machine: "base"}, {Machine: "pubs"}},
+			Workloads: []string{"matmul", "chess"},
+		}},
+		{"window-major", Config{Workers: 4, MaxActiveJobs: 4, TraceBudgetBytes: 1 << 30}, CampaignSpec{
+			Machines:  []MachineSpec{{Machine: "base"}, {Machine: "pubs"}, {Machine: "pubs+age"}},
+			Workloads: []string{"parser"},
+			Windows:   2, FastForward: 20_000, WindowMajor: true,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testDuplicateSubmissions(t, tc.cfg, tc.spec) })
+	}
+}
+
+func testDuplicateSubmissions(t *testing.T, cfg Config, spec CampaignSpec) {
+	s := testService(t, cfg)
+	opts := spec.options(s.DefaultOptions())
+	cells, err := spec.Cells(0)
+	if err != nil {
+		t.Fatalf("Cells: %v", err)
 	}
 	j1, err := s.Submit(spec)
 	if err != nil {
@@ -199,8 +228,8 @@ func TestConcurrentDuplicateSubmissions(t *testing.T) {
 	if st1.State != JobDone || st2.State != JobDone {
 		t.Fatalf("states %s/%s, errors %v/%v", st1.State, st2.State, st1.Errors, st2.Errors)
 	}
-	if st1.CompletedCells != 4 || st2.CompletedCells != 4 {
-		t.Fatalf("completed %d/%d, want 4/4", st1.CompletedCells, st2.CompletedCells)
+	if st1.CompletedCells != len(cells) || st2.CompletedCells != len(cells) {
+		t.Fatalf("completed %d/%d, want %d/%d", st1.CompletedCells, st2.CompletedCells, len(cells), len(cells))
 	}
 
 	// Identical results, in the same grid order.
@@ -210,19 +239,15 @@ func TestConcurrentDuplicateSubmissions(t *testing.T) {
 		t.Error("duplicate submissions returned different results")
 	}
 
-	// The grid executed exactly once: 4 unique cells → 4 simulations, no
-	// matter how the 8 cell executions split between fresh runs, merges,
+	// The grid executed exactly once: one simulation per unique cell, no
+	// matter how the cell executions split between fresh runs, merges,
 	// and cache hits.
-	if rs, _ := s.runnerStats(); rs.Simulated != 4 {
-		t.Errorf("Simulated = %d, want 4 (grid must execute exactly once)", rs.Simulated)
+	if rs, _ := s.runnerStats(); rs.Simulated != uint64(len(cells)) {
+		t.Errorf("Simulated = %d, want %d (grid must execute exactly once)", rs.Simulated, len(cells))
 	}
 
 	// Bit-identical to the equivalent direct-Runner campaign.
-	runner := experiments.NewRunner(s.DefaultOptions())
-	cells, err := spec.Cells(0)
-	if err != nil {
-		t.Fatalf("Cells: %v", err)
-	}
+	runner := experiments.NewRunner(opts)
 	for i, cell := range cells {
 		want, err := runner.RunCell(context.Background(), cell)
 		if err != nil {
@@ -234,7 +259,7 @@ func TestConcurrentDuplicateSubmissions(t *testing.T) {
 			t.Errorf("cell %s/%s: daemon result differs from direct run",
 				cell.Config.Name, cell.Workload)
 		}
-		if st1.Results[i].Key != cell.Key(s.DefaultOptions()) {
+		if st1.Results[i].Key != cell.Key(opts) {
 			t.Errorf("cell %d: key mismatch", i)
 		}
 	}

@@ -23,7 +23,7 @@
 # Usage: scripts/bench_ab.sh <rev>
 set -euo pipefail
 
-PAIRS=5
+PAIRS=10
 
 [[ $# == 1 ]] || { echo "usage: scripts/bench_ab.sh <rev>" >&2; exit 2; }
 cd "$(git rev-parse --show-toplevel)"
