@@ -89,7 +89,6 @@ func main() {
 		sampWin  = flag.Int("sample-windows", 0, "run experiments with sampled simulation: N measurement windows per run (0 = contiguous)")
 		sampFF   = flag.Uint64("sample-ff", 1_000_000, "functionally fast-forwarded instructions between sampled windows")
 		parWin   = flag.Int("parallel-windows", 0, "sampled windows simulated concurrently per run (0/1 = serial, -1 = GOMAXPROCS)")
-		winMajor = flag.Bool("window-major", false, "sampled multi-machine sweeps replay each predecoded window across all machines while hot; never changes results")
 		traceBud = flag.Int64("trace-budget", 0, "byte budget for resident window snapshots + predecoded traces, evicting whole plans LRU-first (0 = unbounded)")
 	)
 	flag.Parse()
@@ -135,7 +134,6 @@ func main() {
 		opts.SampleFastForward = *sampFF
 		opts.ParallelWindows = *parWin
 	}
-	opts.WindowMajor = *winMajor
 	// SIGINT/SIGTERM cancel the campaign: binding the signal context to the
 	// runner reaches every in-flight simulation (each stops within ~1K
 	// cycles), and with -checkpoint the completed runs are already on disk,

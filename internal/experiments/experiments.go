@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -39,7 +40,8 @@ type Options struct {
 	Parallelism int    // concurrent simulations (0 = GOMAXPROCS)
 
 	// Failure handling. Timeout bounds one simulation's wall-clock time
-	// (0 = unbounded); expiry surfaces as simerr.ErrTimeout. Retries is how
+	// (0 = unbounded; a k-cell sweep batch gets k times it); expiry
+	// surfaces as simerr.ErrTimeout. Retries is how
 	// many extra attempts a transient failure (simerr.IsTransient) gets;
 	// deterministic failures — deadlock, invariant violation, panic — are
 	// never retried. RetryBackoff is the first retry's delay, doubled each
@@ -62,13 +64,9 @@ type Options struct {
 	SampleFastForward uint64
 	ParallelWindows   int
 
-	// Trace-replay controls, both result-neutral and therefore excluded
-	// from memo and checkpoint keys. WindowMajor makes sampled sweeps walk
-	// the plan window-major (each predecoded window replays across every
-	// machine variant while it is hot; see RunSweepContext). WindowObserve,
-	// when set, receives each detailed window's wall-clock duration; it must
-	// be safe for concurrent use.
-	WindowMajor   bool
+	// WindowObserve, when set, receives each detailed window's wall-clock
+	// duration; it must be safe for concurrent use. Result-neutral, so it
+	// stays out of memo and checkpoint keys.
 	WindowObserve func(time.Duration)
 }
 
@@ -265,9 +263,8 @@ func (r *Runner) SnapshotStats() sampling.StoreStats { return r.snaps.Stats() }
 
 func cfgKey(cfg pipeline.Config, wl string, o Options) string {
 	// ParallelWindows (like Parallelism) changes scheduling, never results,
-	// so it stays out of the key — as do WindowMajor and WindowObserve,
-	// which are bit-identical by construction; the sampling geometry
-	// changes what is measured and must be part of it.
+	// so it stays out of the key — as does WindowObserve; the sampling
+	// geometry changes what is measured and must be part of it.
 	key := fmt.Sprintf("%s|%d|%d|%+v", wl, o.Warmup, o.Measure, cfg)
 	if o.Sampled() {
 		key += fmt.Sprintf("|sw%d|ff%d", o.SampleWindows, o.SampleFastForward)
@@ -297,113 +294,14 @@ func (r *Runner) Run(cfg pipeline.Config, wl string) (pipeline.Result, error) {
 // or checkpoint when possible. Failures are typed (see internal/simerr):
 // transient ones are retried with exponential backoff up to Options.Retries
 // times; panics are recovered into *simerr.PanicError; a per-simulation
-// Options.Timeout surfaces as simerr.ErrTimeout.
+// Options.Timeout surfaces as simerr.ErrTimeout. It is the one-cell batch
+// of runBatch and runs on the calling goroutine.
 func (r *Runner) RunContext(ctx context.Context, cfg pipeline.Config, wl string) (pipeline.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	res, errs := r.runBatch(ctx, []pipeline.Config{cfg}, wl)
+	if errs[0] != nil {
+		return pipeline.Result{}, errs[0]
 	}
-	ctx, unbind := r.withBase(ctx)
-	defer unbind()
-	key := cfgKey(cfg, wl, r.opts)
-	if res, ok := r.memoLoad(key); ok {
-		atomic.AddUint64(&r.stats.MemoHits, 1)
-		return res, nil
-	}
-
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		return pipeline.Result{}, RunError{Workload: wl, Config: cfg.Name, Err: ctx.Err()}
-	}
-	defer func() { <-r.sem }()
-
-	// Re-check: another goroutine may have filled it while we waited.
-	if res, ok := r.memoLoad(key); ok {
-		atomic.AddUint64(&r.stats.MemoHits, 1)
-		return res, nil
-	}
-	if r.ckpt != nil {
-		if res, ok := r.ckpt.load(key); ok {
-			atomic.AddUint64(&r.stats.CheckpointHits, 1)
-			r.memoStore(key, res)
-			return res, nil
-		}
-	}
-
-	prog, err := workload.Program(wl)
-	if err != nil {
-		return pipeline.Result{}, err
-	}
-	var res pipeline.Result
-	for attempt := 0; ; attempt++ {
-		res, err = r.simulate(ctx, cfg, prog, wl)
-		if err == nil {
-			break
-		}
-		if !simerr.IsTransient(err) || attempt >= r.opts.Retries || ctx.Err() != nil {
-			atomic.AddUint64(&r.stats.Failures, 1)
-			return pipeline.Result{}, RunError{Workload: wl, Config: cfg.Name, Err: err}
-		}
-		atomic.AddUint64(&r.stats.Retries, 1)
-		select {
-		case <-time.After(r.opts.RetryBackoff << attempt):
-		case <-ctx.Done():
-			return pipeline.Result{}, RunError{Workload: wl, Config: cfg.Name, Err: ctx.Err()}
-		}
-	}
-	r.memoStore(key, res)
-	if r.ckpt != nil {
-		if err := r.ckpt.save(key, wl, cfg.Name, res); err != nil {
-			atomic.AddUint64(&r.stats.CheckpointErrors, 1)
-		}
-	}
-	return res, nil
-}
-
-// simulate is one attempt at one detailed simulation: the worker body the
-// fault-injection harness targets. A panic anywhere below — the timing
-// model included — is recovered into a *simerr.PanicError, failing only
-// this run.
-func (r *Runner) simulate(ctx context.Context, cfg pipeline.Config, prog *isa.Program, wl string) (res pipeline.Result, err error) {
-	if r.opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.opts.Timeout)
-		defer cancel()
-	}
-	if r.admit != nil {
-		release, aerr := r.admit()
-		if aerr != nil {
-			return pipeline.Result{}, aerr
-		}
-		// Registered before the recover handler so it runs after it (LIFO)
-		// and sees the attempt's final error, panics included.
-		defer func() { release(err) }()
-	}
-	defer func() {
-		if v := recover(); v != nil {
-			err = &simerr.PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	if faultinject.Fire(faultinject.WorkerTransient, wl) {
-		return pipeline.Result{}, simerr.Transient(fmt.Errorf("injected transient worker fault on %s", wl))
-	}
-	if faultinject.Fire(faultinject.WorkerPanic, wl) {
-		panic(fmt.Sprintf("injected worker panic on %s", wl))
-	}
-	atomic.AddUint64(&r.stats.Simulated, 1)
-	if r.opts.Sampled() {
-		plan := r.opts.samplingPlan()
-		windows, err := r.snaps.Windows(ctx, prog, plan)
-		if err != nil {
-			return pipeline.Result{}, err
-		}
-		sres, err := sampling.RunWindows(ctx, cfg, prog, plan, windows)
-		if err != nil {
-			return pipeline.Result{}, err
-		}
-		return sres.Merged(), nil
-	}
-	return pipeline.RunProgramContext(ctx, cfg, prog, r.opts.Warmup, r.opts.Measure)
+	return res[0], nil
 }
 
 // RunSweep is RunSweepContext with a background context.
@@ -412,182 +310,21 @@ func (r *Runner) RunSweep(cfgs []pipeline.Config, wl string) ([]pipeline.Result,
 }
 
 // RunSweepContext simulates workload wl across several machine
-// configurations as one batch. With Options.WindowMajor on a sampled
-// campaign it schedules the batch window-major: the shared store plans (and
-// predecodes) the windows once, then each window replays across every
-// machine variant while its trace is resident — one Runner.Parallelism slot
-// covers the whole sweep, whose internal concurrency is ParallelWindows
-// workers over machines. Memoized and checkpointed per cell with the same
-// keys as RunContext, so a sweep and individual runs interconvert freely; a
-// cell that fails inside the sweep (or the whole batch when window-major
-// scheduling does not apply) falls back to RunContext, which carries the
-// retry and typed-failure machinery. Results are indexed like cfgs; the
-// error, when non-nil, is a *CampaignError listing the failed cells.
+// configurations. A sampled sweep runs as one batch under one Parallelism
+// slot: the shared store plans (and predecodes) the windows once, and
+// sampling.RunSweep replays each window across every machine while its
+// trace is resident, ParallelWindows workers wide. Anything else runs cell
+// by cell. Memoized and checkpointed per cell with the same keys as
+// RunContext, so a sweep and individual runs interconvert freely. Results
+// are indexed like cfgs; the error, when non-nil, is a *CampaignError
+// listing the failed cells.
 func (r *Runner) RunSweepContext(ctx context.Context, cfgs []pipeline.Config, wl string) ([]pipeline.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	if !r.opts.Sampled() {
+		results, errs := r.fanOut(ctx, Grid(cfgs, []string{wl}))
+		return results, campaignError(runErrors(errs))
 	}
-	results := make([]pipeline.Result, len(cfgs))
-	var failures []RunError
-
-	fallback := func(idxs []int) {
-		type out struct {
-			i   int
-			res pipeline.Result
-			err error
-		}
-		ch := make(chan out, len(idxs))
-		for _, i := range idxs {
-			i := i
-			go func() {
-				res, err := r.RunContext(ctx, cfgs[i], wl)
-				ch <- out{i, res, err}
-			}()
-		}
-		for range idxs {
-			o := <-ch
-			if o.err != nil {
-				re, ok := o.err.(RunError)
-				if !ok {
-					re = RunError{Workload: wl, Config: cfgs[o.i].Name, Err: o.err}
-				}
-				failures = append(failures, re)
-				continue
-			}
-			results[o.i] = o.res
-		}
-	}
-
-	missing, err := r.sweepBatch(ctx, cfgs, wl, results)
-	if err != nil {
-		// Batch-level failure (planning, admission): every missing cell
-		// shares it, but each still gets an individual attempt below.
-	}
-	if len(missing) > 0 {
-		fallback(missing)
-	}
-	sort.Slice(failures, func(i, j int) bool { return failures[i].Config < failures[j].Config })
-	return results, campaignError(failures)
-}
-
-// sweepBatch answers what it can from the memo cache and checkpoint, runs
-// the rest window-major under one parallelism slot, and returns the indices
-// it could not complete (to be retried cell-by-cell by the caller).
-func (r *Runner) sweepBatch(ctx context.Context, cfgs []pipeline.Config, wl string, results []pipeline.Result) ([]int, error) {
-	all := make([]int, 0, len(cfgs))
-	for i := range cfgs {
-		all = append(all, i)
-	}
-	if !r.opts.Sampled() || !r.opts.WindowMajor || len(cfgs) < 2 {
-		return all, nil
-	}
-	ctx, unbind := r.withBase(ctx)
-	defer unbind()
-
-	var missing []int
-	for _, i := range all {
-		if res, ok := r.memoLoad(cfgKey(cfgs[i], wl, r.opts)); ok {
-			atomic.AddUint64(&r.stats.MemoHits, 1)
-			results[i] = res
-		} else {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) == 0 {
-		return nil, nil
-	}
-
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		return missing, ctx.Err()
-	}
-	defer func() { <-r.sem }()
-
-	// Re-check under the slot: a concurrent run or sweep may have filled
-	// cells while we waited, and the checkpoint may hold the rest.
-	pending := missing[:0]
-	for _, i := range missing {
-		key := cfgKey(cfgs[i], wl, r.opts)
-		if res, ok := r.memoLoad(key); ok {
-			atomic.AddUint64(&r.stats.MemoHits, 1)
-			results[i] = res
-			continue
-		}
-		if r.ckpt != nil {
-			if res, ok := r.ckpt.load(key); ok {
-				atomic.AddUint64(&r.stats.CheckpointHits, 1)
-				r.memoStore(key, res)
-				results[i] = res
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return nil, nil
-	}
-
-	// One admission covers the whole batched execution; a refusal fails
-	// every pending cell at once (each then gets an individually admitted
-	// retry via the caller's fallback, which fails fast the same way).
-	var release func(error)
-	if r.admit != nil {
-		var aerr error
-		release, aerr = r.admit()
-		if aerr != nil {
-			return pending, aerr
-		}
-	}
-	prog, err := workload.Program(wl)
-	if err != nil {
-		if release != nil {
-			release(err)
-		}
-		return pending, err
-	}
-	plan := r.opts.samplingPlan()
-	windows, err := r.snaps.Windows(ctx, prog, plan)
-	if err != nil {
-		if release != nil {
-			release(err)
-		}
-		return pending, err
-	}
-	runCfgs := make([]pipeline.Config, len(pending))
-	for k, i := range pending {
-		runCfgs[k] = cfgs[i]
-	}
-	atomic.AddUint64(&r.stats.Simulated, uint64(len(runCfgs)))
-	sres, errs := sampling.RunSweep(ctx, runCfgs, prog, plan, windows)
-	if release != nil {
-		var first error
-		for _, e := range errs {
-			if e != nil {
-				first = e
-				break
-			}
-		}
-		release(first)
-	}
-
-	var retry []int
-	for k, i := range pending {
-		if errs[k] != nil {
-			retry = append(retry, i)
-			continue
-		}
-		res := sres[k].Merged()
-		results[i] = res
-		key := cfgKey(cfgs[i], wl, r.opts)
-		r.memoStore(key, res)
-		if r.ckpt != nil {
-			if err := r.ckpt.save(key, wl, cfgs[i].Name, res); err != nil {
-				atomic.AddUint64(&r.stats.CheckpointErrors, 1)
-			}
-		}
-	}
-	return retry, nil
+	results, errs := r.runBatch(ctx, cfgs, wl)
+	return results, campaignError(runErrors(errs))
 }
 
 // RunAll simulates every named workload on cfg concurrently and returns
@@ -602,36 +339,232 @@ func (r *Runner) RunAll(cfg pipeline.Config, names []string) (map[string]pipelin
 // holds every run that completed; the error, when non-nil, is a
 // *CampaignError whose Failures list the rest.
 func (r *Runner) RunAllContext(ctx context.Context, cfg pipeline.Config, names []string) (map[string]pipeline.Result, error) {
-	type out struct {
-		name string
-		res  pipeline.Result
-		err  error
-	}
-	ch := make(chan out, len(names))
-	for _, name := range names {
-		name := name
-		go func() {
-			res, err := r.RunContext(ctx, cfg, name)
-			ch <- out{name, res, err}
-		}()
-	}
+	res, errs := r.fanOut(ctx, Grid([]pipeline.Config{cfg}, names))
 	results := make(map[string]pipeline.Result, len(names))
-	var failures []RunError
-	for range names {
-		o := <-ch
-		if o.err != nil {
-			// RunContext already returns typed RunErrors; keep them as-is
-			// so the report carries each failure's context exactly once.
-			re, ok := o.err.(RunError)
-			if !ok {
-				re = RunError{Workload: o.name, Config: cfg.Name, Err: o.err}
+	for i, name := range names {
+		if errs[i] == nil {
+			results[name] = res[i]
+		}
+	}
+	return results, campaignError(runErrors(errs))
+}
+
+// fanOut runs each cell as its own one-cell attempt, concurrently; a lone
+// cell runs on the calling goroutine. Results and errors are indexed like
+// cells.
+func (r *Runner) fanOut(ctx context.Context, cells []Cell) ([]pipeline.Result, []error) {
+	results := make([]pipeline.Result, len(cells))
+	errs := make([]error, len(cells))
+	one := func(i int) { results[i], errs[i] = r.RunCell(ctx, cells[i]) }
+	if len(cells) == 1 {
+		one(0)
+		return results, errs
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(cells))
+	for i := range cells {
+		go func() { defer wg.Done(); one(i) }()
+	}
+	wg.Wait()
+	return results, errs
+}
+
+// runErrors collects the non-nil RunErrors of a batch.
+func runErrors(errs []error) []RunError {
+	var out []RunError
+	for _, err := range errs {
+		if err != nil {
+			out = append(out, err.(RunError))
+		}
+	}
+	return out
+}
+
+// runBatch runs cells of one workload: memo probe, one Parallelism slot,
+// then attempts until every cell succeeded or failed for good. Only cells
+// that failed transiently are retried, with exponential backoff, up to
+// Options.Retries times. Results and errors are indexed like cfgs; every
+// error is a RunError.
+func (r *Runner) runBatch(ctx context.Context, cfgs []pipeline.Config, wl string) ([]pipeline.Result, []error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, unbind := r.withBase(ctx)
+	defer unbind()
+	results := make([]pipeline.Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	keys := make([]string, len(cfgs))
+	var pending []int
+	for i, cfg := range cfgs {
+		keys[i] = cfgKey(cfg, wl, r.opts)
+		if res, ok := r.memoLoad(keys[i]); ok {
+			atomic.AddUint64(&r.stats.MemoHits, 1)
+			results[i] = res
+		} else {
+			pending = append(pending, i)
+		}
+	}
+	fail := func(idxs []int, err error) ([]pipeline.Result, []error) {
+		for _, i := range idxs {
+			errs[i] = RunError{Workload: wl, Config: cfgs[i].Name, Err: err}
+		}
+		return results, errs
+	}
+	if len(pending) == 0 {
+		return results, errs
+	}
+
+	select {
+	case r.sem <- struct{}{}:
+	case <-ctx.Done():
+		return fail(pending, ctx.Err())
+	}
+	defer func() { <-r.sem }()
+
+	prog, err := workload.Program(wl)
+	if err != nil {
+		return fail(pending, err)
+	}
+	for attempt := 0; ; attempt++ {
+		r.attempt(ctx, cfgs, keys, wl, prog, pending, results, errs)
+		var retry []int
+		for _, i := range pending {
+			if errs[i] == nil {
+				continue
 			}
-			failures = append(failures, re)
+			if !simerr.IsTransient(errs[i]) || attempt >= r.opts.Retries || ctx.Err() != nil {
+				atomic.AddUint64(&r.stats.Failures, 1)
+				fail([]int{i}, errs[i])
+				continue
+			}
+			retry = append(retry, i)
+		}
+		if len(retry) == 0 {
+			return results, errs
+		}
+		atomic.AddUint64(&r.stats.Retries, uint64(len(retry)))
+		select {
+		case <-time.After(r.opts.RetryBackoff << attempt):
+		case <-ctx.Done():
+			return fail(retry, ctx.Err())
+		}
+		pending = retry
+	}
+}
+
+// attempt runs the pending cells once, under the caller's slot: it
+// re-probes the memo cache and checkpoint (another run may have filled a
+// cell while this one waited), simulates the rest as one batch, and stores
+// what succeeded. It sets errs[i] for every pending cell, nil on success.
+func (r *Runner) attempt(ctx context.Context, cfgs []pipeline.Config, keys []string, wl string, prog *isa.Program, pending []int, results []pipeline.Result, errs []error) {
+	var run []int
+	var runCfgs []pipeline.Config
+	for _, i := range pending {
+		errs[i] = nil
+		if res, ok := r.memoLoad(keys[i]); ok {
+			atomic.AddUint64(&r.stats.MemoHits, 1)
+			results[i] = res
 			continue
 		}
-		results[o.name] = o.res
+		if r.ckpt != nil {
+			if res, ok := r.ckpt.load(keys[i]); ok {
+				atomic.AddUint64(&r.stats.CheckpointHits, 1)
+				r.memoStore(keys[i], res)
+				results[i] = res
+				continue
+			}
+		}
+		run = append(run, i)
+		runCfgs = append(runCfgs, cfgs[i])
 	}
-	return results, campaignError(failures)
+	if len(run) == 0 {
+		return
+	}
+	sres, serrs := r.simulate(ctx, runCfgs, prog, wl)
+	for k, i := range run {
+		if errs[i] = serrs[k]; errs[i] != nil {
+			continue
+		}
+		results[i] = sres[k]
+		r.memoStore(keys[i], sres[k])
+		if r.ckpt != nil {
+			if err := r.ckpt.save(keys[i], wl, cfgs[i].Name, sres[k]); err != nil {
+				atomic.AddUint64(&r.stats.CheckpointErrors, 1)
+			}
+		}
+	}
+}
+
+// simulate is one detailed execution of a batch of cells: the worker body
+// the fault-injection harness targets. One admission covers the batch, the
+// timeout is Options.Timeout per cell, and a panic anywhere below — the
+// timing model included — is recovered into a *simerr.PanicError failing
+// every cell of the batch. Contiguous cells run one after another; sampled
+// ones go to sampling.RunSweep over the shared plan.
+func (r *Runner) simulate(ctx context.Context, cfgs []pipeline.Config, prog *isa.Program, wl string) (res []pipeline.Result, errs []error) {
+	res = make([]pipeline.Result, len(cfgs))
+	errs = make([]error, len(cfgs))
+	failAll := func(err error) {
+		for i := range errs {
+			errs[i] = err
+		}
+	}
+	if r.admit != nil {
+		release, aerr := r.admit()
+		if aerr != nil {
+			failAll(aerr)
+			return res, errs
+		}
+		// Registered before the recover handler so it runs after it (LIFO)
+		// and sees the attempt's final errors, panics included.
+		defer func() { release(errors.Join(errs...)) }()
+	}
+	if r.opts.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.opts.Timeout*time.Duration(len(cfgs)))
+		defer cancel()
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			pe, ok := v.(*simerr.PanicError) // a window worker's, with its own stack
+			if !ok {
+				pe = &simerr.PanicError{Value: v, Stack: debug.Stack()}
+			}
+			failAll(pe)
+		}
+	}()
+	if faultinject.Fire(faultinject.WorkerTransient, wl) {
+		failAll(simerr.Transient(fmt.Errorf("injected transient worker fault on %s", wl)))
+		return res, errs
+	}
+	if faultinject.Fire(faultinject.WorkerPanic, wl) {
+		panic(fmt.Sprintf("injected worker panic on %s", wl))
+	}
+	atomic.AddUint64(&r.stats.Simulated, uint64(len(cfgs)))
+	if !r.opts.Sampled() {
+		for i, cfg := range cfgs {
+			res[i], errs[i] = pipeline.RunProgramContext(ctx, cfg, prog, r.opts.Warmup, r.opts.Measure)
+		}
+		return res, errs
+	}
+	plan := r.opts.samplingPlan()
+	windows, err := r.snaps.Windows(ctx, prog, plan)
+	if errors.Is(err, context.DeadlineExceeded) {
+		// Planning ran out the simulation budget: the same typed timeout
+		// the timing model reports.
+		err = fmt.Errorf("%w: %w", simerr.ErrTimeout, err)
+	}
+	if err != nil {
+		failAll(err)
+		return res, errs
+	}
+	sres, serrs := sampling.RunSweep(ctx, cfgs, prog, plan, windows)
+	for i := range cfgs {
+		if errs[i] = serrs[i]; errs[i] == nil {
+			res[i] = sres[i].Merged()
+		}
+	}
+	return res, errs
 }
 
 // Classification splits the suite by measured base-machine branch MPKI.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -76,22 +77,41 @@ func TestPanicFailsOnlyItsRun(t *testing.T) {
 	}
 }
 
-// TestTransientFailureRetried: a transient fault must be absorbed by the
-// retry loop without surfacing to the caller.
-func TestTransientFailureRetried(t *testing.T) {
-	defer faultinject.Reset()
-	faultinject.Arm(faultinject.WorkerTransient, "crypto", 2)
+// faultCases: one contiguous cell, and a sampled two-machine sweep run as one batch.
+var faultCases = []struct {
+	name, wl string
+	opts     Options
+	cfgs     []pipeline.Config
+}{
+	{"run", "crypto", Options{Retries: 3, RetryBackoff: time.Millisecond}, []pipeline.Config{pipeline.BaseConfig()}},
+	{"sampled-sweep", "parser", Options{SampleWindows: 2, SampleFastForward: 20_000, Retries: 3, RetryBackoff: time.Millisecond},
+		[]pipeline.Config{pipeline.BaseConfig(), pipeline.PUBSConfig()}},
+}
 
-	r := faultRunner(Options{Retries: 3, RetryBackoff: time.Millisecond})
-	if _, err := r.Run(pipeline.BaseConfig(), "crypto"); err != nil {
-		t.Fatalf("transient fault not absorbed: %v", err)
-	}
-	st := r.Stats()
-	if st.Retries != 2 {
-		t.Errorf("retries = %d, want 2", st.Retries)
-	}
-	if st.Failures != 0 {
-		t.Errorf("failures = %d, want 0", st.Failures)
+// TestTransientFailureRetried: a transient fault must be absorbed by the
+// retry loop without surfacing to the caller; each faulted attempt retries
+// every cell it covered.
+func TestTransientFailureRetried(t *testing.T) {
+	for _, tc := range faultCases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			want, err := faultRunner(tc.opts).RunSweep(tc.cfgs, tc.wl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faultinject.Arm(faultinject.WorkerTransient, tc.wl, 2)
+			r := faultRunner(tc.opts)
+			got, err := r.RunSweep(tc.cfgs, tc.wl)
+			if err != nil {
+				t.Fatalf("transient fault not absorbed: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("retried results differ from an unfaulted run")
+			}
+			if st := r.Stats(); st.Retries != uint64(2*len(tc.cfgs)) || st.Failures != 0 {
+				t.Errorf("retries = %d, failures = %d; want %d and 0", st.Retries, st.Failures, 2*len(tc.cfgs))
+			}
+		})
 	}
 }
 
@@ -131,11 +151,23 @@ func TestDeterministicFailureNotRetried(t *testing.T) {
 }
 
 // TestPerSimulationTimeout: an already-expired per-run budget surfaces as
-// ErrTimeout through the runner.
+// ErrTimeout on every cell through the runner.
 func TestPerSimulationTimeout(t *testing.T) {
-	r := faultRunner(Options{Timeout: time.Nanosecond})
-	if _, err := r.Run(pipeline.BaseConfig(), "crypto"); !errors.Is(err, simerr.ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
+	for _, tc := range faultCases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tc.opts
+			o.Timeout = time.Nanosecond
+			_, err := faultRunner(o).RunSweep(tc.cfgs, tc.wl)
+			var ce *CampaignError
+			if !errors.As(err, &ce) || len(ce.Failures) != len(tc.cfgs) {
+				t.Fatalf("err = %v, want all %d cells failed", err, len(tc.cfgs))
+			}
+			for _, f := range ce.Failures {
+				if !errors.Is(f, simerr.ErrTimeout) {
+					t.Errorf("err = %v, want ErrTimeout", f)
+				}
+			}
+		})
 	}
 }
 

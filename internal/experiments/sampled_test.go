@@ -125,12 +125,10 @@ func TestSampledCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestWindowMajorSweepBitIdentical: a window-major sweep produces, per
-// cell, exactly what individual (non-window-major) runs produce, pays one
-// fast-forward pass, memoizes every cell, and interoperates with the
-// checkpoint.
+// cell, exactly what individual runs produce, pays one fast-forward pass,
+// memoizes every cell, and interoperates with the checkpoint.
 func TestWindowMajorSweepBitIdentical(t *testing.T) {
 	opts := sampledOpts()
-	opts.WindowMajor = true
 	dir := t.TempDir()
 	r, err := NewRunner(opts).WithCheckpoint(dir)
 	if err != nil {
@@ -185,8 +183,8 @@ func TestWindowMajorSweepBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepWithoutWindowMajor: RunSweep without WindowMajor falls back to
-// per-cell scheduling with identical results.
+// TestSweepWithoutWindowMajor: a batched sampled sweep of compress equals
+// single runs of each machine.
 func TestSweepWithoutWindowMajor(t *testing.T) {
 	r := NewRunner(sampledOpts())
 	cfgs := []pipeline.Config{pipeline.BaseConfig(), pipeline.PUBSConfig()}
@@ -201,7 +199,7 @@ func TestSweepWithoutWindowMajor(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("%s: fallback sweep diverged from individual run", cfg.Name)
+			t.Fatalf("%s: batched sweep diverged from individual run", cfg.Name)
 		}
 	}
 }

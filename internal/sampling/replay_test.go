@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
+	"repro/internal/simerr"
 	"repro/internal/workload"
 )
 
@@ -41,21 +43,16 @@ func traceVsLive(t *testing.T, cfg pipeline.Config, prog *isa.Program, plan Conf
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunWindows(ctx, cfg, prog, plan, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: trace replay diverged from live decode:\n got %+v\nwant %+v", cfg.Name, got, want)
-	}
-	par := plan
-	par.Parallel = 4
-	gotPar, err := RunWindows(ctx, cfg, prog, par, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotPar, want) {
-		t.Fatalf("%s: parallel trace replay diverged from live decode", cfg.Name)
+	for _, workers := range []int{plan.Parallel, 4} {
+		p := plan
+		p.Parallel = workers
+		got, err := RunWindows(ctx, cfg, prog, p, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s workers=%d: trace replay diverged from live decode:\n got %+v\nwant %+v", cfg.Name, workers, got, want)
+		}
 	}
 }
 
@@ -71,9 +68,10 @@ func TestTraceBitIdenticalToLiveDecode(t *testing.T) {
 	}
 }
 
-// TestRunSweepBitIdenticalToRunWindows: the window-major sweep scheduler
-// must produce, per machine, exactly what RunWindows produces for that
-// machine alone — serially and with a worker pool.
+// TestRunSweepBitIdenticalToRunWindows: the window scheduler must produce,
+// per machine, exactly what a serial loop of fresh runWindow calls folded
+// by mergeWindows produces — serially and with worker pools; with 8 workers
+// two windows of one machine run at once.
 func TestRunSweepBitIdenticalToRunWindows(t *testing.T) {
 	prog := workload.MustProgram("parser")
 	plan := Config{Windows: 3, FastForward: 30_000, Warmup: 5_000, Measure: 10_000}
@@ -94,11 +92,15 @@ func TestRunSweepBitIdenticalToRunWindows(t *testing.T) {
 
 	want := make([]Result, len(cfgs))
 	for i, cfg := range cfgs {
-		if want[i], err = RunWindows(ctx, cfg, prog, plan, windows); err != nil {
+		results, errs := make([]pipeline.Result, len(windows)), make([]error, len(windows))
+		for wi, w := range windows {
+			results[wi], errs[wi] = runWindow(ctx, cfg, prog, plan, w)
+		}
+		if want[i], err = mergeWindows(windows, results, errs); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, workers := range []int{0, 3} {
+	for _, workers := range []int{0, 3, 8} {
 		p := plan
 		p.Parallel = workers
 		got, errs := RunSweep(ctx, cfgs, prog, p, windows)
@@ -107,10 +109,18 @@ func TestRunSweepBitIdenticalToRunWindows(t *testing.T) {
 				t.Fatalf("workers=%d %s: %v", workers, cfgs[i].Name, errs[i])
 			}
 			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("workers=%d %s: sweep result diverged from RunWindows", workers, cfgs[i].Name)
+				t.Fatalf("workers=%d %s: sweep result diverged from the serial reference", workers, cfgs[i].Name)
 			}
 		}
 	}
+	// A pool worker's panic reaches the caller carrying the panicking frame.
+	plan.Parallel, plan.Observe = 3, func(time.Duration) { panic("observe") }
+	defer func() {
+		if pe, ok := recover().(*simerr.PanicError); !ok || !bytes.Contains(pe.Stack, []byte("TestRunSweepBitIdenticalToRunWindows.func")) {
+			t.Fatalf("workers=3: want a PanicError with the hook's stack, got %v", pe)
+		}
+	}()
+	RunSweep(ctx, cfgs, prog, plan, windows)
 }
 
 // TestRunSweepHaltingProgram: a program that ends mid-plan must truncate

@@ -11,7 +11,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/emu"
@@ -28,12 +30,12 @@ type Config struct {
 	Warmup      uint64 // detailed (timed, uncounted) instructions per window
 	Measure     uint64 // measured instructions per window
 
-	// Parallel is the number of windows simulated concurrently. 0 or 1 runs
-	// the serial reference path; a negative value means one worker per
-	// processor (runtime.GOMAXPROCS). Window placement is purely functional
-	// and shared between the serial and parallel paths, so Parallel never
-	// changes the Result — only how fast it is computed. It is deliberately
-	// excluded from plan keys (see Store) for the same reason.
+	// Parallel is the number of detailed windows simulated concurrently
+	// (see RunSweep). 0 or 1 runs them serially on the calling goroutine; a
+	// negative value means one worker per processor (runtime.GOMAXPROCS).
+	// Window placement is purely functional and fixed up front, so Parallel
+	// never changes the Result — only how fast it is computed. It is
+	// deliberately excluded from plan keys (see Store) for the same reason.
 	Parallel int
 
 	// Observe, when set, receives the wall-clock duration of each detailed
@@ -193,140 +195,18 @@ func runWindow(ctx context.Context, cfg pipeline.Config, prog *isa.Program, plan
 	return sim.RunContext(ctx, pipeline.Stream{M: m}, plan.Warmup, plan.Measure)
 }
 
-// windowRunner executes windows for one machine configuration. It feeds
-// the recorded predecode buffer to the simulator's trace front end and
-// keeps one pooled simulator alive across windows (Reset between runs —
-// bit-identical to fresh construction, but construction is paid once per
-// sweep instead of once per window). A window without a trace falls back
-// to the fresh-everything runWindow path. Not safe for concurrent use; the
-// worker-pool paths build one runner per worker.
-type windowRunner struct {
-	cfg  pipeline.Config
-	prog *isa.Program
-	plan Config
-	sd   *emu.StaticDecode
-	sim  *pipeline.Sim // pooled; nil until the first trace window
-}
-
-func newWindowRunner(cfg pipeline.Config, prog *isa.Program, plan Config) *windowRunner {
-	return &windowRunner{cfg: cfg, prog: prog, plan: plan, sd: emu.NewStaticDecode(prog.Code)}
-}
-
-func (wr *windowRunner) run(ctx context.Context, w Window) (pipeline.Result, error) {
-	if wr.plan.Observe == nil {
-		return wr.runWindow(ctx, w)
-	}
-	t0 := time.Now()
-	res, err := wr.runWindow(ctx, w)
-	wr.plan.Observe(time.Since(t0))
-	return res, err
-}
-
-func (wr *windowRunner) runWindow(ctx context.Context, w Window) (pipeline.Result, error) {
-	if w.Pre == nil {
-		return runWindow(ctx, wr.cfg, wr.prog, wr.plan, w)
-	}
-	sim := wr.sim
-	if sim == nil {
-		var err error
-		sim, err = pipeline.New(wr.cfg)
-		if err != nil {
-			return pipeline.Result{}, err
-		}
-		if !wr.cfg.Profile {
-			// Profile runs return live pointers to the simulator's occupancy
-			// histogram and branch profile; pooling would alias them across
-			// window results, so profiled windows keep a fresh Sim each.
-			wr.sim = sim
-		}
-	} else {
-		sim.Reset()
-	}
-	sim.SetStaticCode(wr.prog.Code)
-	pre, snap := w.Pre, w.Snap
-	rp := &pipeline.Replay{
-		Pre:    pre,
-		Decode: wr.sd,
-		Fallback: func() (pipeline.InstStream, error) {
-			// Fetch overran the recorded slack (pathologically deep
-			// front end): continue on a live machine positioned at the
-			// first unrecorded instruction.
-			m, err := emu.NewFromSnapshot(wr.prog, snap)
-			if err != nil {
-				return nil, err
-			}
-			m.Run(uint64(pre.Len()))
-			return pipeline.Stream{M: m}, nil
-		},
-	}
-	return sim.RunContext(ctx, rp, wr.plan.Warmup, wr.plan.Measure)
-}
-
 // RunWindows executes pre-placed windows (from PlanWindows or a shared
-// Store) against one machine configuration and merges the per-window
-// accumulators in window order. With plan.Parallel > 1 the windows run on
-// a worker pool; because placement is fixed up front and the merge only
-// sums counters indexed by window, the Result is bit-identical to the
-// serial path regardless of completion order.
+// Store) against one machine configuration: RunSweep over that one config.
 func RunWindows(ctx context.Context, cfg pipeline.Config, prog *isa.Program, plan Config, windows []Window) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := plan.Validate(); err != nil {
-		return Result{}, err
-	}
-	if len(windows) == 0 {
-		return Result{}, fmt.Errorf("sampling: program ended before any window completed")
-	}
-
-	results := make([]pipeline.Result, len(windows))
-	errs := make([]error, len(windows))
-	if workers := plan.workers(len(windows)); workers <= 1 {
-		wr := newWindowRunner(cfg, prog, plan)
-		for i, w := range windows {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				break
-			}
-			results[i], errs[i] = wr.run(ctx, w)
-			if errs[i] != nil {
-				break
-			}
-			if results[i].Committed == 0 {
-				break // program ended inside this window; later ones are unreachable
-			}
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for k := 0; k < workers; k++ {
-			go func() {
-				defer wg.Done()
-				wr := newWindowRunner(cfg, prog, plan)
-				for i := range jobs {
-					if err := ctx.Err(); err != nil {
-						errs[i] = err
-						continue
-					}
-					results[i], errs[i] = wr.run(ctx, windows[i])
-				}
-			}()
-		}
-		for i := range windows {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
-	return mergeWindows(windows, results, errs)
+	outs, errs := RunSweep(ctx, []pipeline.Config{cfg}, prog, plan, windows)
+	return outs[0], errs[0]
 }
 
 // mergeWindows folds per-window results in window order with the serial
 // path's truncation semantics: the first failed window returns the
 // completed prefix alongside the error, and the first empty window (the
-// program ended inside it) ends the plan. Shared by RunWindows and
-// RunSweep so the two schedulers cannot drift.
+// program ended inside it) ends the plan. Completion order therefore never
+// reaches the Result.
 func mergeWindows(windows []Window, results []pipeline.Result, errs []error) (Result, error) {
 	var out Result
 	for i, w := range windows {
@@ -346,15 +226,18 @@ func mergeWindows(windows []Window, results []pipeline.Result, errs []error) (Re
 	return out, nil
 }
 
-// RunSweep executes pre-placed windows window-major across several machine
-// configurations: the scheduler walks the windows in order and, for each
-// one, replays every machine variant over the shared immutable window
-// payload (snapshot + predecode buffer) before moving on — so a window's
-// trace is touched while it is hot instead of once per machine at arbitrary
-// times. Machines run concurrently on plan.workers(len(cfgs)) workers, and
-// each machine keeps one persistent simulator across all windows. The
-// returned slices are indexed like cfgs; each entry is bit-identical to
-// calling RunWindows with that configuration alone.
+// RunSweep executes pre-placed windows across several machine
+// configurations. It is the one window scheduler: (window, machine) tasks
+// are handed out window-major — each window replays across every machine
+// over the shared immutable payload (snapshot + predecode buffer) while its
+// trace is hot — to plan.Parallel workers, or run as a plain loop on the
+// calling goroutine when Parallel is 0 or 1. Each machine keeps a free list
+// of simulators reused across windows (Reset between runs is bit-identical
+// to fresh construction; profiled configs get a fresh Sim per window, since
+// their results alias the simulator's profile), and takes no later windows
+// after its first error or empty window. The returned slices are indexed
+// like cfgs; each entry is what a serial window-by-window run of that
+// configuration alone produces, whatever the worker count.
 func RunSweep(ctx context.Context, cfgs []pipeline.Config, prog *isa.Program, plan Config, windows []Window) ([]Result, []error) {
 	n := len(cfgs)
 	outs := make([]Result, n)
@@ -378,58 +261,92 @@ func RunSweep(ctx context.Context, cfgs []pipeline.Config, prog *isa.Program, pl
 		ctx = context.Background()
 	}
 
-	runners := make([]*windowRunner, n)
+	sd := emu.NewStaticDecode(prog.Code)
 	results := make([][]pipeline.Result, n)
 	errs := make([][]error, n)
-	for i, cfg := range cfgs {
-		runners[i] = newWindowRunner(cfg, prog, plan)
-		results[i] = make([]pipeline.Result, len(windows))
-		errs[i] = make([]error, len(windows))
+	for mi := range cfgs {
+		results[mi] = make([]pipeline.Result, len(windows))
+		errs[mi] = make([]error, len(windows))
 	}
-	// stopped marks machines whose plan already truncated (error or empty
-	// window): later windows cannot contribute to their merged result.
-	stopped := make([]bool, n)
+	var mu sync.Mutex
+	// stop is each machine's first failed or empty window: later windows
+	// cannot reach its merged result. Only later ones are skipped, so every
+	// window the merge reads has run even when a later one finished first.
+	stop := make([]int, n)
+	for mi := range stop {
+		stop[mi] = len(windows)
+	}
+	free := make([][]*pipeline.Sim, n) // idle simulators per machine
 
-	runOne := func(mi, wi int) {
-		if err := ctx.Err(); err != nil {
-			errs[mi][wi] = err
-			stopped[mi] = true
+	task := func(t int) {
+		wi, mi := t/n, t%n
+		mu.Lock()
+		if wi > stop[mi] {
+			mu.Unlock()
 			return
 		}
-		results[mi][wi], errs[mi][wi] = runners[mi].run(ctx, windows[wi])
-		if errs[mi][wi] != nil || results[mi][wi].Committed == 0 {
-			stopped[mi] = true
+		var sim *pipeline.Sim
+		if k := len(free[mi]); k > 0 {
+			sim, free[mi] = free[mi][k-1], free[mi][:k-1]
 		}
+		mu.Unlock()
+
+		var r pipeline.Result
+		err := ctx.Err()
+		if err == nil {
+			t0 := time.Now()
+			r, sim, err = replayWindow(ctx, cfgs[mi], prog, plan, sd, sim, windows[wi])
+			if plan.Observe != nil {
+				plan.Observe(time.Since(t0))
+			}
+		}
+
+		mu.Lock()
+		results[mi][wi], errs[mi][wi] = r, err
+		if (err != nil || r.Committed == 0) && wi < stop[mi] {
+			stop[mi] = wi
+		}
+		if sim != nil && err == nil && !cfgs[mi].Profile {
+			free[mi] = append(free[mi], sim)
+		}
+		mu.Unlock()
 	}
 
-	workers := plan.workers(n)
-	for wi := range windows {
-		if workers <= 1 {
-			for mi := 0; mi < n; mi++ {
-				if !stopped[mi] {
-					runOne(mi, wi)
-				}
-			}
-			continue
+	tasks := len(windows) * n
+	if workers := plan.workers(tasks); workers <= 1 {
+		for t := 0; t < tasks; t++ {
+			task(t)
 		}
-		jobs := make(chan int)
+	} else {
+		var next atomic.Int64
 		var wg sync.WaitGroup
+		var once sync.Once
+		var panicked *simerr.PanicError
 		wg.Add(workers)
 		for k := 0; k < workers; k++ {
 			go func() {
 				defer wg.Done()
-				for mi := range jobs {
-					runOne(mi, wi)
+				defer func() {
+					if v := recover(); v != nil {
+						// The stack is taken here, where it still shows the
+						// frame that panicked; the batch has failed, so no
+						// worker starts another task.
+						once.Do(func() { panicked = &simerr.PanicError{Value: v, Stack: debug.Stack()} })
+						next.Store(int64(tasks))
+					}
+				}()
+				for t := int(next.Add(1) - 1); t < tasks; t = int(next.Add(1) - 1) {
+					task(t)
 				}
 			}()
 		}
-		for mi := 0; mi < n; mi++ {
-			if !stopped[mi] {
-				jobs <- mi
-			}
+		wg.Wait()
+		if panicked != nil {
+			// Re-raised on the caller's goroutine, where its recover (the
+			// experiment runner's) can see it; on a worker it would end the
+			// process.
+			panic(panicked)
 		}
-		close(jobs)
-		wg.Wait() // window barrier: the next window starts only when all machines finish this one
 	}
 
 	for mi := range cfgs {
@@ -438,14 +355,51 @@ func RunSweep(ctx context.Context, cfgs []pipeline.Config, prog *isa.Program, pl
 	return outs, errsOut
 }
 
-// workers resolves plan.Parallel against the window count.
-func (c Config) workers(windows int) int {
+// replayWindow runs one window on cfg. A traced window feeds the recorded
+// predecode buffer to the simulator's trace front end on sim (nil builds a
+// fresh one, anything else is Reset first) and returns the simulator for
+// reuse; a window without a trace takes the fresh-everything runWindow path.
+func replayWindow(ctx context.Context, cfg pipeline.Config, prog *isa.Program, plan Config, sd *emu.StaticDecode, sim *pipeline.Sim, w Window) (pipeline.Result, *pipeline.Sim, error) {
+	if w.Pre == nil {
+		res, err := runWindow(ctx, cfg, prog, plan, w)
+		return res, sim, err
+	}
+	if sim == nil {
+		var err error
+		if sim, err = pipeline.New(cfg); err != nil {
+			return pipeline.Result{}, nil, err
+		}
+	} else {
+		sim.Reset()
+	}
+	sim.SetStaticCode(prog.Code)
+	rp := &pipeline.Replay{
+		Pre:    w.Pre,
+		Decode: sd,
+		Fallback: func() (pipeline.InstStream, error) {
+			// Fetch overran the recorded slack (pathologically deep front
+			// end): continue on a live machine positioned at the first
+			// unrecorded instruction.
+			m, err := emu.NewFromSnapshot(prog, w.Snap)
+			if err != nil {
+				return nil, err
+			}
+			m.Run(uint64(w.Pre.Len()))
+			return pipeline.Stream{M: m}, nil
+		},
+	}
+	res, err := sim.RunContext(ctx, rp, plan.Warmup, plan.Measure)
+	return res, sim, err
+}
+
+// workers resolves plan.Parallel against the task count.
+func (c Config) workers(tasks int) int {
 	w := c.Parallel
 	if w < 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > windows {
-		w = windows
+	if w > tasks {
+		w = tasks
 	}
 	if w < 1 {
 		w = 1

@@ -60,7 +60,7 @@ func (j *Job) remoteSpec(idx int) (CampaignSpec, bool) {
 		// Result-neutral scheduling knobs are relayed so the worker runs
 		// the cell the way the submitter asked, but they never enter keys.
 		ParallelWindows: j.opts.ParallelWindows,
-		WindowMajor:     j.opts.WindowMajor,
+		WindowMajor:     j.spec.WindowMajor,
 		Tenant:          j.spec.Tenant,
 		Priority:        j.spec.Priority,
 	}, true

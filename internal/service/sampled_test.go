@@ -198,9 +198,9 @@ func TestEvictedPlanIsNotServed(t *testing.T) {
 	}
 }
 
-// TestWindowMajorSpecKeying: WindowMajor picks a distinct runner but must
-// NOT change cell content keys — results are bit-identical by
-// construction.
+// TestWindowMajorSpecKeying: WindowMajor only shapes a job's tasks, so a
+// window-major and a per-cell job of one geometry share a runner (and its
+// memo), and cell content keys do not change.
 func TestWindowMajorSpecKeying(t *testing.T) {
 	def := testOptions()
 	base := CampaignSpec{
@@ -209,8 +209,8 @@ func TestWindowMajorSpecKeying(t *testing.T) {
 	}
 	wm := base
 	wm.WindowMajor = true
-	if keyFor(base.options(def)) == keyFor(wm.options(def)) {
-		t.Fatal("window-major job shares a runner with per-cell scheduling")
+	if keyFor(base.options(def)) != keyFor(wm.options(def)) {
+		t.Fatal("window-major job does not share a runner with per-cell scheduling")
 	}
 	cells, err := base.Cells(0)
 	if err != nil {

@@ -181,15 +181,14 @@ type Service struct {
 
 // windowKey distinguishes runners by simulation window — including the
 // sampling geometry, so sampled and contiguous jobs (and different sampled
-// geometries) get separate runners and memo caches — plus the scheduling
-// modes, which are fixed per runner even though they never change results;
-// every other option is shared daemon-wide.
+// geometries) get separate runners and memo caches — plus the window
+// concurrency, which is fixed per runner even though it never changes
+// results; every other option is shared daemon-wide.
 type windowKey struct {
 	warmup, measure uint64
 	windows         int
 	fastForward     uint64
 	parallelWindows int
-	windowMajor     bool
 }
 
 func keyFor(o experiments.Options) windowKey {
@@ -197,7 +196,6 @@ func keyFor(o experiments.Options) windowKey {
 		warmup: o.Warmup, measure: o.Measure,
 		windows: o.SampleWindows, fastForward: o.SampleFastForward,
 		parallelWindows: o.ParallelWindows,
-		windowMajor:     o.WindowMajor,
 	}
 }
 
@@ -520,7 +518,7 @@ func (s *Service) executeRecover(t task) {
 // routes cells individually by content address (Remote without
 // RemoteSweep) — each worker daemon then re-applies window-major locally.
 func (s *Service) sweeps(j *Job) bool {
-	return j.opts.WindowMajor && j.opts.Sampled() &&
+	return j.spec.WindowMajor && j.opts.Sampled() &&
 		(s.cfg.Remote == nil || s.cfg.RemoteSweep != nil)
 }
 

@@ -141,11 +141,10 @@ func (m MachineSpec) Config() (pipeline.Config, error) {
 // Warmup+Measure detailed instructions separated by FastForward functional
 // gaps, with the fast-forward paid once per workload and shared across the
 // job's machines. ParallelWindows sets per-cell window concurrency
-// (negative = GOMAXPROCS); it never changes results. WindowMajor schedules
-// a sampled job's machines window-major: each workload's predecoded windows
-// replay across every machine of the grid while the trace is hot, one sweep
-// per worker slot. Neither changes results, so they do not enter result
-// keys.
+// (negative = GOMAXPROCS); it never changes results. WindowMajor only
+// shapes the job's tasks: a sampled job then runs each workload's machines
+// as one sweep task (one runner batch, or one cluster sweep request)
+// instead of one task per cell. Neither enters result keys.
 type CampaignSpec struct {
 	Machines        []MachineSpec `json:"machines"`
 	Workloads       []string      `json:"workloads,omitempty"`
@@ -219,9 +218,6 @@ func (s CampaignSpec) options(def experiments.Options) experiments.Options {
 		o.SampleWindows = s.Windows
 		o.SampleFastForward = s.FastForward
 		o.ParallelWindows = s.ParallelWindows
-	}
-	if s.WindowMajor {
-		o.WindowMajor = true
 	}
 	return o
 }
