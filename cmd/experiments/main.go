@@ -6,8 +6,11 @@
 //	experiments -fig 8,11 -quick    # selected figures, reduced windows
 //	experiments -all -markdown      # EXPERIMENTS.md-style output
 //
-// Figure ids: 8, 9, 10, 11, 12, 13, 15, 16, t3 (Table III), and the
-// ablations aiq (IQ kinds), apred (predictors), atab (table organisation).
+// Experiment ids: wchar (workload characterisation); the figures 8, 9, 10,
+// 11, 12, 13, 15, 16 and t3 (Table III); the ablations aiq (IQ kinds),
+// apred (predictors) and atab (table organisation); and the extensions
+// xdist (distributed IQ), xflex (flexible select), xnrg (energy) and xwp
+// (wrong-path pollution).
 package main
 
 import (
@@ -46,7 +49,9 @@ func wrap[T interface{ Table() string }](f func(*pubsim.Runner) (T, error)) func
 		out := res.Table()
 		if showCharts {
 			if c, ok := any(res).(charter); ok {
-				out += "\n" + c.Chart()
+				if chart := c.Chart(); chart != "" {
+					out += "\n" + chart
+				}
 			}
 		}
 		return out, err
@@ -95,8 +100,10 @@ func main() {
 	showCharts = *charts
 
 	known := map[string]bool{}
+	var ids []string
 	for _, e := range all {
 		known[e.id] = true
+		ids = append(ids, e.id)
 	}
 	want := map[string]bool{}
 	if !*runAll {
@@ -104,14 +111,14 @@ func main() {
 			if id = strings.TrimSpace(id); id == "" {
 				continue
 			} else if !known[id] {
-				fmt.Fprintf(os.Stderr, "experiments: unknown experiment id %q (ids: wchar 8 9 10 11 12 t3 13 15 16 aiq apred atab xdist xflex xnrg xwp)\n", id)
+				fmt.Fprintf(os.Stderr, "experiments: unknown experiment id %q (ids: %s)\n", id, strings.Join(ids, " "))
 				os.Exit(2)
 			} else {
 				want[id] = true
 			}
 		}
 		if len(want) == 0 {
-			fmt.Fprintln(os.Stderr, "experiments: nothing to run; use -all or -fig (ids: wchar 8 9 10 11 12 t3 13 15 16 aiq apred atab xdist xflex xnrg xwp)")
+			fmt.Fprintf(os.Stderr, "experiments: nothing to run; use -all or -fig (ids: %s)\n", strings.Join(ids, " "))
 			os.Exit(2)
 		}
 	}

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/bpred"
+	"repro/internal/core"
 	"repro/internal/iq"
 	"repro/internal/pipeline"
-	"repro/internal/stats"
 )
 
 // The ablations extend the paper's evaluation along axes its design
@@ -14,127 +12,58 @@ import (
 // the footnote-1 alternative predictors, and the §IV table-organisation
 // choices (tagless tables, hash fold width).
 
-// AblationIQRow is one queue organisation.
-type AblationIQRow struct {
-	Kind     string
-	GMDBPPct float64 // geomean IPC change over the random queue, D-BP
-	GMEBPPct float64
-}
-
-// AblationIQResult compares the §III-B1 queue taxonomy: random (baseline),
-// shifting (age-ordered, the Alpha 21264 queue), and circular.
-type AblationIQResult struct {
-	Rows []AblationIQRow
-}
-
-// AblationIQKinds runs the three organisations over the whole suite.
-func AblationIQKinds(r *Runner) (AblationIQResult, error) {
-	cls, err := r.Classify()
-	if err != nil {
-		return AblationIQResult{}, err
+// AblationIQKinds compares the §III-B1 queue taxonomy over the whole suite:
+// the shifting (age-ordered, the Alpha 21264 queue) and circular queues
+// against the random baseline, by geomean IPC change.
+func AblationIQKinds(r *Runner) (Study, error) {
+	s := study{
+		title:   "Ablation — IQ organisations vs the random queue (geomean IPC change)",
+		headers: []string{"queue", "D-BP%", "E-BP%"},
+		set:     suite,
+		cols:    []column{gm(0, clsBase, dbp), gm(0, clsBase, ebp)},
 	}
-	all := append(append([]string{}, cls.DBP...), cls.EBP...)
-	var out AblationIQResult
 	for _, kind := range []iq.Kind{iq.Shifting, iq.Circular} {
-		cfg := pipeline.BaseConfig()
-		cfg.Name = "base-" + kind.String()
-		cfg.IQKind = kind
-		res, err := r.RunAll(cfg, all)
-		if err != nil {
-			return AblationIQResult{}, err
-		}
-		out.Rows = append(out.Rows, AblationIQRow{
-			Kind:     kind.String(),
-			GMDBPPct: ipcGM(cls.DBP, cls.Base, res),
-			GMEBPPct: ipcGM(cls.EBP, cls.Base, res),
-		})
+		cfg := variant(pipeline.BaseConfig(), "base-"+kind.String(), func(c *pipeline.Config) { c.IQKind = kind })
+		s.rows = append(s.rows, row{label: kind.String(), vars: []pipeline.Config{cfg}})
 	}
-	return out, nil
+	return s.run(r)
 }
 
-// Table renders the taxonomy comparison.
-func (f AblationIQResult) Table() string {
-	t := stats.NewTable("Ablation — IQ organisations vs the random queue (geomean IPC change)",
-		"queue", "D-BP%", "E-BP%")
-	for _, row := range f.Rows {
-		t.Row(row.Kind, fmt.Sprintf("%+.2f", row.GMDBPPct), fmt.Sprintf("%+.2f", row.GMEBPPct))
+// AblationPredictors checks that PUBS's benefit survives a predictor swap
+// (the paper's footnote 1 cross-checks with gshare/bimodal/tournament): each
+// family's base against the perceptron base, and PUBS's gain over the
+// same-predictor base, D-BP geomean.
+func AblationPredictors(r *Runner) (Study, error) {
+	s := study{
+		title:   "Ablation — PUBS gain under alternative predictors (D-BP geomean)",
+		headers: []string{"predictor", "base-vs-perceptron%", "PUBS-gain%"},
+		set:     dbp,
+		cols:    []column{gm(0, clsBase, rowSet), gm(1, 0, rowSet)},
 	}
-	return t.String()
-}
-
-// AblationPredictorRow is one predictor family under base and PUBS.
-type AblationPredictorRow struct {
-	Predictor   string
-	BaseGMPct   float64 // base IPC change vs perceptron base, D-BP geomean
-	PUBSGainPct float64 // PUBS speedup over the same-predictor base
-}
-
-// AblationPredictorsResult checks that PUBS's benefit survives a predictor
-// swap (the paper's footnote 1 cross-checks with gshare/bimodal/tournament).
-type AblationPredictorsResult struct {
-	Rows []AblationPredictorRow
-}
-
-// AblationPredictors sweeps the predictor families.
-func AblationPredictors(r *Runner) (AblationPredictorsResult, error) {
-	cls, err := r.Classify()
-	if err != nil {
-		return AblationPredictorsResult{}, err
-	}
-	var out AblationPredictorsResult
 	for _, kind := range []string{"gshare", "bimodal", "tournament", "tage"} {
-		base := pipeline.BaseConfig()
-		base.Name = "base-" + kind
-		base.Bpred = bpred.Config{Kind: kind}
-		baseRes, err := r.RunAll(base, cls.DBP)
-		if err != nil {
-			return AblationPredictorsResult{}, err
-		}
-		pubs := pipeline.PUBSConfig()
-		pubs.Name = "pubs-" + kind
-		pubs.Bpred = bpred.Config{Kind: kind}
-		pubsRes, err := r.RunAll(pubs, cls.DBP)
-		if err != nil {
-			return AblationPredictorsResult{}, err
-		}
-		out.Rows = append(out.Rows, AblationPredictorRow{
-			Predictor:   kind,
-			BaseGMPct:   ipcGM(cls.DBP, cls.Base, baseRes),
-			PUBSGainPct: speedupGM(cls.DBP, baseRes, pubsRes),
-		})
+		predictor := func(c *pipeline.Config) { c.Bpred = bpred.Config{Kind: kind} }
+		s.rows = append(s.rows, row{label: kind, vars: []pipeline.Config{
+			variant(pipeline.BaseConfig(), "base-"+kind, predictor), variant(pipeline.PUBSConfig(), "pubs-"+kind, predictor)}})
 	}
-	return out, nil
+	return s.run(r)
 }
 
-// Table renders the predictor sweep.
-func (f AblationPredictorsResult) Table() string {
-	t := stats.NewTable("Ablation — PUBS gain under alternative predictors (D-BP geomean)",
-		"predictor", "base-vs-perceptron%", "PUBS-gain%")
-	for _, row := range f.Rows {
-		t.Row(row.Predictor, fmt.Sprintf("%+.2f", row.BaseGMPct), fmt.Sprintf("%+.2f", row.PUBSGainPct))
-	}
-	return t.String()
-}
-
-// AblationTablesRow is one PUBS table organisation.
-type AblationTablesRow struct {
-	Variant string
-	GMPct   float64 // D-BP geomean speedup over base
-	CostKB  float64
-}
-
-// AblationTablesResult compares the §IV organisation choices: the default
+// AblationTables compares the §IV organisation choices — the default
 // set-associative hashed-tag tables, the tagless variant, and narrower /
-// wider hash folds.
-type AblationTablesResult struct {
-	Rows []AblationTablesRow
-}
-
-// AblationTables sweeps the table organisation.
-func AblationTables(r *Runner) (AblationTablesResult, error) {
-	cls, err := r.Classify()
-	if err != nil {
-		return AblationTablesResult{}, err
+// wider hash folds — by D-BP geomean speedup and storage cost.
+func AblationTables(r *Runner) (Study, error) {
+	s := study{
+		title:   "Ablation — PUBS table organisation (D-BP geomean)",
+		headers: []string{"variant", "speedup%", "cost-KB"},
+		set:     dbp,
+		cols: []column{gm(0, clsBase, rowSet), {plain: true,
+			value: func(_ *sweep, r row) float64 { // needs no simulation
+				c := r.vars[0].PUBS
+				if c.Tagless {
+					c.SliceTagBits, c.ConfTagBits = 0, 0
+				}
+				return core.Cost(c).TotalKB()
+			}}},
 	}
 	variants := []struct {
 		name   string
@@ -145,34 +74,8 @@ func AblationTables(r *Runner) (AblationTablesResult, error) {
 		{"hash t=4/2", func(c *pipeline.Config) { c.PUBS.SliceTagBits = 4; c.PUBS.ConfTagBits = 2 }},
 		{"hash t=16/8", func(c *pipeline.Config) { c.PUBS.SliceTagBits = 16; c.PUBS.ConfTagBits = 8 }},
 	}
-	var out AblationTablesResult
 	for _, v := range variants {
-		cfg := pipeline.PUBSConfig()
-		cfg.Name = "pubs-" + v.name
-		v.mutate(&cfg)
-		res, err := r.RunAll(cfg, cls.DBP)
-		if err != nil {
-			return AblationTablesResult{}, err
-		}
-		costCfg := cfg.PUBS
-		if costCfg.Tagless {
-			costCfg.SliceTagBits, costCfg.ConfTagBits = 0, 0
-		}
-		out.Rows = append(out.Rows, AblationTablesRow{
-			Variant: v.name,
-			GMPct:   speedupGM(cls.DBP, cls.Base, res),
-			CostKB:  costKB(costCfg),
-		})
+		s.rows = append(s.rows, row{label: v.name, vars: []pipeline.Config{variant(pipeline.PUBSConfig(), "pubs-"+v.name, v.mutate)}})
 	}
-	return out, nil
-}
-
-// Table renders the organisation sweep.
-func (f AblationTablesResult) Table() string {
-	t := stats.NewTable("Ablation — PUBS table organisation (D-BP geomean)",
-		"variant", "speedup%", "cost-KB")
-	for _, row := range f.Rows {
-		t.Row(row.Variant, fmt.Sprintf("%+.2f", row.GMPct), row.CostKB)
-	}
-	return t.String()
+	return s.run(r)
 }

@@ -1,7 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§V) on the simulator: the same rows and series, computed over
-// the synthetic workload suite. Each experiment function returns a typed
-// result with a Table() renderer; cmd/experiments prints them and
+// the synthetic workload suite. Figs. 8 and 9, Table III and the workload
+// characterisation return typed results; every other figure, ablation and
+// extension is a study — a grid of machine variants over one workload set,
+// run as one campaign and folded by one reducer per column into a Study.
+// Each result has a Table() renderer; cmd/experiments prints them and
 // bench_test.go at the repository root wraps each in a testing.B benchmark.
 package experiments
 
@@ -606,11 +609,4 @@ func speedupGM(names []string, base, next map[string]pipeline.Result) float64 {
 		}
 	}
 	return (stats.Geomean(ratios) - 1) * 100
-}
-
-// ipcGM returns the geometric-mean IPC ratio (as a percentage increase) —
-// used by the Fig. 15/16 IPC comparisons, identical math to speedupGM but
-// named for what the paper plots.
-func ipcGM(names []string, base, next map[string]pipeline.Result) float64 {
-	return speedupGM(names, base, next)
 }

@@ -5,227 +5,119 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/pipeline"
-	"repro/internal/stats"
 )
 
 // The extension experiments make the paper's §III-C discussion executable:
 // the adaptation of PUBS to a distributed issue queue (§III-C2) and the
 // idealized flexible-priority select the paper deems unimplementable
-// (§III-C1), used here as an upper bound on the partitioned design.
+// (§III-C1), used here as an upper bound on the partitioned design. Two
+// more extend Table III's cost argument to energy and test the
+// correct-path-only table updates of DESIGN.md §2.
 
-// ExtDistributedRow is one machine in the distributed-IQ study.
-type ExtDistributedRow struct {
-	Machine  string
-	GMDBPPct float64 // geomean speedup over the *unified base*, D-BP
-}
-
-// ExtDistributedResult compares unified vs distributed queues, each with
-// and without PUBS.
-type ExtDistributedResult struct {
-	Rows []ExtDistributedRow
-	// PUBSGainUnifiedPct / PUBSGainDistributedPct: PUBS's gain over the
-	// matching (unified/distributed) base — §III-C2's claim is that the
-	// scheme transfers.
-	PUBSGainUnifiedPct     float64
-	PUBSGainDistributedPct float64
-}
-
-// ExtDistributed runs the §III-C2 study over the D-BP set.
-func ExtDistributed(r *Runner) (ExtDistributedResult, error) {
-	cls, err := r.Classify()
-	if err != nil {
-		return ExtDistributedResult{}, err
-	}
-	distBase := pipeline.BaseConfig()
-	distBase.Name = "dist-base"
-	distBase.DistributedIQ = true
-	distBaseRes, err := r.RunAll(distBase, cls.DBP)
-	if err != nil {
-		return ExtDistributedResult{}, err
-	}
-	distPubs := pipeline.PUBSConfig()
-	distPubs.Name = "dist-pubs"
-	distPubs.DistributedIQ = true
-	distPubsRes, err := r.RunAll(distPubs, cls.DBP)
-	if err != nil {
-		return ExtDistributedResult{}, err
-	}
-	pubsRes, err := r.RunAll(pipeline.PUBSConfig(), cls.DBP)
-	if err != nil {
-		return ExtDistributedResult{}, err
-	}
-
-	out := ExtDistributedResult{
-		Rows: []ExtDistributedRow{
-			{"unified PUBS", speedupGM(cls.DBP, cls.Base, pubsRes)},
-			{"distributed base", speedupGM(cls.DBP, cls.Base, distBaseRes)},
-			{"distributed PUBS", speedupGM(cls.DBP, cls.Base, distPubsRes)},
+// ExtDistributed compares unified and distributed queues, each with and
+// without PUBS, by D-BP geomean speedup over the unified base; the footer
+// gives PUBS's gain over its own base, since §III-C2 claims the scheme
+// transfers.
+func ExtDistributed(r *Runner) (Study, error) {
+	distributed := func(c *pipeline.Config) { c.DistributedIQ = true }
+	distBase := variant(pipeline.BaseConfig(), "dist-base", distributed)
+	distPubs := variant(pipeline.PUBSConfig(), "dist-pubs", distributed)
+	return study{
+		title:   "Extension — PUBS on a distributed IQ (§III-C2), D-BP geomean vs unified base",
+		headers: []string{"machine", "speedup%"},
+		set:     dbp,
+		rows: []row{{label: "unified PUBS", vars: []pipeline.Config{pipeline.PUBSConfig()}},
+			{label: "distributed base", vars: []pipeline.Config{distBase}},
+			{label: "distributed PUBS", vars: []pipeline.Config{distPubs}}},
+		cols: []column{gm(0, clsBase, rowSet)},
+		footer: func(w *sweep) string {
+			return fmt.Sprintf("PUBS gain over its own base: unified %+.2f%%, distributed %+.2f%%\n",
+				w.vals[0][0], speedupGM(w.set, w.res[distBase.Name], w.res[distPubs.Name]))
 		},
-		PUBSGainUnifiedPct:     speedupGM(cls.DBP, cls.Base, pubsRes),
-		PUBSGainDistributedPct: speedupGM(cls.DBP, distBaseRes, distPubsRes),
-	}
-	return out, nil
+	}.run(r)
 }
 
-// Table renders the distributed-IQ study.
-func (f ExtDistributedResult) Table() string {
-	t := stats.NewTable("Extension — PUBS on a distributed IQ (§III-C2), D-BP geomean vs unified base",
-		"machine", "speedup%")
-	for _, row := range f.Rows {
-		t.Row(row.Machine, fmt.Sprintf("%+.2f", row.GMDBPPct))
-	}
-	return t.String() + fmt.Sprintf(
-		"PUBS gain over its own base: unified %+.2f%%, distributed %+.2f%%\n",
-		f.PUBSGainUnifiedPct, f.PUBSGainDistributedPct)
+// ExtFlexible compares partitioned PUBS against the idealized
+// flexible-priority select (§III-C1) over the D-BP set; the footer says how
+// much of the idealized gain the implementable design captures.
+func ExtFlexible(r *Runner) (Study, error) {
+	flex := variant(pipeline.PUBSConfig(), "pubs-flexible", func(c *pipeline.Config) { c.PUBS.FlexibleSelect = true })
+	return study{
+		title:   "Extension — partitioned PUBS vs idealized flexible select (§III-C1), D-BP geomean",
+		headers: []string{"select logic", "speedup%"},
+		set:     dbp,
+		rows: []row{{label: "priority entries (implementable)", vars: []pipeline.Config{pipeline.PUBSConfig()}},
+			{label: "flexible select (idealized)", vars: []pipeline.Config{flex}}},
+		cols: []column{gm(0, clsBase, rowSet)},
+		footer: func(w *sweep) string {
+			var eff float64
+			if flexible := w.vals[1][0]; flexible > 0 {
+				eff = w.vals[0][0] / flexible * 100
+			}
+			return fmt.Sprintf("partitioned design captures %.0f%% of the idealized gain\n", eff)
+		},
+	}.run(r)
 }
 
-// ExtFlexibleResult compares partitioned PUBS against the idealized
-// flexible-priority select (§III-C1).
-type ExtFlexibleResult struct {
-	PartitionedGMPct float64 // default PUBS over base, D-BP geomean
-	FlexibleGMPct    float64 // flexible-select PUBS over base
-	// EfficiencyPct is how much of the idealized gain the implementable
-	// partitioned design captures.
-	EfficiencyPct float64
+// ExtEnergy gives the per-instruction energy of base and PUBS over the D-BP
+// set, including the PUBS tables' own access energy; the footer gives the
+// net saving and the tables' share of PUBS-machine energy.
+func ExtEnergy(r *Runner) (Study, error) {
+	// energyOf sums the activity model over the set on variant cfg.
+	energyOf := func(w *sweep, cfg pipeline.Config) (total, tables float64, insts uint64) {
+		c := energy.Defaults()
+		for _, n := range w.set {
+			e := energy.Estimate(cfg, w.res[cfg.Name][n], c)
+			total += e.Total()
+			tables += e.PUBS
+			insts += e.Insts
+		}
+		return total, tables, insts
+	}
+	return study{
+		title:   "Extension — energy per instruction over the D-BP set (activity model)",
+		headers: []string{"machine", "EPI (pJ)"},
+		set:     dbp,
+		rows: []row{{label: "base", vars: []pipeline.Config{pipeline.BaseConfig()}},
+			{label: "PUBS", vars: []pipeline.Config{pipeline.PUBSConfig()}}},
+		cols: []column{{plain: true, value: func(w *sweep, r row) float64 {
+			total, _, insts := energyOf(w, r.vars[0])
+			return total / float64(insts)
+		}}},
+		footer: func(w *sweep) string {
+			var savings, share float64
+			if baseEPI, pubsEPI := w.vals[0][0], w.vals[1][0]; baseEPI > 0 {
+				// Equal instruction counts per workload, so totals are comparable.
+				savings = (1 - pubsEPI/baseEPI) * 100
+			}
+			if total, tables, _ := energyOf(w, pipeline.PUBSConfig()); total > 0 {
+				share = tables / total * 100
+			}
+			return fmt.Sprintf("net energy saving %+.2f%%; the %.1f KB PUBS tables account for %.2f%% of PUBS-machine energy\n",
+				savings, energy.CostKB(pipeline.PUBSConfig().PUBS), share)
+		},
+	}.run(r)
 }
 
-// ExtFlexible runs the §III-C1 upper-bound study over the D-BP set.
-func ExtFlexible(r *Runner) (ExtFlexibleResult, error) {
-	cls, err := r.Classify()
-	if err != nil {
-		return ExtFlexibleResult{}, err
-	}
-	pubsRes, err := r.RunAll(pipeline.PUBSConfig(), cls.DBP)
-	if err != nil {
-		return ExtFlexibleResult{}, err
-	}
-	flex := pipeline.PUBSConfig()
-	flex.Name = "pubs-flexible"
-	flex.PUBS.FlexibleSelect = true
-	flexRes, err := r.RunAll(flex, cls.DBP)
-	if err != nil {
-		return ExtFlexibleResult{}, err
-	}
-	out := ExtFlexibleResult{
-		PartitionedGMPct: speedupGM(cls.DBP, cls.Base, pubsRes),
-		FlexibleGMPct:    speedupGM(cls.DBP, cls.Base, flexRes),
-	}
-	if out.FlexibleGMPct > 0 {
-		out.EfficiencyPct = out.PartitionedGMPct / out.FlexibleGMPct * 100
-	}
-	return out, nil
-}
+// ExtWrongPath quantifies the correct-path-only simplification: the PUBS
+// speedup with and without wrong-path pollution of the slice tables, D-BP
+// geomean; the footer qualifies the delta.
+func ExtWrongPath(r *Runner) (Study, error) { return xwp().run(r) }
 
-// Table renders the flexible-select study.
-func (f ExtFlexibleResult) Table() string {
-	t := stats.NewTable("Extension — partitioned PUBS vs idealized flexible select (§III-C1), D-BP geomean",
-		"select logic", "speedup%")
-	t.Row("priority entries (implementable)", fmt.Sprintf("%+.2f", f.PartitionedGMPct))
-	t.Row("flexible select (idealized)", fmt.Sprintf("%+.2f", f.FlexibleGMPct))
-	return t.String() + fmt.Sprintf(
-		"partitioned design captures %.0f%% of the idealized gain\n", f.EfficiencyPct)
-}
-
-// ExtEnergyResult extends the Table III hardware-cost argument to energy:
-// per-instruction energy of base vs PUBS over the D-BP set, including the
-// PUBS tables' own access energy.
-type ExtEnergyResult struct {
-	BaseEPI     float64 // pJ/instruction, D-BP aggregate
-	PUBSEPI     float64
-	SavingsPct  float64 // net energy saving of PUBS (positive = cheaper)
-	TableShare  float64 // PUBS tables' share of PUBS-machine energy (%)
-	TableCostKB float64
-}
-
-// ExtEnergy aggregates energy over the D-BP set for base and PUBS.
-func ExtEnergy(r *Runner) (ExtEnergyResult, error) {
-	cls, err := r.Classify()
-	if err != nil {
-		return ExtEnergyResult{}, err
+func xwp() study {
+	wp := variant(pipeline.PUBSConfig(), "pubs-wrongpath", func(c *pipeline.Config) { c.WrongPathDecode = true })
+	return study{
+		title:   "Extension — wrong-path pollution of the PUBS tables (D-BP geomean)",
+		headers: []string{"table update model", "speedup%"},
+		set:     dbp,
+		rows: []row{{label: "correct path only (default)", vars: []pipeline.Config{pipeline.PUBSConfig()}},
+			{label: "with wrong-path decode", vars: []pipeline.Config{wp}}},
+		cols: []column{gm(0, clsBase, rowSet)},
+		footer: func(w *sweep) string {
+			delta := w.vals[1][0] - w.vals[0][0]
+			return fmt.Sprintf("delta %+.2f pp — the correct-path simplification is %s\n", delta, qualifyDelta(delta))
+		},
 	}
-	pubsRes, err := r.RunAll(pipeline.PUBSConfig(), cls.DBP)
-	if err != nil {
-		return ExtEnergyResult{}, err
-	}
-	c := energy.Defaults()
-	var baseTotal, pubsTotal, pubsTables float64
-	var baseInsts, pubsInsts uint64
-	for _, n := range cls.DBP {
-		b := energy.Estimate(pipeline.BaseConfig(), cls.Base[n], c)
-		p := energy.Estimate(pipeline.PUBSConfig(), pubsRes[n], c)
-		baseTotal += b.Total()
-		pubsTotal += p.Total()
-		pubsTables += p.PUBS
-		baseInsts += b.Insts
-		pubsInsts += p.Insts
-	}
-	out := ExtEnergyResult{
-		BaseEPI:     baseTotal / float64(baseInsts),
-		PUBSEPI:     pubsTotal / float64(pubsInsts),
-		TableCostKB: energy.CostKB(pipeline.PUBSConfig().PUBS),
-	}
-	if baseTotal > 0 {
-		// Equal instruction counts per workload, so totals are comparable.
-		out.SavingsPct = (1 - (pubsTotal/float64(pubsInsts))/(baseTotal/float64(baseInsts))) * 100
-	}
-	if pubsTotal > 0 {
-		out.TableShare = pubsTables / pubsTotal * 100
-	}
-	return out, nil
-}
-
-// Table renders the energy comparison.
-func (f ExtEnergyResult) Table() string {
-	t := stats.NewTable("Extension — energy per instruction over the D-BP set (activity model)",
-		"machine", "EPI (pJ)")
-	t.Row("base", f.BaseEPI)
-	t.Row("PUBS", f.PUBSEPI)
-	return t.String() + fmt.Sprintf(
-		"net energy saving %+.2f%%; the %.1f KB PUBS tables account for %.2f%% of PUBS-machine energy\n",
-		f.SavingsPct, f.TableCostKB, f.TableShare)
-}
-
-// ExtWrongPathResult quantifies the correct-path-only simplification: PUBS
-// speedups with and without wrong-path pollution of the slice tables.
-type ExtWrongPathResult struct {
-	CleanGMPct    float64 // default model (correct-path tables)
-	PollutedGMPct float64 // wrong-path decode enabled
-	DeltaPct      float64 // polluted − clean (≈0 validates DESIGN.md §2)
-}
-
-// ExtWrongPath runs the wrong-path-pollution ablation over the D-BP set.
-func ExtWrongPath(r *Runner) (ExtWrongPathResult, error) {
-	cls, err := r.Classify()
-	if err != nil {
-		return ExtWrongPathResult{}, err
-	}
-	clean, err := r.RunAll(pipeline.PUBSConfig(), cls.DBP)
-	if err != nil {
-		return ExtWrongPathResult{}, err
-	}
-	wp := pipeline.PUBSConfig()
-	wp.Name = "pubs-wrongpath"
-	wp.WrongPathDecode = true
-	polluted, err := r.RunAll(wp, cls.DBP)
-	if err != nil {
-		return ExtWrongPathResult{}, err
-	}
-	out := ExtWrongPathResult{
-		CleanGMPct:    speedupGM(cls.DBP, cls.Base, clean),
-		PollutedGMPct: speedupGM(cls.DBP, cls.Base, polluted),
-	}
-	out.DeltaPct = out.PollutedGMPct - out.CleanGMPct
-	return out, nil
-}
-
-// Table renders the wrong-path ablation.
-func (f ExtWrongPathResult) Table() string {
-	t := stats.NewTable("Extension — wrong-path pollution of the PUBS tables (D-BP geomean)",
-		"table update model", "speedup%")
-	t.Row("correct path only (default)", fmt.Sprintf("%+.2f", f.CleanGMPct))
-	t.Row("with wrong-path decode", fmt.Sprintf("%+.2f", f.PollutedGMPct))
-	return t.String() + fmt.Sprintf("delta %+.2f pp — the correct-path simplification is %s\n",
-		f.DeltaPct, qualifyDelta(f.DeltaPct))
 }
 
 func qualifyDelta(d float64) string {

@@ -288,3 +288,30 @@ func TestCorruptCheckpointIsAMiss(t *testing.T) {
 		t.Error("recomputed result differs from the original")
 	}
 }
+
+// TestStudyReportsEveryFailedCell: a study runs as one grid, so a program
+// that fails on every variant fails the study with all of its cells named,
+// and the failed study renders nothing.
+func TestStudyReportsEveryFailedCell(t *testing.T) {
+	defer faultinject.Reset()
+	r := faultRunner(Options{})
+	if _, err := r.Classify(); err != nil {
+		t.Fatal(err)
+	}
+	faultinject.Arm(faultinject.WorkerPanic, "chess", -1)
+	s, err := Fig15(r)
+	var ce *CampaignError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want *CampaignError", err)
+	}
+	var got []string
+	for _, f := range ce.Failures {
+		got = append(got, f.Config+" on "+f.Workload)
+	}
+	if want := "age on chess,pubs on chess,pubs+age on chess"; strings.Join(got, ",") != want {
+		t.Errorf("failures = %s, want %s", strings.Join(got, ","), want)
+	}
+	if s.Table() != "" || s.Chart() != "" {
+		t.Errorf("failed study rendered:\n%s", s.Table())
+	}
+}

@@ -3,8 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
+	"repro/internal/bpred"
 	"repro/internal/core"
 	"repro/internal/iq"
 	"repro/internal/pipeline"
@@ -49,10 +51,8 @@ func Fig8(r *Runner) (Fig8Result, error) {
 // non-nil error.
 func Fig8Context(ctx context.Context, r *Runner) (Fig8Result, error) {
 	base, baseErr := r.RunAllContext(ctx, pipeline.BaseConfig(), workload.Names())
-	if baseErr != nil {
-		if _, ok := baseErr.(*CampaignError); !ok {
-			return Fig8Result{}, baseErr
-		}
+	if _, ok := baseErr.(*CampaignError); baseErr != nil && !ok {
+		return Fig8Result{}, baseErr
 	}
 	names := make([]string, 0, len(base))
 	for n := range base {
@@ -60,10 +60,8 @@ func Fig8Context(ctx context.Context, r *Runner) (Fig8Result, error) {
 	}
 	sort.Strings(names)
 	pubs, pubsErr := r.RunAllContext(ctx, pipeline.PUBSConfig(), names)
-	if pubsErr != nil {
-		if _, ok := pubsErr.(*CampaignError); !ok {
-			return Fig8Result{}, pubsErr
-		}
+	if _, ok := pubsErr.(*CampaignError); pubsErr != nil && !ok {
+		return Fig8Result{}, pubsErr
 	}
 
 	// Classify the programs that completed on both machines.
@@ -79,27 +77,23 @@ func Fig8Context(ctx context.Context, r *Runner) (Fig8Result, error) {
 		}
 	}
 	var out Fig8Result
-	add := func(names []string, dbpFlag bool) {
-		for _, n := range names {
-			b, p := base[n], pubs[n]
-			var analogue string
-			if w, err := lookup(n); err == nil {
-				analogue = w
-			}
-			out.Rows = append(out.Rows, Fig8Row{
-				Workload:   n,
-				Analogue:   analogue,
-				SpeedupPct: stats.Speedup(b.IPC(), p.IPC()),
-				BaseIPC:    b.IPC(),
-				PUBSIPC:    p.IPC(),
-				BrMPKI:     b.BranchMPKI(),
-				LLCMPKI:    b.LLCMPKI(),
-				DBP:        dbpFlag,
-			})
+	for i, n := range append(append([]string{}, dbp...), ebp...) {
+		b, p := base[n], pubs[n]
+		var analogue string
+		if w, err := workload.ByName(n); err == nil {
+			analogue = w.Analogue
 		}
+		out.Rows = append(out.Rows, Fig8Row{
+			Workload:   n,
+			Analogue:   analogue,
+			SpeedupPct: stats.Speedup(b.IPC(), p.IPC()),
+			BaseIPC:    b.IPC(),
+			PUBSIPC:    p.IPC(),
+			BrMPKI:     b.BranchMPKI(),
+			LLCMPKI:    b.LLCMPKI(),
+			DBP:        i < len(dbp),
+		})
 	}
-	add(dbp, true)
-	add(ebp, false)
 	out.GMDiffPct = speedupGM(dbp, base, pubs)
 	out.GMEasyPct = speedupGM(ebp, base, pubs)
 	out.Failed = mergeFailures(baseErr, pubsErr)
@@ -135,12 +129,20 @@ func (f Fig8Result) Table() string {
 	return s
 }
 
-func lookup(name string) (string, error) {
-	w, err := workloadByName(name)
-	if err != nil {
-		return "", err
+// Chart renders Fig. 8 as a terminal bar chart (one bar per program,
+// D-BP first, geomeans last).
+func (f Fig8Result) Chart() string {
+	c := stats.NewBarChart("Fig. 8 — PUBS speedup over base", "%")
+	for _, row := range f.Rows {
+		note := "E-BP"
+		if row.DBP {
+			note = "D-BP"
+		}
+		c.Bar(row.Workload, row.SpeedupPct, note)
 	}
-	return w, nil
+	c.Bar("GM diff", f.GMDiffPct, "D-BP geomean")
+	c.Bar("GM easy", f.GMEasyPct, "E-BP geomean")
+	return c.String()
 }
 
 // ---------------------------------------------------------------- Fig. 9
@@ -211,18 +213,7 @@ func pearson(xs, ys []float64) float64 {
 	if dx2 == 0 || dy2 == 0 {
 		return 0
 	}
-	return num / (sqrt(dx2) * sqrt(dy2))
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
+	return num / (math.Sqrt(dx2) * math.Sqrt(dy2))
 }
 
 // Table renders the scatter as text.
@@ -239,210 +230,19 @@ func (f Fig9Result) Table() string {
 	return t.String() + fmt.Sprintf("Pearson r (compute programs): %.3f\n", f.CorrCompute)
 }
 
-// ---------------------------------------------------------------- Fig. 10
-
-// Fig10Row is one priority-entry count in Fig. 10.
-type Fig10Row struct {
-	PriorityEntries int
-	StallGMPct      float64 // stall-policy geomean speedup over D-BP
-	NonStallGMPct   float64 // non-stall policy
-}
-
-// Fig10Result reproduces the priority-entry sensitivity study.
-type Fig10Result struct {
-	Rows []Fig10Row
-	// BestEntries is the stall-policy optimum (the paper finds 6).
-	BestEntries int
-}
-
-// Fig10 sweeps the number of priority entries under both dispatch policies.
-func Fig10(r *Runner) (Fig10Result, error) {
-	cls, err := r.Classify()
-	if err != nil {
-		return Fig10Result{}, err
-	}
-	var out Fig10Result
-	best := 0
-	bestVal := -1e9
-	for _, entries := range []int{2, 4, 6, 8, 10, 12} {
-		row := Fig10Row{PriorityEntries: entries}
-		for _, stall := range []bool{true, false} {
-			cfg := pipeline.PUBSConfig()
-			cfg.Name = fmt.Sprintf("pubs-p%d-stall%v", entries, stall)
-			cfg.PUBS.PriorityEntries = entries
-			cfg.PUBS.StallDispatch = stall
-			res, err := r.RunAll(cfg, cls.DBP)
-			if err != nil {
-				return Fig10Result{}, err
-			}
-			gm := speedupGM(cls.DBP, cls.Base, res)
-			if stall {
-				row.StallGMPct = gm
-				if gm > bestVal {
-					bestVal, best = gm, entries
-				}
-			} else {
-				row.NonStallGMPct = gm
-			}
+// Chart renders Fig. 9 as a terminal scatter: `●` compute-intensive (red in
+// the paper), `○` memory-intensive (blue).
+func (f Fig9Result) Chart() string {
+	s := stats.NewScatter("Fig. 9 — speedup vs branch MPKI (● compute, ○ memory-intensive)",
+		"branch MPKI", "speedup %")
+	for _, p := range f.Points {
+		mark := '●'
+		if p.MemIntensive {
+			mark = '○'
 		}
-		out.Rows = append(out.Rows, row)
+		s.Point(p.BrMPKI, p.SpeedupPct, mark)
 	}
-	out.BestEntries = best
-	return out, nil
-}
-
-// Table renders the sweep.
-func (f Fig10Result) Table() string {
-	t := stats.NewTable("Fig. 10 — D-BP geomean speedup vs number of priority entries",
-		"entries", "stall%", "non-stall%")
-	for _, row := range f.Rows {
-		t.Row(row.PriorityEntries, fmt.Sprintf("%+.2f", row.StallGMPct), fmt.Sprintf("%+.2f", row.NonStallGMPct))
-	}
-	return t.String() + fmt.Sprintf("optimum (stall policy): %d entries\n", f.BestEntries)
-}
-
-// ---------------------------------------------------------------- Fig. 11
-
-// Fig11Row is one counter width in Fig. 11.
-type Fig11Row struct {
-	CounterBits   int // 0 means the "blind" model
-	Blind         bool
-	GMPct         float64 // D-BP geomean speedup
-	UnconfRatePct float64 // unconfident branches / dynamic branches
-}
-
-// Fig11Result reproduces the confidence-counter-width sensitivity study.
-type Fig11Result struct {
-	Rows     []Fig11Row
-	BestBits int
-}
-
-// Fig11 sweeps the resetting-counter width from 2 to 8 bits plus the blind
-// estimator.
-func Fig11(r *Runner) (Fig11Result, error) {
-	cls, err := r.Classify()
-	if err != nil {
-		return Fig11Result{}, err
-	}
-	var out Fig11Result
-	best, bestVal := 0, -1e9
-	addRow := func(bits int, blind bool) error {
-		cfg := pipeline.PUBSConfig()
-		cfg.PUBS.Blind = blind
-		if !blind {
-			cfg.PUBS.ConfCounterBits = bits
-			cfg.Name = fmt.Sprintf("pubs-c%d", bits)
-		} else {
-			cfg.Name = "pubs-blind"
-		}
-		res, err := r.RunAll(cfg, cls.DBP)
-		if err != nil {
-			return err
-		}
-		gm := speedupGM(cls.DBP, cls.Base, res)
-		// Unconfident-branch rate averaged over D-BP programs.
-		var rate float64
-		for _, n := range cls.DBP {
-			rate += res[n].UnconfidentRate()
-		}
-		rate = rate / float64(len(cls.DBP)) * 100
-		out.Rows = append(out.Rows, Fig11Row{CounterBits: bits, Blind: blind, GMPct: gm, UnconfRatePct: rate})
-		if !blind && gm > bestVal {
-			bestVal, best = gm, bits
-		}
-		return nil
-	}
-	for bits := 2; bits <= 8; bits++ {
-		if err := addRow(bits, false); err != nil {
-			return Fig11Result{}, err
-		}
-	}
-	if err := addRow(0, true); err != nil {
-		return Fig11Result{}, err
-	}
-	out.BestBits = best
-	return out, nil
-}
-
-// Table renders the sweep.
-func (f Fig11Result) Table() string {
-	t := stats.NewTable("Fig. 11 — D-BP geomean speedup and unconfident-branch rate vs counter bits",
-		"counter", "speedup%", "unconf-rate%")
-	for _, row := range f.Rows {
-		label := fmt.Sprint(row.CounterBits)
-		if row.Blind {
-			label = "blind"
-		}
-		t.Row(label, fmt.Sprintf("%+.2f", row.GMPct), row.UnconfRatePct)
-	}
-	return t.String() + fmt.Sprintf("optimum counter width: %d bits\n", f.BestBits)
-}
-
-// ---------------------------------------------------------------- Fig. 12
-
-// Fig12Row is one program in the mode-switch study.
-type Fig12Row struct {
-	Workload     string
-	OnPct        float64 // speedup with mode switch enabled (default PUBS)
-	OffPct       float64 // speedup with mode switch disabled (always prioritize)
-	LLCMPKI      float64
-	MemSensitive bool
-}
-
-// Fig12Result reproduces the mode-switch effectiveness study.
-type Fig12Result struct {
-	Rows     []Fig12Row
-	GMOnPct  float64
-	GMOffPct float64
-}
-
-// Fig12 compares PUBS with and without the MPKI-driven mode switch over the
-// whole suite (the paper highlights the memory-intensive programs, where
-// disabling the switch costs performance).
-func Fig12(r *Runner) (Fig12Result, error) {
-	cls, err := r.Classify()
-	if err != nil {
-		return Fig12Result{}, err
-	}
-	all := append(append([]string{}, cls.DBP...), cls.EBP...)
-
-	on, err := r.RunAll(pipeline.PUBSConfig(), all)
-	if err != nil {
-		return Fig12Result{}, err
-	}
-	off := pipeline.PUBSConfig()
-	off.Name = "pubs-noswitch"
-	off.PUBS.ModeSwitch = false
-	offRes, err := r.RunAll(off, all)
-	if err != nil {
-		return Fig12Result{}, err
-	}
-
-	var out Fig12Result
-	for _, n := range all {
-		b := cls.Base[n]
-		out.Rows = append(out.Rows, Fig12Row{
-			Workload:     n,
-			OnPct:        stats.Speedup(b.IPC(), on[n].IPC()),
-			OffPct:       stats.Speedup(b.IPC(), offRes[n].IPC()),
-			LLCMPKI:      b.LLCMPKI(),
-			MemSensitive: b.LLCMPKI() >= MemIntensityThresholdMPKI,
-		})
-	}
-	out.GMOnPct = speedupGM(all, cls.Base, on)
-	out.GMOffPct = speedupGM(all, cls.Base, offRes)
-	return out, nil
-}
-
-// Table renders the study.
-func (f Fig12Result) Table() string {
-	t := stats.NewTable("Fig. 12 — Speedup with the mode switch enabled vs disabled",
-		"program", "switch-on%", "switch-off%", "llcMPKI")
-	for _, row := range f.Rows {
-		t.Row(row.Workload, fmt.Sprintf("%+.2f", row.OnPct), fmt.Sprintf("%+.2f", row.OffPct), row.LLCMPKI)
-	}
-	t.Row("GM", fmt.Sprintf("%+.2f", f.GMOnPct), fmt.Sprintf("%+.2f", f.GMOffPct), "")
-	return t.String()
+	return s.String()
 }
 
 // ---------------------------------------------------------------- Table III
@@ -473,219 +273,157 @@ func (t3 Table3Result) Table() string {
 	return t.String()
 }
 
-// ---------------------------------------------------------------- Fig. 13
+// ---------------------------------------------------------------- Figs. 10–16
 
-// Fig13Row is one program in the enlarged-predictor comparison.
-type Fig13Row struct {
-	Workload   string
-	PUBSPct    float64 // PUBS with the default predictor
-	LargeBPPct float64 // base machine with the enlarged perceptron
-}
+// Fig10 sweeps the number of priority entries under both dispatch policies
+// (the paper's stall-policy optimum is 6).
+func Fig10(r *Runner) (Study, error) { return fig10().run(r) }
 
-// Fig13Result reproduces the hardware-budget comparison: PUBS's 4 KB vs
-// spending (more than) the same budget on a bigger perceptron.
-type Fig13Result struct {
-	Rows         []Fig13Row
-	GMPUBSPct    float64
-	GMLargeBPPct float64
-	DefaultBPKB  float64
-	LargeBPKB    float64
-	PUBSCostKB   float64
-}
-
-// Fig13 runs the enlarged-predictor baseline over the D-BP set.
-func Fig13(r *Runner) (Fig13Result, error) {
-	cls, err := r.Classify()
-	if err != nil {
-		return Fig13Result{}, err
+func fig10() study {
+	s := study{
+		title:   "Fig. 10 — D-BP geomean speedup vs number of priority entries",
+		headers: []string{"entries", "stall%", "non-stall%"},
+		set:     dbp,
+		cols:    []column{gm(0, clsBase, rowSet), gm(1, clsBase, rowSet)},
+		footer: func(w *sweep) string {
+			return fmt.Sprintf("optimum (stall policy): %s entries\n", w.best(0, len(w.rows)))
+		},
+		chart: &chart{title: "Fig. 10 — D-BP geomean speedup vs priority entries", xname: "entries",
+			series: []string{"stall", "non-stall"}},
 	}
-	pubs, err := r.RunAll(pipeline.PUBSConfig(), cls.DBP)
-	if err != nil {
-		return Fig13Result{}, err
-	}
-	big := pipeline.BaseConfig()
-	big.Name = "base-bigbp"
-	big.Bpred = bpredLarge()
-	bigRes, err := r.RunAll(big, cls.DBP)
-	if err != nil {
-		return Fig13Result{}, err
-	}
-
-	var out Fig13Result
-	for _, n := range cls.DBP {
-		b := cls.Base[n]
-		out.Rows = append(out.Rows, Fig13Row{
-			Workload:   n,
-			PUBSPct:    stats.Speedup(b.IPC(), pubs[n].IPC()),
-			LargeBPPct: stats.Speedup(b.IPC(), bigRes[n].IPC()),
-		})
-	}
-	out.GMPUBSPct = speedupGM(cls.DBP, cls.Base, pubs)
-	out.GMLargeBPPct = speedupGM(cls.DBP, cls.Base, bigRes)
-	out.DefaultBPKB = predictorCostKB(pipeline.BaseConfig())
-	out.LargeBPKB = predictorCostKB(big)
-	out.PUBSCostKB = core.Cost(core.DefaultConfig()).TotalKB()
-	return out, nil
-}
-
-// Table renders the comparison.
-func (f Fig13Result) Table() string {
-	t := stats.NewTable(fmt.Sprintf(
-		"Fig. 13 — PUBS (+%.1f KB) vs enlarged perceptron (+%.1f KB over the %.1f KB default)",
-		f.PUBSCostKB, f.LargeBPKB-f.DefaultBPKB, f.DefaultBPKB),
-		"program", "PUBS%", "large-BP%")
-	for _, row := range f.Rows {
-		t.Row(row.Workload, fmt.Sprintf("%+.2f", row.PUBSPct), fmt.Sprintf("%+.2f", row.LargeBPPct))
-	}
-	t.Row("GM diff", fmt.Sprintf("%+.2f", f.GMPUBSPct), fmt.Sprintf("%+.2f", f.GMLargeBPPct))
-	return t.String()
-}
-
-// ---------------------------------------------------------------- Fig. 15
-
-// Fig15Result reproduces the age-matrix comparison: IPC increases of PUBS,
-// AGE, and PUBS+AGE over the base (15a), and the *performance* of PUBS over
-// AGE once the age matrix's 13% IQ-delay increase stretches the clock (15b).
-type Fig15Result struct {
-	// IPC increases over base, geomean, percent.
-	PUBSDiff, AgeDiff, BothDiff float64 // D-BP
-	PUBSEasy, AgeEasy, BothEasy float64 // E-BP
-	// Fig. 15b: performance of PUBS over AGE assuming the clock stretches by
-	// iq.AgeMatrixDelayFactor, geomean over D-BP, percent.
-	PUBSOverAgePerfPct float64
-	DelayFactor        float64
-}
-
-// Fig15 runs the AGE and PUBS+AGE machines.
-func Fig15(r *Runner) (Fig15Result, error) {
-	cls, err := r.Classify()
-	if err != nil {
-		return Fig15Result{}, err
-	}
-	all := append(append([]string{}, cls.DBP...), cls.EBP...)
-
-	pubs, err := r.RunAll(pipeline.PUBSConfig(), all)
-	if err != nil {
-		return Fig15Result{}, err
-	}
-	age := pipeline.BaseConfig()
-	age.Name = "age"
-	age.AgeMatrix = true
-	ageRes, err := r.RunAll(age, all)
-	if err != nil {
-		return Fig15Result{}, err
-	}
-	both := pipeline.PUBSConfig()
-	both.Name = "pubs+age"
-	both.AgeMatrix = true
-	bothRes, err := r.RunAll(both, all)
-	if err != nil {
-		return Fig15Result{}, err
-	}
-
-	out := Fig15Result{
-		PUBSDiff:    ipcGM(cls.DBP, cls.Base, pubs),
-		AgeDiff:     ipcGM(cls.DBP, cls.Base, ageRes),
-		BothDiff:    ipcGM(cls.DBP, cls.Base, bothRes),
-		PUBSEasy:    ipcGM(cls.EBP, cls.Base, pubs),
-		AgeEasy:     ipcGM(cls.EBP, cls.Base, ageRes),
-		BothEasy:    ipcGM(cls.EBP, cls.Base, bothRes),
-		DelayFactor: iq.AgeMatrixDelayFactor,
-	}
-	// 15b: performance = IPC / clock period. AGE's clock is 13% slower.
-	ratios := make([]float64, 0, len(cls.DBP))
-	for _, n := range cls.DBP {
-		perfPUBS := pubs[n].IPC()
-		perfAGE := ageRes[n].IPC() / iq.AgeMatrixDelayFactor
-		if perfAGE > 0 {
-			ratios = append(ratios, perfPUBS/perfAGE)
+	for _, entries := range []int{2, 4, 6, 8, 10, 12} {
+		row := row{label: fmt.Sprint(entries)}
+		for _, stall := range []bool{true, false} {
+			row.vars = append(row.vars, variant(pipeline.PUBSConfig(), fmt.Sprintf("pubs-p%d-stall%v", entries, stall),
+				func(c *pipeline.Config) { c.PUBS.PriorityEntries, c.PUBS.StallDispatch = entries, stall }))
 		}
+		s.rows = append(s.rows, row)
 	}
-	out.PUBSOverAgePerfPct = (stats.Geomean(ratios) - 1) * 100
-	return out, nil
+	return s
 }
 
-// Table renders both panels.
-func (f Fig15Result) Table() string {
-	t := stats.NewTable("Fig. 15a — Geomean IPC increase over base",
-		"model", "D-BP%", "E-BP%")
-	t.Row("PUBS", fmt.Sprintf("%+.2f", f.PUBSDiff), fmt.Sprintf("%+.2f", f.PUBSEasy))
-	t.Row("AGE", fmt.Sprintf("%+.2f", f.AgeDiff), fmt.Sprintf("%+.2f", f.AgeEasy))
-	t.Row("PUBS+AGE", fmt.Sprintf("%+.2f", f.BothDiff), fmt.Sprintf("%+.2f", f.BothEasy))
-	return t.String() + fmt.Sprintf(
-		"Fig. 15b — performance of PUBS over AGE with the age matrix's %.0f%% IQ-delay increase applied to the clock: %+.2f%% (D-BP geomean)\n",
-		(f.DelayFactor-1)*100, f.PUBSOverAgePerfPct)
+// Fig11 sweeps the resetting-counter width from 2 to 8 bits plus the blind
+// estimator, with the unconfident-branch rate averaged over D-BP programs.
+func Fig11(r *Runner) (Study, error) { return fig11().run(r) }
+
+func fig11() study {
+	s := study{
+		title:   "Fig. 11 — D-BP geomean speedup and unconfident-branch rate vs counter bits",
+		headers: []string{"counter", "speedup%", "unconf-rate%"},
+		set:     dbp,
+		cols: []column{gm(0, clsBase, rowSet),
+			mean(0, pipeline.Result.UnconfidentRate, 100)},
+		footer: func(w *sweep) string {
+			return fmt.Sprintf("optimum counter width: %s bits\n", w.best(0, len(w.rows)-1))
+		},
+		chart: &chart{title: "Fig. 11 — D-BP speedup and unconfident rate vs counter bits", xname: "bits",
+			series: []string{"speedup%", "unconf%"}},
+	}
+	for bits := 2; bits <= 8; bits++ {
+		cfg := variant(pipeline.PUBSConfig(), fmt.Sprintf("pubs-c%d", bits),
+			func(c *pipeline.Config) { c.PUBS.ConfCounterBits = bits })
+		s.rows = append(s.rows, row{label: fmt.Sprint(bits), vars: []pipeline.Config{cfg}})
+	}
+	blind := variant(pipeline.PUBSConfig(), "pubs-blind", func(c *pipeline.Config) { c.PUBS.Blind = true })
+	s.rows = append(s.rows, row{label: "blind", vars: []pipeline.Config{blind}})
+	return s
 }
 
-// ---------------------------------------------------------------- Fig. 16
+// Fig12 compares PUBS with and without the MPKI-driven mode switch over the
+// whole suite (the paper highlights the memory-intensive programs, where
+// disabling the switch costs performance).
+func Fig12(r *Runner) (Study, error) { return fig12().run(r) }
 
-// Fig16Row is one processor size in the scaling study.
-type Fig16Row struct {
-	Size    string
-	PUBSPct float64
-	AgePct  float64
-	BothPct float64
+func fig12() study {
+	off := variant(pipeline.PUBSConfig(), "pubs-noswitch", func(c *pipeline.Config) { c.PUBS.ModeSwitch = false })
+	return study{
+		title:   "Fig. 12 — Speedup with the mode switch enabled vs disabled",
+		headers: []string{"program", "switch-on%", "switch-off%", "llcMPKI"},
+		set:     suite,
+		rows:    []row{{vars: []pipeline.Config{pipeline.PUBSConfig(), off}}},
+		summary: "GM",
+		cols: []column{gm(0, clsBase, rowSet), gm(1, clsBase, rowSet),
+			{plain: true, perProgram: true,
+				value: func(w *sweep, r row) float64 { return w.cls.Base[r.program].LLCMPKI() }}},
+		chart: &chart{title: "Fig. 12 — speedup with mode switch ON (▮) per program; OFF shown as note",
+			note: "off: %+.2f%%"},
+	}
 }
 
-// Fig16Result reproduces the processor-size sensitivity study (IPC only —
+// Fig13 compares PUBS's 4 KB against spending (more than) the same budget
+// on an enlarged perceptron, over the D-BP set.
+func Fig13(r *Runner) (Study, error) {
+	big := variant(pipeline.BaseConfig(), "base-bigbp", func(c *pipeline.Config) { c.Bpred = bpred.Large() })
+	kb := func(c pipeline.Config) float64 { return float64(bpred.MustNew(c.Bpred).CostBytes()) / 1024 }
+	def := kb(pipeline.BaseConfig())
+	return study{
+		title: fmt.Sprintf("Fig. 13 — PUBS (+%.1f KB) vs enlarged perceptron (+%.1f KB over the %.1f KB default)",
+			core.Cost(core.DefaultConfig()).TotalKB(), kb(big)-def, def),
+		headers: []string{"program", "PUBS%", "large-BP%"},
+		set:     dbp,
+		rows:    []row{{vars: []pipeline.Config{pipeline.PUBSConfig(), big}}},
+		summary: "GM diff",
+		cols:    []column{gm(0, clsBase, rowSet), gm(1, clsBase, rowSet)},
+	}.run(r)
+}
+
+// Fig15 compares PUBS, AGE and PUBS+AGE by IPC over the base (15a), and
+// PUBS against AGE by *performance* once the age matrix's 13% IQ-delay
+// increase stretches the clock (15b).
+func Fig15(r *Runner) (Study, error) {
+	pubs := pipeline.PUBSConfig()
+	age := variant(pipeline.BaseConfig(), "age", func(c *pipeline.Config) { c.AgeMatrix = true })
+	both := variant(pubs, "pubs+age", func(c *pipeline.Config) { c.AgeMatrix = true })
+	return study{
+		title:   "Fig. 15a — Geomean IPC increase over base",
+		headers: []string{"model", "D-BP%", "E-BP%"},
+		set:     suite,
+		rows: []row{{label: "PUBS", vars: []pipeline.Config{pubs}},
+			{label: "AGE", vars: []pipeline.Config{age}}, {label: "PUBS+AGE", vars: []pipeline.Config{both}}},
+		cols: []column{gm(0, clsBase, dbp), gm(0, clsBase, ebp)},
+		footer: func(w *sweep) string {
+			// Performance = IPC / clock period, and AGE's clock is slower.
+			ratios := make([]float64, 0, len(w.cls.DBP))
+			for _, n := range w.cls.DBP {
+				perfPUBS := w.res[pubs.Name][n].IPC()
+				perfAGE := w.res[age.Name][n].IPC() / iq.AgeMatrixDelayFactor
+				if perfAGE > 0 {
+					ratios = append(ratios, perfPUBS/perfAGE)
+				}
+			}
+			return fmt.Sprintf(
+				"Fig. 15b — performance of PUBS over AGE with the age matrix's %.0f%% IQ-delay increase applied to the clock: %+.2f%% (D-BP geomean)\n",
+				(iq.AgeMatrixDelayFactor-1)*100, (stats.Geomean(ratios)-1)*100)
+		},
+	}.run(r)
+}
+
+// Fig16 scales the machine through the four models: D-BP geomean IPC
+// increase of PUBS, AGE and PUBS+AGE over the same-size base (IPC only —
 // the paper likewise ignores clock effects here).
-type Fig16Result struct {
-	Rows []Fig16Row
-}
+func Fig16(r *Runner) (Study, error) { return fig16().run(r) }
 
-// Fig16 scales the machine through the four models.
-func Fig16(r *Runner) (Fig16Result, error) {
-	cls, err := r.Classify()
-	if err != nil {
-		return Fig16Result{}, err
+func fig16() study {
+	s := study{
+		title:   "Fig. 16 — D-BP geomean IPC increase vs processor size",
+		headers: []string{"size", "PUBS%", "AGE%", "PUBS+AGE%"},
+		set:     dbp,
+		cols:    []column{gm(1, 0, rowSet), gm(2, 0, rowSet), gm(3, 0, rowSet)},
+		chart: &chart{title: "Fig. 16 — D-BP geomean IPC increase vs processor size", xname: "size",
+			series: []string{"PUBS", "AGE", "PUBS+AGE"}},
 	}
-	var out Fig16Result
 	for _, sz := range pipeline.Sizes() {
 		base := pipeline.ScaledConfig(sz)
-		baseRes, err := r.RunAll(base, cls.DBP)
-		if err != nil {
-			return Fig16Result{}, err
-		}
-		pubs := base
-		pubs.Name = "pubs-" + sz.String()
-		pubs.PUBS = core.DefaultConfig()
-		// The priority partition must scale with dispatch width: 6 entries
-		// per 4-wide machine (a fixed 6 saturates under 8-wide dispatch).
-		pubs.PUBS.PriorityEntries = 6 * base.IssueWidth / 4
-		pubsRes, err := r.RunAll(pubs, cls.DBP)
-		if err != nil {
-			return Fig16Result{}, err
-		}
-		age := base
-		age.Name = "age-" + sz.String()
-		age.AgeMatrix = true
-		ageRes, err := r.RunAll(age, cls.DBP)
-		if err != nil {
-			return Fig16Result{}, err
-		}
-		both := pubs
-		both.Name = "pubs+age-" + sz.String()
-		both.AgeMatrix = true
-		bothRes, err := r.RunAll(both, cls.DBP)
-		if err != nil {
-			return Fig16Result{}, err
-		}
-		out.Rows = append(out.Rows, Fig16Row{
-			Size:    sz.String(),
-			PUBSPct: ipcGM(cls.DBP, baseRes, pubsRes),
-			AgePct:  ipcGM(cls.DBP, baseRes, ageRes),
-			BothPct: ipcGM(cls.DBP, baseRes, bothRes),
+		pubs := variant(base, "pubs-"+sz.String(), func(c *pipeline.Config) {
+			c.PUBS = core.DefaultConfig()
+			// The priority partition must scale with dispatch width: 6 entries
+			// per 4-wide machine (a fixed 6 saturates under 8-wide dispatch).
+			c.PUBS.PriorityEntries = 6 * base.IssueWidth / 4
 		})
+		ageMatrix := func(c *pipeline.Config) { c.AgeMatrix = true }
+		age := variant(base, "age-"+sz.String(), ageMatrix)
+		both := variant(pubs, "pubs+age-"+sz.String(), ageMatrix)
+		s.rows = append(s.rows, row{label: sz.String(), vars: []pipeline.Config{base, pubs, age, both}})
 	}
-	return out, nil
-}
-
-// Table renders the scaling study.
-func (f Fig16Result) Table() string {
-	t := stats.NewTable("Fig. 16 — D-BP geomean IPC increase vs processor size",
-		"size", "PUBS%", "AGE%", "PUBS+AGE%")
-	for _, row := range f.Rows {
-		t.Row(row.Size, fmt.Sprintf("%+.2f", row.PUBSPct), fmt.Sprintf("%+.2f", row.AgePct), fmt.Sprintf("%+.2f", row.BothPct))
-	}
-	return t.String()
+	return s
 }

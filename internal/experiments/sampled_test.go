@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -200,6 +201,45 @@ func TestSweepWithoutWindowMajor(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got[i], want) {
 			t.Fatalf("%s: batched sweep diverged from individual run", cfg.Name)
+		}
+	}
+}
+
+// TestGridOnePlanPerWorkload: a sampled 3-machine × 2-workload grid, run
+// as one campaign the way a study runs it, pays one fast-forward plan per
+// workload (the shared store single-flights it across the cells),
+// simulates every cell once, and each cell equals per-config RunAll on a
+// fresh runner.
+func TestGridOnePlanPerWorkload(t *testing.T) {
+	age := pipeline.PUBSConfig()
+	age.Name = "pubs+age"
+	age.AgeMatrix = true
+	cfgs := []pipeline.Config{pipeline.BaseConfig(), pipeline.PUBSConfig(), age}
+	wls := []string{"parser", "compress"}
+
+	r := NewRunner(sampledOpts())
+	got, errs := r.fanOut(context.Background(), Grid(cfgs, wls))
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+	}
+	if st := r.SnapshotStats(); st.Plans != uint64(len(wls)) {
+		t.Errorf("grid paid %d fast-forward passes, want %d (one per workload)", st.Plans, len(wls))
+	}
+	if st := r.Stats(); st.Simulated != uint64(len(cfgs)*len(wls)) {
+		t.Errorf("simulated = %d, want %d", st.Simulated, len(cfgs)*len(wls))
+	}
+	ref := NewRunner(sampledOpts())
+	for i, cfg := range cfgs {
+		want, err := ref.RunAll(cfg, wls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, wl := range wls {
+			if !reflect.DeepEqual(got[i*len(wls)+j], want[wl]) {
+				t.Errorf("%s on %s: grid result diverged from RunAll", cfg.Name, wl)
+			}
 		}
 	}
 }

@@ -270,27 +270,15 @@ func QuickOptions() Options { return experiments.QuickOptions() }
 // NewRunner builds a memoizing experiment runner.
 func NewRunner(o Options) *Runner { return experiments.NewRunner(o) }
 
-// Experiment results (each has a Table() string renderer).
+// Experiment results (each has a Table() string renderer). Study is the
+// result of every variant study: Figs. 10–16, the ablations and the
+// extensions.
 type (
 	Fig8Result   = experiments.Fig8Result
 	Fig9Result   = experiments.Fig9Result
-	Fig10Result  = experiments.Fig10Result
-	Fig11Result  = experiments.Fig11Result
-	Fig12Result  = experiments.Fig12Result
-	Fig13Result  = experiments.Fig13Result
-	Fig15Result  = experiments.Fig15Result
-	Fig16Result  = experiments.Fig16Result
 	Table3Result = experiments.Table3Result
-
-	AblationIQResult         = experiments.AblationIQResult
-	AblationPredictorsResult = experiments.AblationPredictorsResult
-	AblationTablesResult     = experiments.AblationTablesResult
-
-	ExtDistributedResult = experiments.ExtDistributedResult
-	ExtFlexibleResult    = experiments.ExtFlexibleResult
-	ExtEnergyResult      = experiments.ExtEnergyResult
-	ExtWrongPathResult   = experiments.ExtWrongPathResult
-	CharResult           = experiments.CharResult
+	CharResult   = experiments.CharResult
+	Study        = experiments.Study
 )
 
 // Fig8 reproduces the headline speedup figure.
@@ -307,58 +295,58 @@ func Fig8Context(ctx context.Context, r *Runner) (Fig8Result, error) {
 func Fig9(r *Runner) (Fig9Result, error) { return experiments.Fig9(r) }
 
 // Fig10 reproduces the priority-entry sensitivity sweep.
-func Fig10(r *Runner) (Fig10Result, error) { return experiments.Fig10(r) }
+func Fig10(r *Runner) (Study, error) { return experiments.Fig10(r) }
 
 // Fig11 reproduces the confidence-counter-width sweep (incl. "blind").
-func Fig11(r *Runner) (Fig11Result, error) { return experiments.Fig11(r) }
+func Fig11(r *Runner) (Study, error) { return experiments.Fig11(r) }
 
 // Fig12 reproduces the mode-switch on/off study.
-func Fig12(r *Runner) (Fig12Result, error) { return experiments.Fig12(r) }
+func Fig12(r *Runner) (Study, error) { return experiments.Fig12(r) }
 
 // Fig13 reproduces the enlarged-branch-predictor comparison.
-func Fig13(r *Runner) (Fig13Result, error) { return experiments.Fig13(r) }
+func Fig13(r *Runner) (Study, error) { return experiments.Fig13(r) }
 
 // Fig15 reproduces the age-matrix IPC and performance comparison.
-func Fig15(r *Runner) (Fig15Result, error) { return experiments.Fig15(r) }
+func Fig15(r *Runner) (Study, error) { return experiments.Fig15(r) }
 
 // Fig16 reproduces the processor-size scaling study.
-func Fig16(r *Runner) (Fig16Result, error) { return experiments.Fig16(r) }
+func Fig16(r *Runner) (Study, error) { return experiments.Fig16(r) }
 
 // Table3 computes the PUBS hardware-cost table.
 func Table3() Table3Result { return experiments.Table3() }
 
 // AblationIQKinds compares the shifting and circular queues to the random
 // queue (§III-B1 taxonomy; beyond-paper ablation).
-func AblationIQKinds(r *Runner) (AblationIQResult, error) {
+func AblationIQKinds(r *Runner) (Study, error) {
 	return experiments.AblationIQKinds(r)
 }
 
 // AblationPredictors re-runs PUBS under gshare/bimodal/tournament
 // predictors (footnote 1 cross-check; beyond-paper ablation).
-func AblationPredictors(r *Runner) (AblationPredictorsResult, error) {
+func AblationPredictors(r *Runner) (Study, error) {
 	return experiments.AblationPredictors(r)
 }
 
 // AblationTables sweeps the §IV table organisations (tagless, hash widths).
-func AblationTables(r *Runner) (AblationTablesResult, error) {
+func AblationTables(r *Runner) (Study, error) {
 	return experiments.AblationTables(r)
 }
 
 // ExtDistributed evaluates PUBS on the §III-C2 distributed issue queue
 // (beyond-paper extension: the paper argues applicability, this measures it).
-func ExtDistributed(r *Runner) (ExtDistributedResult, error) {
+func ExtDistributed(r *Runner) (Study, error) {
 	return experiments.ExtDistributed(r)
 }
 
 // ExtFlexible compares the implementable priority-entry partition against
 // the idealized §III-C1 flexible-priority select (upper bound).
-func ExtFlexible(r *Runner) (ExtFlexibleResult, error) {
+func ExtFlexible(r *Runner) (Study, error) {
 	return experiments.ExtFlexible(r)
 }
 
 // ExtEnergy extends Table III's cost argument to energy: D-BP energy per
 // instruction for base vs PUBS under an activity model.
-func ExtEnergy(r *Runner) (ExtEnergyResult, error) {
+func ExtEnergy(r *Runner) (Study, error) {
 	return experiments.ExtEnergy(r)
 }
 
@@ -370,7 +358,7 @@ func Characterize(r *Runner) (CharResult, error) {
 
 // ExtWrongPath quantifies the correct-path-only table-update simplification
 // by enabling wrong-path decode pollution of the PUBS tables.
-func ExtWrongPath(r *Runner) (ExtWrongPathResult, error) {
+func ExtWrongPath(r *Runner) (Study, error) {
 	return experiments.ExtWrongPath(r)
 }
 
