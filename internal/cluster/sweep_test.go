@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -97,6 +99,85 @@ func TestClusterSweepPlanSharingExactlyOnce(t *testing.T) {
 		t.Errorf("coordinator settled %d remote cells, want %d", got, cells)
 	}
 	t.Logf("fleet: %d plans, %d adopted, %d sims for %d cells", plans, peerPlans, totalSims, cells)
+}
+
+// TestDesignatedPlannerAsksPeersFirst: one plan key designated to x by a
+// sweep and to y by a later one is planned once fleet-wide even when x's
+// push to y never lands. y, though designated, asks its peers cache-only
+// before paying a pass, and adopts x's plan.
+func TestDesignatedPlannerAsksPeersFirst(t *testing.T) {
+	spec := sweepSpec()
+	spec.Workloads = spec.Workloads[:1]
+
+	// Capture the batch a coordinator would dispatch by declining it: the
+	// capturing daemon runs the sweep itself.
+	var (
+		mu      sync.Mutex
+		planKey string
+		cells   []service.RemoteCell
+	)
+	capture := startService(t, service.Config{
+		NodeID:  "capture",
+		Workers: 1,
+		RemoteSweep: func(_ context.Context, key string, rcs []service.RemoteCell) (map[string]service.CellResult, map[string]error, bool) {
+			mu.Lock()
+			planKey, cells = key, rcs
+			mu.Unlock()
+			return nil, nil, false
+		},
+	})
+	submitAndWait(t, capture, spec)
+	mu.Lock()
+	defer mu.Unlock()
+	if planKey == "" || len(cells) != len(spec.Machines) {
+		t.Fatalf("captured %d cells under plan key %q, want %d", len(cells), planKey, len(spec.Machines))
+	}
+
+	dropPlanPush := func(inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/cluster/plan/") {
+				w.WriteHeader(http.StatusServiceUnavailable)
+				return
+			}
+			inner.ServeHTTP(w, r)
+		})
+	}
+	x := startWorker(t, "x", service.Config{}, nil)
+	y := startWorker(t, "y", service.Config{}, dropPlanPush)
+	peers := map[string]string{x.id: x.srv.URL, y.id: y.srv.URL}
+	x.wk.SetPeers(peers)
+	y.wk.SetPeers(peers)
+
+	// Half the machines go to x as planner, the other half to y as planner:
+	// y has none of the cells, so only its plan tier decides whether it
+	// pays a second pass.
+	half := len(cells) / 2
+	for _, b := range []struct {
+		node  *testNode
+		cells []service.RemoteCell
+	}{{x, cells[:half]}, {y, cells[half:]}} {
+		lines, err := executeSweepBatch(context.Background(), SharedClient(), b.node.srv.URL,
+			sweepRequest{Cells: b.cells, PlanKey: planKey, Planner: b.node.id})
+		if err != nil {
+			t.Fatalf("sweep on %s: %v", b.node.id, err)
+		}
+		if len(lines) != len(b.cells) {
+			t.Fatalf("sweep on %s answered %d of %d cells", b.node.id, len(lines), len(b.cells))
+		}
+		for _, ln := range lines {
+			if ln.Source != "executed" {
+				t.Fatalf("sweep on %s: cell %s settled as %q (%s)", b.node.id, ln.Key, ln.Source, ln.Error)
+			}
+		}
+	}
+
+	plans := metricValue(t, x.svc, "pubsd_snapshot_plans_total") + metricValue(t, y.svc, "pubsd_snapshot_plans_total")
+	if plans != 1 {
+		t.Errorf("fleet paid %d functional passes for one plan key", plans)
+	}
+	if got := metricValue(t, y.svc, "pubsd_snapshot_peer_plans_total"); got != 1 {
+		t.Errorf("y adopted %d peer plans, want 1", got)
+	}
 }
 
 // TestClusterSweepResultReplicationFailover is the proactive-replication

@@ -56,8 +56,9 @@ type peersMsg struct {
 // PlanKey is the plan content address all cells share ("" for a per-cell
 // dispatch, which names no planner); Planner is the node ID the coordinator
 // designated to pay the workload's one functional pass — the receiver plans
-// immediately if that is itself, and otherwise long-polls the planner's
-// plan endpoint before falling back to a local pass.
+// if that is itself, once a cache-only lookup finds no peer already holding
+// the plan, and otherwise long-polls the planner's plan endpoint before
+// falling back to a local pass.
 type sweepRequest struct {
 	Cells   []service.RemoteCell `json:"cells"`
 	PlanKey string               `json:"plan_key,omitempty"`

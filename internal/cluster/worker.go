@@ -201,17 +201,17 @@ func (wk *Worker) expectingPlan(key string) bool {
 }
 
 // planFetch is the daemon's plan-fetch seam, consulted on a plan-store
-// miss (a local functional pass is the fallback). When a sweep batch designated a planner, a non-planner node
-// long-polls it — the planner is mid-pass by construction, so waiting
-// beats burning a redundant pass — retrying briefly to absorb the window
-// where concurrent batches are still being delivered. Designated or not,
-// it ends with one cache-only sweep of the peers.
+// miss (a local functional pass is the fallback). When a sweep batch
+// designated another node planner, this node long-polls it — the planner
+// is mid-pass by construction, so waiting beats burning a redundant pass —
+// retrying briefly to absorb the window where concurrent batches are still
+// being delivered. Designated or not, it ends with one cache-only sweep of
+// the peers: a designated planner asks too, because an earlier sweep may
+// have designated another node for the same key, whose asynchronous push
+// has not landed here yet. A cache-only lookup never triggers planning
+// anywhere, so the fleet cannot plan for itself in a loop.
 func (wk *Worker) planFetch(ctx context.Context, key string) ([]byte, bool) {
-	self := wk.svc.NodeID()
-	if planner, ok := wk.plannerFor(key); ok {
-		if planner == self {
-			return nil, false // our pass to pay
-		}
+	if planner, ok := wk.plannerFor(key); ok && planner != wk.svc.NodeID() {
 		if base, ok := wk.peerURL(planner); ok {
 			deadline := time.Now().Add(2 * time.Second)
 			for {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -53,12 +54,24 @@ func TestRunnerUnknownWorkload(t *testing.T) {
 	}
 }
 
+var (
+	suiteOnce   sync.Once
+	suiteShared *Runner
+)
+
+// suiteRunner is the memoizing runner TestClassifySplitsSuite and
+// TestFig8QuickShape share, so the 20-program base campaign both classify
+// with runs once.
+func suiteRunner() *Runner {
+	suiteOnce.Do(func() { suiteShared = NewRunner(Options{Warmup: 30_000, Measure: 80_000, Parallelism: 1}) })
+	return suiteShared
+}
+
 func TestClassifySplitsSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r := NewRunner(Options{Warmup: 30_000, Measure: 80_000, Parallelism: 1})
-	cls, err := r.Classify()
+	cls, err := suiteRunner().Classify()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +170,7 @@ func TestFig8QuickShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r := NewRunner(Options{Warmup: 30_000, Measure: 80_000, Parallelism: 1})
-	f8, err := Fig8(r)
+	f8, err := Fig8(suiteRunner())
 	if err != nil {
 		t.Fatal(err)
 	}

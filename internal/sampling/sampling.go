@@ -10,6 +10,7 @@ package sampling
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -112,18 +113,7 @@ func (r Result) IPCStdev() float64 {
 		d := w.Result.IPC() - mean
 		ss += d * d
 	}
-	return sqrt(ss / float64(len(r.Windows)-1))
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
+	return math.Sqrt(ss / float64(len(r.Windows)-1))
 }
 
 // Merged folds the per-window measurements into one pipeline.Result with

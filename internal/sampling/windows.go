@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/emu"
@@ -47,25 +48,47 @@ const replaySlack = 2048
 // detailed region keeps that window (it may still measure a partial tail)
 // and truncates the rest. The context is checked between windows.
 func PlanWindows(ctx context.Context, prog *isa.Program, plan Config) ([]Window, error) {
+	ws, _, err := planWindows(ctx, prog, plan, nil)
+	return ws, err
+}
+
+// planWindows is PlanWindows with an optional seed source. Before each
+// fast-forward gap it asks seed for a snapshot of the same program with the
+// largest Seq in (current position, window start]; given one, it restores
+// it and runs only the rest of the gap. Functional emulation is
+// deterministic and a non-halted snapshot at Seq n is the one state after n
+// instructions, so every window, snapshot and trace is the one an unseeded
+// pass builds. seeded reports whether any gap started from a snapshot.
+func planWindows(ctx context.Context, prog *isa.Program, plan Config, seed func(after, upTo uint64) *emu.Snapshot) (windows []Window, seeded bool, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := plan.Validate(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	m, err := emu.New(prog)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	detailed := plan.Warmup + plan.Measure
-	var windows []Window
 	for w := 0; w < plan.Windows; w++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("sampling: planning window %d: %w", w, err)
+			return nil, seeded, fmt.Errorf("sampling: planning window %d: %w", w, err)
 		}
-		if plan.FastForward > 0 {
-			if ran := m.Run(plan.FastForward); ran < plan.FastForward {
-				break // program halted during fast-forward
+		if gap := plan.FastForward; gap > 0 {
+			if seed != nil {
+				if snap := seed(m.Seq(), m.Seq()+gap); snap != nil {
+					gap -= snap.Seq() - m.Seq()
+					if err := m.Restore(snap); err != nil {
+						return nil, seeded, fmt.Errorf("sampling: seeding window %d: %w", w, err)
+					}
+					seeded = true
+				}
+			}
+			if gap > 0 {
+				if ran := m.Run(gap); ran < gap {
+					break // program halted during fast-forward
+				}
 			}
 		}
 		if m.Done() {
@@ -103,18 +126,21 @@ func PlanWindows(ctx context.Context, prog *isa.Program, plan Config) ([]Window,
 		}
 		m, err = emu.NewFromSnapshot(prog, tail)
 		if err != nil {
-			return nil, fmt.Errorf("sampling: planning window %d: %w", w, err)
+			return nil, seeded, fmt.Errorf("sampling: planning window %d: %w", w, err)
 		}
 	}
-	return windows, nil
+	return windows, seeded, nil
 }
 
-// planKey content-addresses a (program, plan geometry) pair. The hash
-// covers the program's actual content — code, data image, memory size,
-// entry point — not its name, because workload programs are rebuilt per
-// call and custom programs may share names. Parallel is excluded: it
-// cannot change placement.
-func planKey(prog *isa.Program, plan Config) string {
+// progDigest content-addresses a program: its code, data image, memory
+// size and entry point — everything functional emulation reads — not its
+// name, because workload programs are rebuilt per call and custom programs
+// may share names. Two programs with one digest place identical windows
+// under every geometry, which is what lets one geometry's snapshots seed
+// another's planning pass.
+type progDigest [sha256.Size]byte
+
+func digestProgram(prog *isa.Program) progDigest {
 	h := sha256.New()
 	var buf [8]byte
 	word := func(v uint64) {
@@ -130,13 +156,27 @@ func planKey(prog *isa.Program, plan Config) string {
 	h.Write(prog.Data)
 	word(uint64(prog.MemSize))
 	word(uint64(prog.Entry))
+	var d progDigest
+	h.Sum(d[:0])
+	return d
+}
+
+// planKey content-addresses a (program, plan geometry) pair: the program's
+// digest followed by the geometry words. Parallel is excluded: it cannot
+// change placement.
+func planKey(prog progDigest, plan Config) string {
+	h := sha256.New()
+	h.Write(prog[:])
+	var buf [8]byte
+	word := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
 	word(uint64(plan.Windows))
 	word(plan.FastForward)
 	word(plan.Warmup)
 	word(plan.Measure)
-	// A slack change invalidates recorded traces. The leading zero word
-	// keeps keys stable from when plans could also be made without traces.
-	word(0)
+	// A slack change invalidates recorded traces.
 	word(replaySlack)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -144,6 +184,7 @@ func planKey(prog *isa.Program, plan Config) string {
 // StoreStats counts what a Store actually computed, shared, and holds.
 type StoreStats struct {
 	Plans         uint64 // fast-forward passes executed locally
+	Seeded        uint64 // local passes that started a gap from a resident snapshot (a subset of Plans)
 	PeerPlans     uint64 // plans fetched from a PlanSource or installed by Adopt instead of computed
 	Hits          uint64 // requests answered from an existing (or in-flight) plan
 	Evictions     uint64 // completed plans dropped to stay within the byte budget
@@ -176,15 +217,27 @@ type PlanSource func(ctx context.Context, key string) ([]Window, bool)
 // resident even when it alone exceeds the budget, so a working set of one
 // cannot thrash. An entry's memoized wire form (Encoded, Adopt) counts in
 // its bytes and leaves with it.
+//
+// A new geometry's pass is seeded: each fast-forward gap starts from the
+// latest resident window snapshot of the same program at or before the
+// window start (TurboSMARTS-style stored functional state), so a sweep over
+// window counts, fast-forwards or warm-ups re-runs only the stretch no
+// earlier plan covered. Only completed, resident entries whose program is
+// known seed; an evicted entry stops seeding when it leaves the map.
 type Store struct {
 	mu        sync.Mutex
 	entries   map[string]*storeEntry
 	budget    int64 // max resident bytes; 0 = unbounded
 	resident  int64
 	plans     uint64
+	seeded    uint64
 	peerPlans uint64
 	hits      uint64
 	evictions uint64
+	// seeds maps a program digest to its resident, completed entries whose
+	// program is proven: every local plan, and an adopted one once a local
+	// Windows call has resolved to its key.
+	seeds map[progDigest][]*storeEntry
 	// Intrusive LRU list over completed entries; lruHead is most recent.
 	lruHead, lruTail *storeEntry
 
@@ -202,6 +255,12 @@ type storeEntry struct {
 	windows []Window
 	err     error
 
+	// prog is the digest of the program the windows were placed in, valid
+	// once proven: set at creation by Windows, and for an Adopt entry by
+	// the first Windows call that resolves to its key. Guarded by mu.
+	prog   progDigest
+	proven bool
+
 	// wire memoizes the serialized plan: the bytes Adopt received, or the
 	// one encoding pass Encoded runs under encode.
 	wire   []byte
@@ -214,7 +273,7 @@ type storeEntry struct {
 
 // NewStore returns an empty, unbounded window store.
 func NewStore() *Store {
-	return &Store{entries: make(map[string]*storeEntry)}
+	return &Store{entries: make(map[string]*storeEntry), seeds: make(map[progDigest][]*storeEntry)}
 }
 
 // NewStoreBudget returns a window store bounded to roughly maxBytes of
@@ -269,7 +328,54 @@ func (s *Store) admit(e *storeEntry) {
 	e.bytes = windowsBytes(e.windows) + int64(len(e.wire))
 	s.resident += e.bytes
 	s.pushMRU(e)
+	if e.proven {
+		s.seeds[e.prog] = append(s.seeds[e.prog], e)
+	}
 	s.evict()
+}
+
+// unseed drops an evicted entry from the seed index. Caller holds mu.
+func (s *Store) unseed(e *storeEntry) {
+	es := s.seeds[e.prog]
+	for i, x := range es {
+		if x == e {
+			es[i] = es[len(es)-1]
+			es[len(es)-1] = nil
+			es = es[:len(es)-1]
+			break
+		}
+	}
+	if len(es) == 0 {
+		delete(s.seeds, e.prog)
+	} else {
+		s.seeds[e.prog] = es
+	}
+}
+
+// seed returns the resident window snapshot of program prog with the
+// largest Seq in (after, upTo], or nil. A snapshot of a halted machine is
+// never a seed. Holding the returned snapshot past an eviction is safe: it
+// is immutable and only read.
+func (s *Store) seed(prog progDigest, after, upTo uint64) *emu.Snapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var best *emu.Snapshot
+	for _, e := range s.seeds[prog] {
+		// Window starts ascend: the entry's candidate is its last usable
+		// snapshot starting at or before upTo.
+		ws := e.windows
+		for i := sort.Search(len(ws), func(i int) bool { return ws[i].StartInst > upTo }) - 1; i >= 0; i-- {
+			snap := ws[i].Snap
+			if snap == nil || snap.Done() {
+				continue
+			}
+			if seq := snap.Seq(); seq > after && seq <= upTo && (best == nil || seq > best.Seq()) {
+				best = snap
+			}
+			break
+		}
+	}
+	return best
 }
 
 // pushMRU links a completed entry at the head of the LRU list. Caller holds mu.
@@ -321,6 +427,9 @@ func (s *Store) evict() {
 		e := s.lruTail
 		s.unlink(e)
 		delete(s.entries, e.key)
+		if e.proven {
+			s.unseed(e)
+		}
 		s.resident -= e.bytes
 		s.evictions++
 	}
@@ -328,19 +437,21 @@ func (s *Store) evict() {
 
 // Windows returns the placed windows for (prog, plan), computing them at
 // most once per content key. Concurrent callers for the same key block on
-// the first caller's fast-forward; a failed computation (for example a
-// cancelled context) is not cached, so later callers retry rather than
-// inherit the failure.
+// the first caller's fast-forward, which is seeded from the program's
+// resident snapshots; a failed computation (for example a cancelled
+// context) is not cached, so later callers retry rather than inherit the
+// failure.
 func (s *Store) Windows(ctx context.Context, prog *isa.Program, plan Config) ([]Window, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	key := planKey(prog, plan)
+	digest := digestProgram(prog)
+	key := planKey(digest, plan)
 	for {
 		s.mu.Lock()
 		e, ok := s.entries[key]
 		if !ok {
-			e = &storeEntry{key: key, done: make(chan struct{})}
+			e = &storeEntry{key: key, done: make(chan struct{}), prog: digest, proven: true}
 			s.entries[key] = e
 			s.mu.Unlock()
 			// Inside the singleflight critical section: try to adopt the
@@ -352,13 +463,19 @@ func (s *Store) Windows(ctx context.Context, prog *isa.Program, plan Config) ([]
 					e.windows, adopted = ws, true
 				}
 			}
+			seeded := false
 			if !adopted {
 				s.mu.Lock()
 				s.plans++ // local passes only — adopted plans cost no fast-forward
 				s.mu.Unlock()
-				e.windows, e.err = PlanWindows(ctx, prog, plan)
+				e.windows, seeded, e.err = planWindows(ctx, prog, plan, func(after, upTo uint64) *emu.Snapshot {
+					return s.seed(digest, after, upTo)
+				})
 			}
 			s.mu.Lock()
+			if seeded {
+				s.seeded++
+			}
 			if e.err != nil {
 				delete(s.entries, key)
 			} else {
@@ -385,6 +502,12 @@ func (s *Store) Windows(ctx context.Context, prog *isa.Program, plan Config) ([]
 			if e.err == nil {
 				s.mu.Lock()
 				s.hits++
+				if !e.proven && e.inLRU {
+					// An adopted plan: resolving to its key proves which
+					// program it belongs to, so it may seed from now on.
+					e.prog, e.proven = digest, true
+					s.seeds[digest] = append(s.seeds[digest], e)
+				}
 				s.mu.Unlock()
 				return e.windows, nil
 			}
@@ -404,6 +527,7 @@ func (s *Store) Stats() StoreStats {
 	defer s.mu.Unlock()
 	st := StoreStats{
 		Plans:         s.plans,
+		Seeded:        s.seeded,
 		PeerPlans:     s.peerPlans,
 		Hits:          s.hits,
 		Evictions:     s.evictions,
@@ -428,7 +552,9 @@ func (s *Store) Len() int {
 // LRU-linked, budgeted (wire bytes included) and counted in PeerPlans. Any
 // existing entry for key, complete or in flight, wins, and Adopt changes
 // nothing. The caller vouches that ws is the plan key addresses, as
-// DecodePlan's content hash does.
+// DecodePlan's content hash does. A key does not name its program, so the
+// entry seeds other geometries' passes only once a local Windows call has
+// resolved to it.
 func (s *Store) Adopt(key string, ws []Window, wire []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -49,7 +49,7 @@ const (
 // PlanKey exposes the store's content address for a (program, plan
 // geometry) pair — the key serialized plans are exchanged under.
 func PlanKey(prog *isa.Program, plan Config) string {
-	return planKey(prog, plan)
+	return planKey(digestProgram(prog), plan)
 }
 
 // EncodePlan serializes placed windows into the flate-compressed,

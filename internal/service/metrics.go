@@ -133,6 +133,7 @@ type snapshotGauges struct {
 	ckptHits      uint64
 	retries       uint64
 	snapPlans     uint64 // functional fast-forward passes for sampled jobs (local only)
+	snapSeeded    uint64 // of those, passes seeded from a resident snapshot of the same program
 	snapPeerPlans uint64 // plans fetched or adopted from the cluster instead of computed
 	snapHits      uint64 // sampled runs answered from shared snapshots
 	snapEvictions uint64 // predecoded plans evicted by the trace byte budget
@@ -214,6 +215,7 @@ func (m *metrics) render(node string, g snapshotGauges) string {
 	line("pubsd_runner_checkpoint_hits_total", g.ckptHits)
 	line("pubsd_runner_retries_total", g.retries)
 	line("pubsd_snapshot_plans_total", g.snapPlans)
+	line("pubsd_snapshot_seeded_plans_total", g.snapSeeded)
 	line("pubsd_snapshot_peer_plans_total", g.snapPeerPlans)
 	line("pubsd_snapshot_hits_total", g.snapHits)
 	// Predecoded-trace cache: a plan is a miss (one functional pass paid),

@@ -844,6 +844,7 @@ func (s *Service) MetricsText() string {
 		ckptHits:      rs.CheckpointHits,
 		retries:       rs.Retries,
 		snapPlans:     snaps.Plans,
+		snapSeeded:    snaps.Seeded,
 		snapPeerPlans: snaps.PeerPlans,
 		snapHits:      snaps.Hits,
 		snapEvictions: snaps.Evictions,

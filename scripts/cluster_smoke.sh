@@ -14,6 +14,10 @@
 #      twice, costs exactly one functional planning pass per workload
 #      across the whole fleet (summed pubsd_snapshot_plans_total), however
 #      many nodes hold its cells.
+#   5. Seeded planning — the same sweep at a new fast-forward costs one more
+#      pass per workload fleet-wide (each may start from a resident snapshot
+#      of the earlier geometry) and matches a plain daemon's from-zero plan
+#      byte for byte.
 #
 # All daemons listen on kernel-chosen ports. Usage:
 #   scripts/cluster_smoke.sh [path-to-pubsd-binary]
@@ -177,6 +181,31 @@ TOTAL_SIMS3=$(( $(metric "$W1" pubsd_sims_executed_total) \
               + $(metric "$W3" pubsd_sims_executed_total) ))
 [[ "$TOTAL_SIMS3" == $((TOTAL_SIMS + 8)) ]] || { echo "sampled sweep re-simulated: $TOTAL_SIMS3 sims, want $((TOTAL_SIMS + 8))"; exit 1; }
 
+# --- Seeded planning: a new geometry over resident programs. --------------
+# The same sweep 64 instructions further on. The fleet plans each workload
+# once more, and the node that does may fast-forward from the earlier
+# geometry's snapshots instead of from instruction 0; the results must
+# match the plain daemon, which plans this geometry from zero.
+SPEC4=$(echo "$SPEC3" | jq -c '.fast_forward = 200064')
+S4JOB=$(submit "$COORD" "$SPEC4")
+wait_done "$COORD" "$S4JOB"
+R4JOB=$(submit "$REF" "$SPEC4")
+wait_done "$REF" "$R4JOB"
+R_S4=$(results "$COORD" "$S4JOB")
+[[ $(echo "$R_S4" | jq length) == 8 ]] || { echo "seeded sweep incomplete"; exit 1; }
+[[ "$R_S4" == "$(results "$REF" "$R4JOB")" ]] || {
+  echo "seeded sweep differs from the plain daemon's from-zero plan"
+  diff <(echo "$R_S4") <(results "$REF" "$R4JOB") | head -40
+  exit 1
+}
+PLANS4=$(( $(metric "$W1" pubsd_snapshot_plans_total) \
+         + $(metric "$W2" pubsd_snapshot_plans_total) \
+         + $(metric "$W3" pubsd_snapshot_plans_total) ))
+[[ "$PLANS4" == $((PLANS + 2)) ]] || { echo "new geometry cost $((PLANS4 - PLANS)) fleet passes for 2 workloads, want 2"; exit 1; }
+SEEDED=$(( $(metric "$W1" pubsd_snapshot_seeded_plans_total) \
+         + $(metric "$W2" pubsd_snapshot_seeded_plans_total) \
+         + $(metric "$W3" pubsd_snapshot_seeded_plans_total) ))
+
 # --- Graceful drain everywhere. -------------------------------------------
 kill -TERM "${PIDS[@]}" 2>/dev/null || true
 for pid in "${PIDS[@]}"; do
@@ -184,4 +213,4 @@ for pid in "${PIDS[@]}"; do
 done
 PIDS=()
 
-echo "cluster smoke OK: cluster == single-node bit-identical, $TOTAL_SIMS3 sims for 24 unique cells across 3 workers, 0 duplicate sims, $PEER_HITS peer cache hits, $PLANS functional plans for 2 sampled workloads"
+echo "cluster smoke OK: cluster == single-node bit-identical, $TOTAL_SIMS3 sims for 24 unique cells across 3 workers, 0 duplicate sims, $PEER_HITS peer cache hits, $PLANS functional plans for 2 sampled workloads, $((PLANS4 - PLANS)) more ($SEEDED seeded) for a new geometry"
