@@ -120,9 +120,6 @@ func (r *RAS) Pop() (addr uint64, ok bool) {
 	return r.stack[r.top], true
 }
 
-// Depth returns the number of live entries.
-func (r *RAS) Depth() int { return r.depth }
-
 // Reset empties the stack.
 func (r *RAS) Reset() {
 	for i := range r.stack {

@@ -60,9 +60,6 @@ func (p *Predecode) Len() int { return len(p.idx) }
 // the buffer needs no live-emulator continuation.
 func (p *Predecode) Halted() bool { return p.halted }
 
-// StartSeq returns the Seq of the first record.
-func (p *Predecode) StartSeq() uint64 { return p.startSeq }
-
 // Bytes returns the buffer's resident memory footprint — the accounting
 // unit for trace-store byte budgets.
 func (p *Predecode) Bytes() int64 {

@@ -428,7 +428,8 @@ func TestWorkerPanicIsolatedWithoutBreaker(t *testing.T) {
 }
 
 // TestCacheEvictionRecomputesBitIdentical: an injected eviction right after
-// a result lands forces the next identical submission to recompute; the
+// a result lands forces the next identical submission to recompute — the
+// result cache is the daemon's only in-memory result store — and the
 // recomputed record must be bit-identical.
 func TestCacheEvictionRecomputesBitIdentical(t *testing.T) {
 	defer faultinject.Reset()
@@ -457,6 +458,9 @@ func TestCacheEvictionRecomputesBitIdentical(t *testing.T) {
 	if st2.State != JobDone {
 		t.Fatalf("recompute job %s: %v", st2.State, st2.Errors)
 	}
+	if sims := s.m.simulated.Load(); sims != 2 {
+		t.Errorf("simulations = %d, want 2 (the evicted cell must be recomputed)", sims)
+	}
 	a, _ := json.Marshal(st1.Results[0])
 	b, _ := json.Marshal(st2.Results[0])
 	if string(a) != string(b) {
@@ -466,7 +470,7 @@ func TestCacheEvictionRecomputesBitIdentical(t *testing.T) {
 
 // TestAdmissionNeverEntersKeys: Tenant and Priority must not perturb
 // content addressing — two submissions differing only there share every
-// cell key (and therefore every memo, checkpoint, and cache entry).
+// cell key (and therefore every checkpoint and cache entry).
 func TestAdmissionNeverEntersKeys(t *testing.T) {
 	base := CampaignSpec{Machines: []MachineSpec{{Machine: "pubs"}}, Workloads: []string{"matmul", "chess"}}
 	tagged := base

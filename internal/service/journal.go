@@ -26,7 +26,7 @@ const journalFile = "journal.ndjson"
 // themselves are made durable by the content-addressed checkpoint store,
 // so the two compose into full crash recovery: the journal says which
 // campaigns were in flight, the checkpoints say which of their cells are
-// already paid for. Neither ever feeds the memo/checkpoint/content keys.
+// already paid for. Neither ever feeds the checkpoint or content keys.
 type journalRecord struct {
 	Type string    `json:"type"` // submit | start | cell | done | failed
 	Job  string    `json:"job"`

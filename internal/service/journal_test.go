@@ -96,8 +96,7 @@ func TestJournalReplayResumesIncompleteJob(t *testing.T) {
 	}
 
 	// The checkpointed cell must have been served from disk, not re-run.
-	rs, _ := s.runnerStats()
-	if rs.CheckpointHits == 0 {
+	if s.m.ckptHits.Load() == 0 {
 		t.Error("recovered job re-simulated its checkpointed cell (CheckpointHits = 0)")
 	}
 
@@ -195,7 +194,8 @@ func TestJournalCompactionBoundsTheLog(t *testing.T) {
 // TestJournalRecoveryRejectsStaleSpecs: a journaled spec that no longer
 // validates (its workload vanished across a version change, say) must land
 // as a failed job, not crash the boot or run garbage. A spec that still
-// carries fields a later build removed (live_decode, no_idle_skip) recovers
+// carries fields a later build removed (live_decode, no_idle_skip,
+// parallel_windows) recovers
 // and finishes: the journal decoder ignores unknown fields, unlike
 // POST /v1/jobs.
 func TestJournalRecoveryRejectsStaleSpecs(t *testing.T) {
@@ -210,7 +210,7 @@ func TestJournalRecoveryRejectsStaleSpecs(t *testing.T) {
 	}
 	if _, err := f.WriteString(`{"type":"submit","job":"j000002","time":"2025-01-01T00:00:00Z","spec":` +
 		`{"machines":[{"machine":"base","no_idle_skip":true}],"workloads":["matmul"],` +
-		`"windows":2,"fast_forward":10000,"live_decode":true}}` + "\n"); err != nil {
+		`"windows":2,"fast_forward":10000,"live_decode":true,"parallel_windows":2}}` + "\n"); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

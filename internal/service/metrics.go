@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/pipeline"
 	"repro/internal/stats"
 )
@@ -33,6 +34,11 @@ type metrics struct {
 	merged         atomic.Uint64 // singleflight-deduped concurrent cells
 	degradedCells  atomic.Uint64 // fresh simulations refused by the open breaker
 
+	// Runner work, folded in from each task's runner when it returns.
+	simulated atomic.Uint64 // detailed simulations executed (attempts, including retries)
+	ckptHits  atomic.Uint64 // cells answered from the on-disk checkpoint
+	retries   atomic.Uint64 // transient failures retried
+
 	journalRecords atomic.Uint64 // successful journal appends (fed to the journal)
 	journalErrors  atomic.Uint64 // failed journal appends
 	jobsRecovered  atomic.Uint64 // jobs re-enqueued from the journal at boot
@@ -44,7 +50,7 @@ type metrics struct {
 	// covers [2^(i-1), 2^i) ms, bucket 0 is <1 ms), reusing the stats
 	// package histogram; quantiles are bucket upper bounds. lat is per-job
 	// submit-to-finish latency; win is per-window detailed replay latency,
-	// fed by the runners' WindowObserve hook.
+	// fed by each task runner's WindowObserve hook.
 	latMu sync.Mutex
 	lat   *stats.Histogram
 	winMu sync.Mutex
@@ -97,6 +103,13 @@ func (m *metrics) observeWindow(d time.Duration) {
 	m.winMu.Unlock()
 }
 
+// addRunnerStats folds one task runner's counters into the daemon's.
+func (m *metrics) addRunnerStats(st experiments.RunnerStats) {
+	m.simulated.Add(st.Simulated)
+	m.ckptHits.Add(st.CheckpointHits)
+	m.retries.Add(st.Retries)
+}
+
 // latencyQuantileMS returns the upper bound in ms of the bucket holding
 // the q-quantile observation.
 func (m *metrics) latencyQuantileMS(q float64) int64 {
@@ -128,10 +141,6 @@ type snapshotGauges struct {
 	queueDepth    int
 	workers       int
 	cacheEntries  int
-	simulated     uint64 // detailed simulations actually executed (runner stats)
-	memoHits      uint64
-	ckptHits      uint64
-	retries       uint64
 	snapPlans     uint64 // functional fast-forward passes for sampled jobs (local only)
 	snapSeeded    uint64 // of those, passes seeded from a resident snapshot of the same program
 	snapPeerPlans uint64 // plans fetched or adopted from the cluster instead of computed
@@ -210,24 +219,20 @@ func (m *metrics) render(node string, g snapshotGauges) string {
 	line("pubsd_skip_spans_total", skipSpans)
 	line("pubsd_skipped_cycles_total", skippedCycles)
 
-	line("pubsd_sims_executed_total", g.simulated)
-	line("pubsd_runner_memo_hits_total", g.memoHits)
-	line("pubsd_runner_checkpoint_hits_total", g.ckptHits)
-	line("pubsd_runner_retries_total", g.retries)
+	simulated := m.simulated.Load()
+	line("pubsd_sims_executed_total", simulated)
+	line("pubsd_runner_checkpoint_hits_total", m.ckptHits.Load())
+	line("pubsd_runner_retries_total", m.retries.Load())
 	line("pubsd_snapshot_plans_total", g.snapPlans)
 	line("pubsd_snapshot_seeded_plans_total", g.snapSeeded)
 	line("pubsd_snapshot_peer_plans_total", g.snapPeerPlans)
 	line("pubsd_snapshot_hits_total", g.snapHits)
-	// Predecoded-trace cache: a plan is a miss (one functional pass paid),
-	// a hit answered a run from a resident plan.
-	line("pubsd_predecode_hits_total", g.snapHits)
-	line("pubsd_predecode_misses_total", g.snapPlans)
 	line("pubsd_predecode_evictions_total", g.snapEvictions)
 	line("pubsd_trace_resident_bytes", g.traceResident)
 	line("pubsd_trace_budget_bytes", g.traceBudget)
 	rate := 0.0
 	if up > 0 {
-		rate = float64(g.simulated) / up
+		rate = float64(simulated) / up
 	}
 	line("pubsd_sims_per_second", fmt.Sprintf("%.3f", rate))
 

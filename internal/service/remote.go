@@ -57,12 +57,11 @@ func (j *Job) remoteSpec(idx int) (CampaignSpec, bool) {
 		Measure:     j.opts.Measure,
 		Windows:     j.opts.SampleWindows,
 		FastForward: j.opts.SampleFastForward,
-		// Result-neutral scheduling knobs are relayed so the worker runs
+		// Result-neutral scheduling fields are relayed so the worker runs
 		// the cell the way the submitter asked, but they never enter keys.
-		ParallelWindows: j.opts.ParallelWindows,
-		WindowMajor:     j.spec.WindowMajor,
-		Tenant:          j.spec.Tenant,
-		Priority:        j.spec.Priority,
+		WindowMajor: j.spec.WindowMajor,
+		Tenant:      j.spec.Tenant,
+		Priority:    j.spec.Priority,
 	}, true
 }
 

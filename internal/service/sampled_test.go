@@ -5,20 +5,29 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/sampling"
 	"repro/internal/workload"
 )
+
+// parallelWindowOptions are testOptions with two windows replayed at once,
+// so sampled jobs exercise concurrent windows.
+func parallelWindowOptions() experiments.Options {
+	o := testOptions()
+	o.ParallelWindows = 2
+	return o
+}
 
 // TestSampledJob: a sampled campaign runs through the daemon, shares one
 // fast-forward pass across its machines, and its cells equal direct
 // sampling of the same (machine, workload, plan).
 func TestSampledJob(t *testing.T) {
-	s := testService(t, Config{Workers: 2})
+	s := testService(t, Config{Workers: 2, DefaultOptions: parallelWindowOptions()})
 	spec := CampaignSpec{
 		Machines:  []MachineSpec{{Machine: "base"}, {Machine: "pubs"}, {Machine: "pubs+age"}},
 		Workloads: []string{"parser"},
 		Warmup:    2_000, Measure: 5_000,
-		Windows: 2, FastForward: 20_000, ParallelWindows: 2,
+		Windows: 2, FastForward: 20_000,
 	}
 	st := waitJob(t, mustSubmit(t, s, spec))
 	if st.State != JobDone {
@@ -46,7 +55,7 @@ func TestSampledJob(t *testing.T) {
 		}
 	}
 
-	_, snaps := s.runnerStats()
+	snaps := s.plans.Stats()
 	if snaps.Plans != 1 {
 		t.Errorf("snapshot plans = %d, want 1 (one workload, one geometry)", snaps.Plans)
 	}
@@ -61,16 +70,13 @@ func TestSampledJob(t *testing.T) {
 }
 
 // TestSampledSpecKeying: sampled and contiguous campaigns with the same
-// windows get distinct runners and distinct cell keys.
+// windows get distinct cell keys.
 func TestSampledSpecKeying(t *testing.T) {
 	def := testOptions()
 	contiguous := CampaignSpec{Machines: []MachineSpec{{Machine: "base"}}, Workloads: []string{"chess"}}
 	sampled := contiguous
 	sampled.Windows = 2
 	sampled.FastForward = 20_000
-	if keyFor(contiguous.options(def)) == keyFor(sampled.options(def)) {
-		t.Fatal("sampled and contiguous jobs share a runner key")
-	}
 	cells, err := sampled.Cells(0)
 	if err != nil {
 		t.Fatal(err)
@@ -82,15 +88,15 @@ func TestSampledSpecKeying(t *testing.T) {
 
 // TestWindowMajorJob: a window-major sampled campaign completes with cells
 // bit-identical to per-cell scheduling, pays one fast-forward pass, and
-// exports the new trace metrics (resident bytes, predecode counters, and a
+// exports the trace metrics (resident bytes, plan and eviction counters, and a
 // populated replay-latency histogram).
 func TestWindowMajorJob(t *testing.T) {
-	s := testService(t, Config{Workers: 2, TraceBudgetBytes: 1 << 30})
+	s := testService(t, Config{Workers: 2, TraceBudgetBytes: 1 << 30, DefaultOptions: parallelWindowOptions()})
 	spec := CampaignSpec{
 		Machines:  []MachineSpec{{Machine: "base"}, {Machine: "pubs"}, {Machine: "pubs+age"}},
 		Workloads: []string{"parser"},
 		Warmup:    2_000, Measure: 5_000,
-		Windows: 2, FastForward: 20_000, ParallelWindows: 2,
+		Windows: 2, FastForward: 20_000,
 		WindowMajor: true,
 	}
 	st := waitJob(t, mustSubmit(t, s, spec))
@@ -102,7 +108,7 @@ func TestWindowMajorJob(t *testing.T) {
 	}
 
 	// Same cells via per-cell scheduling on a fresh daemon.
-	ref := testService(t, Config{Workers: 2})
+	ref := testService(t, Config{Workers: 2, DefaultOptions: parallelWindowOptions()})
 	perCell := spec
 	perCell.WindowMajor = false
 	rst := waitJob(t, mustSubmit(t, ref, perCell))
@@ -115,7 +121,7 @@ func TestWindowMajorJob(t *testing.T) {
 		}
 	}
 
-	_, snaps := s.runnerStats()
+	snaps := s.plans.Stats()
 	if snaps.Plans != 1 {
 		t.Errorf("snapshot plans = %d, want 1", snaps.Plans)
 	}
@@ -124,7 +130,7 @@ func TestWindowMajorJob(t *testing.T) {
 	}
 	text := s.MetricsText()
 	for _, metric := range []string{
-		"pubsd_predecode_misses_total{node=\"local\"} 1",
+		"pubsd_snapshot_plans_total{node=\"local\"} 1",
 		"pubsd_predecode_evictions_total{node=\"local\"} 0",
 		"pubsd_trace_budget_bytes{node=\"local\"} 1073741824",
 		"pubsd_trace_resident_bytes",
@@ -156,7 +162,7 @@ func TestPlanBudgetBoundsDaemon(t *testing.T) {
 			t.Fatalf("ff %d: %s %v", ff, st.State, st.Errors)
 		}
 	}
-	_, snaps := s.runnerStats()
+	snaps := s.plans.Stats()
 	if snaps.ResidentPlans != 1 || snaps.Evictions < 3 {
 		t.Errorf("four geometries under a 1-byte budget: %d plans resident, %d evictions; want 1 and >= 3",
 			snaps.ResidentPlans, snaps.Evictions)
@@ -198,9 +204,8 @@ func TestEvictedPlanIsNotServed(t *testing.T) {
 	}
 }
 
-// TestWindowMajorSpecKeying: WindowMajor only shapes a job's tasks, so a
-// window-major and a per-cell job of one geometry share a runner (and its
-// memo), and cell content keys do not change.
+// TestWindowMajorSpecKeying: WindowMajor only shapes a job's tasks, so
+// cell content keys do not change.
 func TestWindowMajorSpecKeying(t *testing.T) {
 	def := testOptions()
 	base := CampaignSpec{
@@ -209,9 +214,6 @@ func TestWindowMajorSpecKeying(t *testing.T) {
 	}
 	wm := base
 	wm.WindowMajor = true
-	if keyFor(base.options(def)) != keyFor(wm.options(def)) {
-		t.Fatal("window-major job does not share a runner with per-cell scheduling")
-	}
 	cells, err := base.Cells(0)
 	if err != nil {
 		t.Fatal(err)

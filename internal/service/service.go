@@ -59,8 +59,9 @@ type Config struct {
 	// before a half-open probe (0 = 30s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// DefaultOptions supplies windows for specs that omit them and the
-	// failure handling (timeout, retries) for every run. Zero windows mean
+	// DefaultOptions supplies windows for specs that omit them, the
+	// failure handling (timeout, retries) for every run, and the window
+	// concurrency of sampled jobs (ParallelWindows). Zero windows mean
 	// experiments.DefaultOptions.
 	DefaultOptions experiments.Options
 	// CheckpointDir, when set, persists every finished run so a restarted
@@ -158,7 +159,6 @@ type Service struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string // submission order, for listing
-	runners  map[windowKey]*experiments.Runner
 	draining bool
 	seq      uint64
 
@@ -179,26 +179,6 @@ type Service struct {
 	dispWG   sync.WaitGroup
 }
 
-// windowKey distinguishes runners by simulation window — including the
-// sampling geometry, so sampled and contiguous jobs (and different sampled
-// geometries) get separate runners and memo caches — plus the window
-// concurrency, which is fixed per runner even though it never changes
-// results; every other option is shared daemon-wide.
-type windowKey struct {
-	warmup, measure uint64
-	windows         int
-	fastForward     uint64
-	parallelWindows int
-}
-
-func keyFor(o experiments.Options) windowKey {
-	return windowKey{
-		warmup: o.Warmup, measure: o.Measure,
-		windows: o.SampleWindows, fastForward: o.SampleFastForward,
-		parallelWindows: o.ParallelWindows,
-	}
-}
-
 // New builds and starts a daemon: workers and dispatcher run until
 // Shutdown. With Config.JournalDir set, it first replays the journal and
 // re-enqueues every campaign a previous process accepted but never
@@ -212,7 +192,6 @@ func New(cfg Config) (*Service, error) {
 		limiter: newTenantLimiter(cfg.TenantRate, cfg.TenantBurst),
 		brk:     newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		jobs:    make(map[string]*Job),
-		runners: make(map[windowKey]*experiments.Runner),
 		q:       newJobQueue(),
 		tasks:   make(chan task, cfg.Workers*2),
 	}
@@ -244,7 +223,7 @@ func New(cfg Config) (*Service, error) {
 
 	// Fail fast on an unusable checkpoint directory.
 	if cfg.CheckpointDir != "" {
-		if _, err := s.runnerFor(cfg.DefaultOptions); err != nil {
+		if _, err := s.newRunner(cfg.DefaultOptions); err != nil {
 			return nil, err
 		}
 	}
@@ -256,9 +235,6 @@ func New(cfg Config) (*Service, error) {
 	// removed across the restart) are journaled failed, not resurrected.
 	for _, rj := range recovered {
 		cells, err := rj.Spec.Cells(cfg.MaxCellsPerJob)
-		if err == nil {
-			_, err = s.runnerFor(rj.Spec.options(cfg.DefaultOptions))
-		}
 		job := newJob(rj.ID, rj.Spec, cells, rj.Spec.options(cfg.DefaultOptions), s.jl)
 		s.jobs[rj.ID] = job
 		s.order = append(s.order, rj.ID)
@@ -280,37 +256,27 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// runnerFor returns (creating on demand) the runner for a window pair.
-// All runners share the worker pool's parallelism bound, the circuit
-// breaker, and, when configured, the same checkpoint directory — keys
-// embed the windows, so the records never collide.
-func (s *Service) runnerFor(o experiments.Options) (*experiments.Runner, error) {
-	k := keyFor(o)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.runners[k]; ok {
-		return r, nil
-	}
-	// Every runner feeds the daemon-wide replay-latency histogram, is
-	// gated by the daemon-wide breaker and plans through the daemon-wide
-	// store: plan keys address content, so runners share entries safely.
+// newRunner builds the runner one task executes on. It lives as long as
+// the task: the result cache is the daemon's only in-memory result store.
+// What outlives it is daemon-wide: it feeds the replay-latency histogram,
+// is gated by the breaker, plans through the one plan store (plan keys
+// address content) and, when configured, shares the checkpoint directory
+// (keys embed the windows, so records never collide). Its Parallelism slot
+// is a no-op: the worker pool already bounds tasks.
+func (s *Service) newRunner(o experiments.Options) (*experiments.Runner, error) {
 	o.WindowObserve = s.m.observeWindow
 	r := experiments.NewRunner(o).WithAdmit(s.admitSim).WithStore(s.plans)
-	if s.cfg.CheckpointDir != "" {
-		var err error
-		if r, err = r.WithCheckpoint(s.cfg.CheckpointDir); err != nil {
-			return nil, err
-		}
+	if s.cfg.CheckpointDir == "" {
+		return r, nil
 	}
-	s.runners[k] = r
-	return r, nil
+	return r.WithCheckpoint(s.cfg.CheckpointDir)
 }
 
 // admitSim is the experiments.AdmitFunc every runner shares: it consults
 // the circuit breaker immediately before a detailed simulation would
-// execute (memo and checkpoint hits never reach it — that is what makes
-// the open state a cached-only mode rather than an outage) and feeds the
-// attempt's outcome back.
+// execute (result-cache and checkpoint hits never reach it — that is what
+// makes the open state a cached-only mode rather than an outage) and feeds
+// the attempt's outcome back.
 func (s *Service) admitSim() (func(error), error) {
 	if err := s.brk.Allow(); err != nil {
 		s.m.degradedCells.Add(1)
@@ -331,10 +297,6 @@ func (s *Service) Submit(spec CampaignSpec) (*Job, error) {
 		return nil, fmt.Errorf("%w: %w", ErrInvalidSpec, err)
 	}
 	opts := spec.options(s.cfg.DefaultOptions)
-	if _, err := s.runnerFor(opts); err != nil {
-		s.m.jobsRejected.Add(1)
-		return nil, err
-	}
 
 	s.mu.Lock()
 	if s.draining {
@@ -560,7 +522,7 @@ type ownedCell struct {
 // table — hits land at once, concurrent duplicates merge — so each unique
 // content address executes once per daemon, whichever path runs it. The
 // owned cells are offered to the cluster fabric; whatever it declines (no
-// fabric, no live peers, ring churn mid-batch) runs through the local
+// fabric, no live peers, ring churn mid-batch) runs on the task's own
 // runner, window-major when the job asks for it.
 func (s *Service) execute(t task) {
 	j := t.job
@@ -571,7 +533,7 @@ func (s *Service) execute(t task) {
 	err := s.rootCtx.Err()
 	var runner *experiments.Runner
 	if err == nil {
-		runner, err = s.runnerFor(j.opts)
+		runner, err = s.newRunner(j.opts)
 	}
 	if err != nil {
 		for _, i := range t.group {
@@ -661,6 +623,9 @@ func (s *Service) execute(t task) {
 		// one batch and everything else cell by cell; its error, when
 		// non-nil, is a *CampaignError naming each failed cell.
 		results, serr := runner.RunSweepContext(ctx, cfgs, wl)
+		// Count the runner's work before any cell reports: a job that is
+		// done must already show in /metrics.
+		s.m.addRunnerStats(runner.Stats())
 		failed := make(map[string]error)
 		var ce *experiments.CampaignError
 		if errors.As(serr, &ce) {
@@ -727,28 +692,6 @@ func (s *Service) offer(ctx context.Context, j *Job, wl string, owned []*ownedCe
 		}
 	}
 	return nil, nil
-}
-
-// runnerStats sums the campaign counters across all runners and snapshots
-// the plan store they share.
-func (s *Service) runnerStats() (experiments.RunnerStats, sampling.StoreStats) {
-	s.mu.Lock()
-	runners := make([]*experiments.Runner, 0, len(s.runners))
-	for _, r := range s.runners {
-		runners = append(runners, r)
-	}
-	s.mu.Unlock()
-	var sum experiments.RunnerStats
-	for _, r := range runners {
-		st := r.Stats()
-		sum.Simulated += st.Simulated
-		sum.MemoHits += st.MemoHits
-		sum.CheckpointHits += st.CheckpointHits
-		sum.Retries += st.Retries
-		sum.Failures += st.Failures
-		sum.CheckpointErrors += st.CheckpointErrors
-	}
-	return sum, s.plans.Stats()
 }
 
 // Draining reports whether Shutdown has begun.
@@ -833,16 +776,12 @@ func (s *Service) DefaultOptions() experiments.Options { return s.cfg.DefaultOpt
 
 // MetricsText renders the /metrics document.
 func (s *Service) MetricsText() string {
-	rs, snaps := s.runnerStats()
+	snaps := s.plans.Stats()
 	brkState, brkTrips := s.brk.State()
 	return s.m.render(s.cfg.NodeID, snapshotGauges{
 		queueDepth:    s.QueueDepth(),
 		workers:       s.cfg.Workers,
 		cacheEntries:  s.cache.Len(),
-		simulated:     rs.Simulated,
-		memoHits:      rs.MemoHits,
-		ckptHits:      rs.CheckpointHits,
-		retries:       rs.Retries,
 		snapPlans:     snaps.Plans,
 		snapSeeded:    snaps.Seeded,
 		snapPeerPlans: snaps.PeerPlans,
@@ -855,6 +794,3 @@ func (s *Service) MetricsText() string {
 		breakerTrips:  brkTrips,
 	})
 }
-
-// Uptime reports how long the daemon has been serving.
-func (s *Service) Uptime() time.Duration { return time.Since(s.m.start) }

@@ -242,8 +242,8 @@ func testDuplicateSubmissions(t *testing.T, cfg Config, spec CampaignSpec) {
 	// The grid executed exactly once: one simulation per unique cell, no
 	// matter how the cell executions split between fresh runs, merges,
 	// and cache hits.
-	if rs, _ := s.runnerStats(); rs.Simulated != uint64(len(cells)) {
-		t.Errorf("Simulated = %d, want %d (grid must execute exactly once)", rs.Simulated, len(cells))
+	if sims := s.m.simulated.Load(); sims != uint64(len(cells)) {
+		t.Errorf("Simulated = %d, want %d (grid must execute exactly once)", sims, len(cells))
 	}
 
 	// Bit-identical to the equivalent direct-Runner campaign.
@@ -287,13 +287,13 @@ func TestResubmitServedFromCache(t *testing.T) {
 	if st.State != JobDone {
 		t.Fatalf("first job: %s %v", st.State, st.Errors)
 	}
-	before, _ := s.runnerStats()
+	before := s.m.simulated.Load()
 	st2 := waitJob(t, mustSubmit(t, s, spec))
 	if st2.State != JobDone {
 		t.Fatalf("second job: %s %v", st2.State, st2.Errors)
 	}
-	if after, _ := s.runnerStats(); after.Simulated != before.Simulated {
-		t.Errorf("resubmission re-simulated: %d → %d", before.Simulated, after.Simulated)
+	if after := s.m.simulated.Load(); after != before {
+		t.Errorf("resubmission re-simulated: %d → %d", before, after)
 	}
 	if s.m.cacheHits.Load() == 0 {
 		t.Error("no cache hits recorded for resubmission")
@@ -396,9 +396,8 @@ func TestCheckpointSurvivesRestart(t *testing.T) {
 	if st2.State != JobDone {
 		t.Fatalf("second daemon: %s %v", st2.State, st2.Errors)
 	}
-	rs, _ := s2.runnerStats()
-	if rs.Simulated != 0 || rs.CheckpointHits == 0 {
-		t.Errorf("restart re-simulated: Simulated=%d CheckpointHits=%d", rs.Simulated, rs.CheckpointHits)
+	if sims, hits := s2.m.simulated.Load(), s2.m.ckptHits.Load(); sims != 0 || hits == 0 {
+		t.Errorf("restart re-simulated: Simulated=%d CheckpointHits=%d", sims, hits)
 	}
 	b1, _ := json.Marshal(st.Results)
 	b2, _ := json.Marshal(st2.Results)

@@ -3,11 +3,11 @@
 // shards each campaign's (machine × workload) grid across workers, and a
 // content-addressed result cache with singleflight deduplication so that
 // concurrent identical submissions — the heavy-traffic case — execute
-// once. Execution reuses the experiment Runner end to end: panic-recovering
-// workers, per-run timeouts and transient-failure retries, memoization,
-// and optional on-disk checkpointing share one code path with the CLI, so
-// a result served by the daemon is bit-identical to the equivalent
-// cmd/experiments run.
+// once; it is the daemon's only in-memory result store. Execution reuses
+// the experiment Runner end to end: panic-recovering workers, per-run
+// timeouts and transient-failure retries, and optional on-disk
+// checkpointing share one code path with the CLI, so a result served by
+// the daemon is bit-identical to the equivalent cmd/experiments run.
 package service
 
 import (
@@ -140,27 +140,26 @@ func (m MachineSpec) Config() (pipeline.Config, error) {
 // the job to sampled simulation: Windows measurement windows of
 // Warmup+Measure detailed instructions separated by FastForward functional
 // gaps, with the fast-forward paid once per workload and shared across the
-// job's machines. ParallelWindows sets per-cell window concurrency
-// (negative = GOMAXPROCS); it never changes results. WindowMajor only
-// shapes the job's tasks: a sampled job then runs each workload's machines
-// as one sweep task (one runner batch, or one cluster sweep request)
-// instead of one task per cell. Neither enters result keys.
+// job's machines. WindowMajor only shapes the job's tasks: a sampled job
+// then runs each workload's machines as one sweep task (one runner batch,
+// or one cluster sweep request) instead of one task per cell. It never
+// enters result keys. Window concurrency is the daemon's
+// (Config.DefaultOptions.ParallelWindows), not the job's.
 type CampaignSpec struct {
-	Machines        []MachineSpec `json:"machines"`
-	Workloads       []string      `json:"workloads,omitempty"`
-	Warmup          uint64        `json:"warmup,omitempty"`
-	Measure         uint64        `json:"measure,omitempty"`
-	Windows         int           `json:"windows,omitempty"`
-	FastForward     uint64        `json:"fast_forward,omitempty"`
-	ParallelWindows int           `json:"parallel_windows,omitempty"`
-	WindowMajor     bool          `json:"window_major,omitempty"`
+	Machines    []MachineSpec `json:"machines"`
+	Workloads   []string      `json:"workloads,omitempty"`
+	Warmup      uint64        `json:"warmup,omitempty"`
+	Measure     uint64        `json:"measure,omitempty"`
+	Windows     int           `json:"windows,omitempty"`
+	FastForward uint64        `json:"fast_forward,omitempty"`
+	WindowMajor bool          `json:"window_major,omitempty"`
 
 	// Admission-control metadata. Tenant names the submitter for the
 	// per-tenant token buckets (empty = the shared "default" bucket);
 	// Priority orders the job queue and picks shedding victims under
 	// overload (higher runs first, lower sheds first; negative =
 	// best-effort, refused above the high-water mark). Neither enters
-	// memo, checkpoint, or content keys — two submissions differing only
+	// checkpoint or content keys — two submissions differing only
 	// here share every cell.
 	Tenant   string `json:"tenant,omitempty"`
 	Priority int    `json:"priority,omitempty"`
@@ -217,7 +216,6 @@ func (s CampaignSpec) options(def experiments.Options) experiments.Options {
 	if s.Windows > 0 {
 		o.SampleWindows = s.Windows
 		o.SampleFastForward = s.FastForward
-		o.ParallelWindows = s.ParallelWindows
 	}
 	return o
 }

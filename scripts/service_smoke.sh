@@ -105,8 +105,8 @@ SWEEP='{"machines":[{"machine":"base"},{"machine":"pubs"},{"machine":"age"}],"wo
 submit_and_wait "$SWEEP" >/dev/null
 SIMS3=$(metric pubsd_sims_executed_total)
 [[ "$SIMS3" == $((SIMS1 + 3)) ]] || { echo "expected $((SIMS1 + 3)) sims after sampled sweep, got $SIMS3"; exit 1; }
-PLANS=$(metric pubsd_predecode_misses_total)
-[[ "$PLANS" == 1 ]] || { echo "expected 1 predecode plan, got $PLANS"; exit 1; }
+PLANS=$(metric pubsd_snapshot_plans_total)
+[[ "$PLANS" == 1 ]] || { echo "expected 1 snapshot plan, got $PLANS"; exit 1; }
 RESIDENT=$(metric pubsd_trace_resident_bytes)
 BUDGET=$(metric pubsd_trace_budget_bytes)
 [[ "$BUDGET" == "$TRACE_BUDGET" ]] || { echo "trace budget gauge $BUDGET != configured $TRACE_BUDGET"; exit 1; }
