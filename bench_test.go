@@ -8,6 +8,7 @@ package pubsim
 // run with -v to see the rows.
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -26,10 +27,10 @@ func quickRunner() *Runner {
 
 type tabler interface{ Table() string }
 
-func benchExperiment[T tabler](b *testing.B, run func(*Runner) (T, error)) {
+func benchExperiment[T tabler](b *testing.B, run func(context.Context, *Runner) (T, error)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		res, err := run(quickRunner())
+		res, err := run(context.Background(), quickRunner())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,10 +114,11 @@ func BenchmarkExtWrongPath(b *testing.B) { benchExperiment(b, ExtWrongPath) }
 // BenchmarkSimulatorThroughput measures raw simulation speed (committed
 // instructions per wall-clock second) on the base machine.
 func BenchmarkSimulatorThroughput(b *testing.B) {
+	ctx := context.Background()
 	const insts = 100_000
 	b.SetBytes(insts) // bytes/s double as instructions/s
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(BaseConfig(), "chess", 0, insts); err != nil {
+		if _, err := Run(ctx, BaseConfig(), "chess", 0, insts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,16 +30,16 @@ import (
 type experiment struct {
 	id   string
 	desc string
-	run  func(*pubsim.Runner) (string, error)
+	run  func(context.Context, *pubsim.Runner) (string, error)
 }
 
 var showCharts bool
 
 type charter interface{ Chart() string }
 
-func wrap[T interface{ Table() string }](f func(*pubsim.Runner) (T, error)) func(*pubsim.Runner) (string, error) {
-	return func(r *pubsim.Runner) (string, error) {
-		res, err := f(r)
+func wrap[T interface{ Table() string }](f func(context.Context, *pubsim.Runner) (T, error)) func(context.Context, *pubsim.Runner) (string, error) {
+	return func(ctx context.Context, r *pubsim.Runner) (string, error) {
+		res, err := f(ctx, r)
 		var ce *pubsim.CampaignError
 		if err != nil && !errors.As(err, &ce) {
 			return "", err
@@ -65,7 +65,7 @@ var all = []experiment{
 	{"10", "Priority-entry sensitivity (Fig. 10)", wrap(pubsim.Fig10)},
 	{"11", "Confidence-counter-width sensitivity (Fig. 11)", wrap(pubsim.Fig11)},
 	{"12", "Mode-switch effectiveness (Fig. 12)", wrap(pubsim.Fig12)},
-	{"t3", "Hardware cost (Table III)", func(*pubsim.Runner) (string, error) { return pubsim.Table3().Table(), nil }},
+	{"t3", "Hardware cost (Table III)", func(context.Context, *pubsim.Runner) (string, error) { return pubsim.Table3().Table(), nil }},
 	{"13", "Enlarged-predictor comparison (Fig. 13)", wrap(pubsim.Fig13)},
 	{"15", "Age-matrix comparison (Fig. 15)", wrap(pubsim.Fig15)},
 	{"16", "Processor-size scaling (Fig. 16)", wrap(pubsim.Fig16)},
@@ -141,14 +141,14 @@ func main() {
 		opts.SampleFastForward = *sampFF
 		opts.ParallelWindows = *parWin
 	}
-	// SIGINT/SIGTERM cancel the campaign: binding the signal context to the
-	// runner reaches every in-flight simulation (each stops within ~1K
-	// cycles), and with -checkpoint the completed runs are already on disk,
-	// so rerunning the same command resumes where the interrupt landed.
+	// SIGINT/SIGTERM cancel the campaign: every experiment runs under the
+	// signal context, so each in-flight simulation stops within ~1K cycles,
+	// and with -checkpoint the completed runs are already on disk, so
+	// rerunning the same command resumes where the interrupt landed.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	runner := pubsim.NewRunner(opts).BindContext(ctx).WithStore(pubsim.NewSamplingStoreBudget(*traceBud))
+	runner := pubsim.NewRunner(opts).WithStore(pubsim.NewSamplingStoreBudget(*traceBud))
 	if *ckptDir != "" {
 		var err error
 		if runner, err = runner.WithCheckpoint(*ckptDir); err != nil {
@@ -169,7 +169,7 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		table, err := e.run(runner)
+		table, err := e.run(ctx, runner)
 		if err != nil {
 			failed = append(failed, e.id)
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.id, err)

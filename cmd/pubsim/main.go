@@ -96,20 +96,20 @@ func main() {
 	var sampled *pubsim.SampledResult
 	switch {
 	case *pipetrace > 0:
-		res, err = pubsim.RunWithPipeTrace(cfg, *wl, *warmup, *insts, os.Stdout, *pipetrace)
+		res, err = pubsim.RunWithPipeTrace(ctx, cfg, *wl, *warmup, *insts, os.Stdout, *pipetrace)
 	case *sampleWin > 0:
 		plan := pubsim.SamplingPlan{
 			Windows: *sampleWin, FastForward: *sampleFF,
 			Warmup: *warmup, Measure: *insts, Parallel: *parWin,
 		}
 		var sres pubsim.SampledResult
-		sres, err = pubsim.RunSampledContext(ctx, cfg, *wl, plan)
+		sres, err = pubsim.RunSampled(ctx, cfg, *wl, plan)
 		if err == nil {
 			sampled = &sres
 			res = sres.Merged()
 		}
 	default:
-		res, err = pubsim.RunContext(ctx, cfg, *wl, *warmup, *insts)
+		res, err = pubsim.Run(ctx, cfg, *wl, *warmup, *insts)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

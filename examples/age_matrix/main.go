@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,12 +15,13 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const (
 		warmup  = 150_000
 		measure = 400_000
 	)
 	for _, wl := range []string{"chess", "pathfind"} {
-		base, err := pubsim.Run(pubsim.BaseConfig(), wl, warmup, measure)
+		base, err := pubsim.Run(ctx, pubsim.BaseConfig(), wl, warmup, measure)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -27,12 +29,12 @@ func main() {
 		age := pubsim.BaseConfig()
 		age.Name = "age"
 		age.AgeMatrix = true
-		ageRes, err := pubsim.Run(age, wl, warmup, measure)
+		ageRes, err := pubsim.Run(ctx, age, wl, warmup, measure)
 		if err != nil {
 			log.Fatal(err)
 		}
 
-		pubs, err := pubsim.Run(pubsim.PUBSConfig(), wl, warmup, measure)
+		pubs, err := pubsim.Run(ctx, pubsim.PUBSConfig(), wl, warmup, measure)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -40,7 +42,7 @@ func main() {
 		both := pubsim.PUBSConfig()
 		both.Name = "pubs+age"
 		both.AgeMatrix = true
-		bothRes, err := pubsim.Run(both, wl, warmup, measure)
+		bothRes, err := pubsim.Run(ctx, both, wl, warmup, measure)
 		if err != nil {
 			log.Fatal(err)
 		}

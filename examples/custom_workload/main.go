@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -69,6 +70,7 @@ func buildProbe() *pubsim.Program {
 }
 
 func main() {
+	ctx := context.Background()
 	prog := buildProbe()
 
 	// Functional sanity check before any timing runs.
@@ -76,11 +78,11 @@ func main() {
 		log.Fatalf("emulation failed: n=%d err=%v", n, err)
 	}
 
-	base, err := pubsim.RunProgram(pubsim.BaseConfig(), prog, 100_000, 400_000)
+	base, err := pubsim.RunProgram(ctx, pubsim.BaseConfig(), prog, 100_000, 400_000)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pubs, err := pubsim.RunProgram(pubsim.PUBSConfig(), prog, 100_000, 400_000)
+	pubs, err := pubsim.RunProgram(ctx, pubsim.PUBSConfig(), prog, 100_000, 400_000)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,8 @@ const (
 )
 
 func main() {
-	base, err := pubsim.Run(pubsim.BaseConfig(), workload, warmup, measure)
+	ctx := context.Background()
+	base, err := pubsim.Run(ctx, pubsim.BaseConfig(), workload, warmup, measure)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,7 +35,7 @@ func main() {
 			cfg := pubsim.PUBSConfig()
 			cfg.PUBS.PriorityEntries = entries
 			cfg.PUBS.StallDispatch = stall
-			res, err := pubsim.Run(cfg, workload, warmup, measure)
+			res, err := pubsim.Run(ctx, cfg, workload, warmup, measure)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -47,7 +49,7 @@ func main() {
 	for bits := 2; bits <= 8; bits++ {
 		cfg := pubsim.PUBSConfig()
 		cfg.PUBS.ConfCounterBits = bits
-		res, err := pubsim.Run(cfg, workload, warmup, measure)
+		res, err := pubsim.Run(ctx, cfg, workload, warmup, measure)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +58,7 @@ func main() {
 	}
 	blind := pubsim.PUBSConfig()
 	blind.PUBS.Blind = true
-	res, err := pubsim.Run(blind, workload, warmup, measure)
+	res, err := pubsim.Run(ctx, blind, workload, warmup, measure)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,17 +14,18 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const (
 		wl      = "pathfind"
 		warmup  = 150_000
 		measure = 400_000
 	)
 
-	base, err := pubsim.Run(pubsim.BaseConfig(), wl, warmup, measure)
+	base, err := pubsim.Run(ctx, pubsim.BaseConfig(), wl, warmup, measure)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pubs, err := pubsim.Run(pubsim.PUBSConfig(), wl, warmup, measure)
+	pubs, err := pubsim.Run(ctx, pubsim.PUBSConfig(), wl, warmup, measure)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,17 +13,18 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const (
 		workload = "chess" // models sjeng, the paper's biggest winner
 		warmup   = 200_000
 		measure  = 500_000
 	)
 
-	base, err := pubsim.Run(pubsim.BaseConfig(), workload, warmup, measure)
+	base, err := pubsim.Run(ctx, pubsim.BaseConfig(), workload, warmup, measure)
 	if err != nil {
 		log.Fatal(err)
 	}
-	pubs, err := pubsim.Run(pubsim.PUBSConfig(), workload, warmup, measure)
+	pubs, err := pubsim.Run(ctx, pubsim.PUBSConfig(), workload, warmup, measure)
 	if err != nil {
 		log.Fatal(err)
 	}

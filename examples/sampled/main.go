@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	const wl = "compress"
 	plan := pubsim.SamplingPlan{
 		Windows:     6,
@@ -21,7 +23,7 @@ func main() {
 		Measure:     80_000,
 	}
 	for _, cfg := range []pubsim.Config{pubsim.BaseConfig(), pubsim.PUBSConfig()} {
-		res, err := pubsim.RunSampled(cfg, wl, plan)
+		res, err := pubsim.RunSampled(ctx, cfg, wl, plan)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package energy
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -66,12 +67,13 @@ func TestPUBSNetEnergyWin(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	ctx := context.Background()
 	prog := workload.MustProgram("chess")
-	base, err := pipeline.RunProgram(pipeline.BaseConfig(), prog, 50_000, 150_000)
+	base, err := pipeline.RunProgramContext(ctx, pipeline.BaseConfig(), prog, 50_000, 150_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pubs, err := pipeline.RunProgram(pipeline.PUBSConfig(), prog, 50_000, 150_000)
+	pubs, err := pipeline.RunProgramContext(ctx, pipeline.PUBSConfig(), prog, 50_000, 150_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"repro/internal/bpred"
 	"repro/internal/core"
 	"repro/internal/iq"
@@ -15,7 +17,7 @@ import (
 // AblationIQKinds compares the §III-B1 queue taxonomy over the whole suite:
 // the shifting (age-ordered, the Alpha 21264 queue) and circular queues
 // against the random baseline, by geomean IPC change.
-func AblationIQKinds(r *Runner) (Study, error) {
+func AblationIQKinds(ctx context.Context, r *Runner) (Study, error) {
 	s := study{
 		title:   "Ablation — IQ organisations vs the random queue (geomean IPC change)",
 		headers: []string{"queue", "D-BP%", "E-BP%"},
@@ -26,14 +28,14 @@ func AblationIQKinds(r *Runner) (Study, error) {
 		cfg := variant(pipeline.BaseConfig(), "base-"+kind.String(), func(c *pipeline.Config) { c.IQKind = kind })
 		s.rows = append(s.rows, row{label: kind.String(), vars: []pipeline.Config{cfg}})
 	}
-	return s.run(r)
+	return s.run(ctx, r)
 }
 
 // AblationPredictors checks that PUBS's benefit survives a predictor swap
 // (the paper's footnote 1 cross-checks with gshare/bimodal/tournament): each
 // family's base against the perceptron base, and PUBS's gain over the
 // same-predictor base, D-BP geomean.
-func AblationPredictors(r *Runner) (Study, error) {
+func AblationPredictors(ctx context.Context, r *Runner) (Study, error) {
 	s := study{
 		title:   "Ablation — PUBS gain under alternative predictors (D-BP geomean)",
 		headers: []string{"predictor", "base-vs-perceptron%", "PUBS-gain%"},
@@ -45,13 +47,13 @@ func AblationPredictors(r *Runner) (Study, error) {
 		s.rows = append(s.rows, row{label: kind, vars: []pipeline.Config{
 			variant(pipeline.BaseConfig(), "base-"+kind, predictor), variant(pipeline.PUBSConfig(), "pubs-"+kind, predictor)}})
 	}
-	return s.run(r)
+	return s.run(ctx, r)
 }
 
 // AblationTables compares the §IV organisation choices — the default
 // set-associative hashed-tag tables, the tagless variant, and narrower /
 // wider hash folds — by D-BP geomean speedup and storage cost.
-func AblationTables(r *Runner) (Study, error) {
+func AblationTables(ctx context.Context, r *Runner) (Study, error) {
 	s := study{
 		title:   "Ablation — PUBS table organisation (D-BP geomean)",
 		headers: []string{"variant", "speedup%", "cost-KB"},
@@ -77,5 +79,5 @@ func AblationTables(r *Runner) (Study, error) {
 	for _, v := range variants {
 		s.rows = append(s.rows, row{label: v.name, vars: []pipeline.Config{variant(pipeline.PUBSConfig(), "pubs-"+v.name, v.mutate)}})
 	}
-	return s.run(r)
+	return s.run(ctx, r)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/sliceprof"
@@ -31,8 +32,8 @@ type CharResult struct {
 
 // Characterize profiles every benchmark: base-machine behaviour plus exact
 // slice structure.
-func Characterize(r *Runner) (CharResult, error) {
-	cls, err := r.Classify()
+func Characterize(ctx context.Context, r *Runner) (CharResult, error) {
+	cls, err := Classify(ctx, r)
 	if err != nil {
 		return CharResult{}, err
 	}

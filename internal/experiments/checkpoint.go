@@ -83,5 +83,9 @@ func (c *checkpoint) save(key, wl, cfgName string, res pipeline.Result) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	return os.Rename(tmp.Name(), c.path(key))
+	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
 }

@@ -47,11 +47,11 @@ type Options struct {
 	// surfaces as simerr.ErrTimeout. Retries is how
 	// many extra attempts a transient failure (simerr.IsTransient) gets;
 	// deterministic failures — deadlock, invariant violation, panic — are
-	// never retried. RetryBackoff is the first retry's delay, doubled each
-	// attempt (0 = 50ms).
+	// never retried. A retry waits retryBackoff (50ms unless a test of
+	// this package shortens it), doubled each attempt.
 	Timeout      time.Duration
 	Retries      int
-	RetryBackoff time.Duration
+	retryBackoff time.Duration
 
 	// Sampled simulation. SampleWindows > 0 switches every run from one
 	// contiguous window to SMARTS-style sampling: SampleWindows windows of
@@ -124,8 +124,8 @@ func (o Options) normalized() Options {
 	if o.Retries < 0 {
 		o.Retries = 0
 	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 50 * time.Millisecond
+	if o.retryBackoff == 0 {
+		o.retryBackoff = 50 * time.Millisecond
 	}
 	return o
 }
@@ -149,9 +149,8 @@ type RunnerStats struct {
 type Runner struct {
 	opts  Options
 	ckpt  *checkpoint
-	base  context.Context // optional campaign-wide context (BindContext)
-	admit AdmitFunc       // optional gate on detailed simulation (WithAdmit)
-	stats RunnerStats     // accessed atomically; read via Stats
+	admit AdmitFunc   // optional gate on detailed simulation (WithAdmit)
+	stats RunnerStats // accessed atomically; read via Stats
 
 	mu    sync.Mutex
 	cache map[string]pipeline.Result
@@ -176,7 +175,7 @@ func NewRunner(o Options) *Runner {
 
 // WithStore makes the runner plan sampled windows through st — a budgeted
 // store, or one several runners share, since plan keys address content.
-// Call it before the first Run; it returns the runner for chaining.
+// Call it before the first run; it returns the runner for chaining.
 func (r *Runner) WithStore(st *sampling.Store) *Runner {
 	r.snaps = st
 	return r
@@ -184,7 +183,7 @@ func (r *Runner) WithStore(st *sampling.Store) *Runner {
 
 // WithCheckpoint persists every finished run to dir (creating it if
 // needed) and answers future runs of the same key from disk. Call it
-// before the first Run; it returns the runner for chaining.
+// before the first run; it returns the runner for chaining.
 func (r *Runner) WithCheckpoint(dir string) (*Runner, error) {
 	c, err := newCheckpoint(dir)
 	if err != nil {
@@ -205,43 +204,10 @@ func (r *Runner) WithCheckpoint(dir string) (*Runner, error) {
 type AdmitFunc func() (release func(error), err error)
 
 // WithAdmit installs the simulation admission gate. Call it before the
-// first Run; it returns the runner for chaining.
+// first run; it returns the runner for chaining.
 func (r *Runner) WithAdmit(f AdmitFunc) *Runner {
 	r.admit = f
 	return r
-}
-
-// BindContext attaches a campaign-wide context to the runner: every
-// subsequent Run/RunAll/figure call observes it in addition to its own
-// per-call context. This is how cmd-level signal handling (SIGINT/SIGTERM
-// via signal.NotifyContext) reaches runs buried inside figure functions
-// that predate context plumbing — cancellation aborts in-flight cells
-// while everything already finished stays memoized and checkpointed, so an
-// interrupted campaign resumes instead of dying mid-cell. Call it before
-// the first Run; it returns the runner for chaining.
-func (r *Runner) BindContext(ctx context.Context) *Runner {
-	r.base = ctx
-	return r
-}
-
-// withBase merges the per-call context with the bound campaign context:
-// the returned context is done as soon as either is. The stop function
-// releases the linkage and must be called when the run finishes.
-func (r *Runner) withBase(ctx context.Context) (context.Context, func()) {
-	if r.base == nil || r.base == ctx {
-		return ctx, func() {}
-	}
-	merged, cancel := context.WithCancelCause(ctx)
-	if err := r.base.Err(); err != nil {
-		// The campaign context is already done: the merged context must be
-		// born canceled. Relying on AfterFunc alone would cancel it from a
-		// freshly spawned goroutine, and a short run can win that race and
-		// complete — idle skipping made fast runs fast enough to expose it.
-		cancel(err)
-		return merged, func() { cancel(nil) }
-	}
-	release := context.AfterFunc(r.base, func() { cancel(r.base.Err()) })
-	return merged, func() { release(); cancel(nil) }
 }
 
 // Options returns the normalized options in effect.
@@ -288,40 +254,15 @@ func (r *Runner) memoStore(key string, res pipeline.Result) {
 	r.mu.Unlock()
 }
 
-// Run simulates workload wl on cfg (memoized).
-func (r *Runner) Run(cfg pipeline.Config, wl string) (pipeline.Result, error) {
-	return r.RunContext(context.Background(), cfg, wl)
-}
-
-// RunContext simulates workload wl on cfg, answering from the memo cache
-// or checkpoint when possible. Failures are typed (see internal/simerr):
-// transient ones are retried with exponential backoff up to Options.Retries
-// times; panics are recovered into *simerr.PanicError; a per-simulation
-// Options.Timeout surfaces as simerr.ErrTimeout. It is the one-cell batch
-// of runBatch and runs on the calling goroutine.
-func (r *Runner) RunContext(ctx context.Context, cfg pipeline.Config, wl string) (pipeline.Result, error) {
-	res, errs := r.runBatch(ctx, []pipeline.Config{cfg}, wl)
-	if errs[0] != nil {
-		return pipeline.Result{}, errs[0]
-	}
-	return res[0], nil
-}
-
-// RunSweep is RunSweepContext with a background context.
-func (r *Runner) RunSweep(cfgs []pipeline.Config, wl string) ([]pipeline.Result, error) {
-	return r.RunSweepContext(context.Background(), cfgs, wl)
-}
-
-// RunSweepContext simulates workload wl across several machine
-// configurations. A sampled sweep runs as one batch under one Parallelism
-// slot: the shared store plans (and predecodes) the windows once, and
-// sampling.RunSweep replays each window across every machine while its
-// trace is resident, ParallelWindows workers wide. Anything else runs cell
-// by cell. Memoized and checkpointed per cell with the same keys as
-// RunContext, so a sweep and individual runs interconvert freely. Results
-// are indexed like cfgs; the error, when non-nil, is a *CampaignError
-// listing the failed cells.
-func (r *Runner) RunSweepContext(ctx context.Context, cfgs []pipeline.Config, wl string) ([]pipeline.Result, error) {
+// RunSweep simulates workload wl across several machine configurations.
+// A sampled sweep runs as one batch under one Parallelism slot: the shared
+// store plans (and predecodes) the windows once, and sampling.RunSweep
+// replays each window across every machine while its trace is resident,
+// ParallelWindows workers wide. Anything else runs cell by cell. Memoized
+// and checkpointed per cell with the same keys as RunCell, so a sweep and
+// individual cells interconvert freely. Results are indexed like cfgs; the
+// error, when non-nil, is a *CampaignError listing the failed cells.
+func (r *Runner) RunSweep(ctx context.Context, cfgs []pipeline.Config, wl string) ([]pipeline.Result, error) {
 	if !r.opts.Sampled() {
 		results, errs := r.fanOut(ctx, Grid(cfgs, []string{wl}))
 		return results, campaignError(runErrors(errs))
@@ -331,17 +272,11 @@ func (r *Runner) RunSweepContext(ctx context.Context, cfgs []pipeline.Config, wl
 }
 
 // RunAll simulates every named workload on cfg concurrently and returns
-// results keyed by workload name. On failure it returns the successful
-// subset alongside a *CampaignError listing what failed.
-func (r *Runner) RunAll(cfg pipeline.Config, names []string) (map[string]pipeline.Result, error) {
-	return r.RunAllContext(context.Background(), cfg, names)
-}
-
-// RunAllContext is RunAll with cancellation: the context aborts runs that
-// have not started and cuts short those in flight. The returned map always
-// holds every run that completed; the error, when non-nil, is a
-// *CampaignError whose Failures list the rest.
-func (r *Runner) RunAllContext(ctx context.Context, cfg pipeline.Config, names []string) (map[string]pipeline.Result, error) {
+// results keyed by workload name. The context aborts runs that have not
+// started and cuts short those in flight. The returned map always holds
+// every run that completed; the error, when non-nil, is a *CampaignError
+// whose Failures list the rest.
+func (r *Runner) RunAll(ctx context.Context, cfg pipeline.Config, names []string) (map[string]pipeline.Result, error) {
 	res, errs := r.fanOut(ctx, Grid([]pipeline.Config{cfg}, names))
 	results := make(map[string]pipeline.Result, len(names))
 	for i, name := range names {
@@ -389,11 +324,6 @@ func runErrors(errs []error) []RunError {
 // Options.Retries times. Results and errors are indexed like cfgs; every
 // error is a RunError.
 func (r *Runner) runBatch(ctx context.Context, cfgs []pipeline.Config, wl string) ([]pipeline.Result, []error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, unbind := r.withBase(ctx)
-	defer unbind()
 	results := make([]pipeline.Result, len(cfgs))
 	errs := make([]error, len(cfgs))
 	keys := make([]string, len(cfgs))
@@ -417,6 +347,11 @@ func (r *Runner) runBatch(ctx context.Context, cfgs []pipeline.Config, wl string
 		return results, errs
 	}
 
+	// A context done before the slot is taken fails the cells here: select
+	// picks at random among ready cases, and a free slot would let them run.
+	if err := ctx.Err(); err != nil {
+		return fail(pending, err)
+	}
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -447,7 +382,7 @@ func (r *Runner) runBatch(ctx context.Context, cfgs []pipeline.Config, wl string
 		}
 		atomic.AddUint64(&r.stats.Retries, uint64(len(retry)))
 		select {
-		case <-time.After(r.opts.RetryBackoff << attempt):
+		case <-time.After(r.opts.retryBackoff << attempt):
 		case <-ctx.Done():
 			return fail(retry, ctx.Err())
 		}
@@ -577,10 +512,10 @@ type Classification struct {
 	Base map[string]pipeline.Result // base-machine results for every program
 }
 
-// Classify runs the base machine over the whole suite and applies the
+// Classify runs the base machine over the whole suite on r and applies the
 // paper's D-BP threshold.
-func (r *Runner) Classify() (Classification, error) {
-	base, err := r.RunAll(pipeline.BaseConfig(), workload.Names())
+func Classify(ctx context.Context, r *Runner) (Classification, error) {
+	base, err := r.RunAll(ctx, pipeline.BaseConfig(), workload.Names())
 	if err != nil {
 		return Classification{}, err
 	}

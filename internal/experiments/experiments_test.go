@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -15,12 +16,13 @@ func tinyRunner() *Runner {
 }
 
 func TestRunnerMemoizes(t *testing.T) {
+	ctx := context.Background()
 	r := tinyRunner()
-	a, err := r.Run(pipeline.BaseConfig(), "crypto")
+	a, err := r.RunCell(ctx, Cell{Config: pipeline.BaseConfig(), Workload: "crypto"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Run(pipeline.BaseConfig(), "crypto")
+	b, err := r.RunCell(ctx, Cell{Config: pipeline.BaseConfig(), Workload: "crypto"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,13 +35,14 @@ func TestRunnerMemoizes(t *testing.T) {
 }
 
 func TestRunnerDistinguishesConfigs(t *testing.T) {
+	ctx := context.Background()
 	r := tinyRunner()
-	if _, err := r.Run(pipeline.BaseConfig(), "crypto"); err != nil {
+	if _, err := r.RunCell(ctx, Cell{Config: pipeline.BaseConfig(), Workload: "crypto"}); err != nil {
 		t.Fatal(err)
 	}
 	cfg := pipeline.BaseConfig()
 	cfg.IQSize = 32
-	if _, err := r.Run(cfg, "crypto"); err != nil {
+	if _, err := r.RunCell(ctx, Cell{Config: cfg, Workload: "crypto"}); err != nil {
 		t.Fatal(err)
 	}
 	if len(r.cache) != 2 {
@@ -48,8 +51,9 @@ func TestRunnerDistinguishesConfigs(t *testing.T) {
 }
 
 func TestRunnerUnknownWorkload(t *testing.T) {
+	ctx := context.Background()
 	r := tinyRunner()
-	if _, err := r.Run(pipeline.BaseConfig(), "nope"); err == nil {
+	if _, err := r.RunCell(ctx, Cell{Config: pipeline.BaseConfig(), Workload: "nope"}); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
@@ -71,7 +75,8 @@ func TestClassifySplitsSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cls, err := suiteRunner().Classify()
+	ctx := context.Background()
+	cls, err := Classify(ctx, suiteRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +175,8 @@ func TestFig8QuickShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	f8, err := Fig8(suiteRunner())
+	ctx := context.Background()
+	f8, err := Fig8(ctx, suiteRunner())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/energy"
@@ -18,7 +19,7 @@ import (
 // without PUBS, by D-BP geomean speedup over the unified base; the footer
 // gives PUBS's gain over its own base, since §III-C2 claims the scheme
 // transfers.
-func ExtDistributed(r *Runner) (Study, error) {
+func ExtDistributed(ctx context.Context, r *Runner) (Study, error) {
 	distributed := func(c *pipeline.Config) { c.DistributedIQ = true }
 	distBase := variant(pipeline.BaseConfig(), "dist-base", distributed)
 	distPubs := variant(pipeline.PUBSConfig(), "dist-pubs", distributed)
@@ -34,13 +35,13 @@ func ExtDistributed(r *Runner) (Study, error) {
 			return fmt.Sprintf("PUBS gain over its own base: unified %+.2f%%, distributed %+.2f%%\n",
 				w.vals[0][0], speedupGM(w.set, w.res[distBase.Name], w.res[distPubs.Name]))
 		},
-	}.run(r)
+	}.run(ctx, r)
 }
 
 // ExtFlexible compares partitioned PUBS against the idealized
 // flexible-priority select (§III-C1) over the D-BP set; the footer says how
 // much of the idealized gain the implementable design captures.
-func ExtFlexible(r *Runner) (Study, error) {
+func ExtFlexible(ctx context.Context, r *Runner) (Study, error) {
 	flex := variant(pipeline.PUBSConfig(), "pubs-flexible", func(c *pipeline.Config) { c.PUBS.FlexibleSelect = true })
 	return study{
 		title:   "Extension — partitioned PUBS vs idealized flexible select (§III-C1), D-BP geomean",
@@ -56,13 +57,13 @@ func ExtFlexible(r *Runner) (Study, error) {
 			}
 			return fmt.Sprintf("partitioned design captures %.0f%% of the idealized gain\n", eff)
 		},
-	}.run(r)
+	}.run(ctx, r)
 }
 
 // ExtEnergy gives the per-instruction energy of base and PUBS over the D-BP
 // set, including the PUBS tables' own access energy; the footer gives the
 // net saving and the tables' share of PUBS-machine energy.
-func ExtEnergy(r *Runner) (Study, error) {
+func ExtEnergy(ctx context.Context, r *Runner) (Study, error) {
 	// energyOf sums the activity model over the set on variant cfg.
 	energyOf := func(w *sweep, cfg pipeline.Config) (total, tables float64, insts uint64) {
 		c := energy.Defaults()
@@ -96,13 +97,13 @@ func ExtEnergy(r *Runner) (Study, error) {
 			return fmt.Sprintf("net energy saving %+.2f%%; the %.1f KB PUBS tables account for %.2f%% of PUBS-machine energy\n",
 				savings, energy.CostKB(pipeline.PUBSConfig().PUBS), share)
 		},
-	}.run(r)
+	}.run(ctx, r)
 }
 
 // ExtWrongPath quantifies the correct-path-only simplification: the PUBS
 // speedup with and without wrong-path pollution of the slice tables, D-BP
 // geomean; the footer qualifies the delta.
-func ExtWrongPath(r *Runner) (Study, error) { return xwp().run(r) }
+func ExtWrongPath(ctx context.Context, r *Runner) (Study, error) { return xwp().run(ctx, r) }
 
 func xwp() study {
 	wp := variant(pipeline.PUBSConfig(), "pubs-wrongpath", func(c *pipeline.Config) { c.WrongPathDecode = true })

@@ -35,11 +35,12 @@ func faultRunner(o Options) *Runner {
 // error that fails only its own run; the figure still comes back, partial,
 // with the failure reported.
 func TestPanicFailsOnlyItsRun(t *testing.T) {
+	ctx := context.Background()
 	defer faultinject.Reset()
 	faultinject.Arm(faultinject.WorkerPanic, "regex", 1)
 
 	r := faultRunner(Options{})
-	fig, err := Fig8Context(context.Background(), r)
+	fig, err := Fig8(ctx, r)
 	if err == nil {
 		t.Fatal("campaign with a panicking worker reported success")
 	}
@@ -83,8 +84,8 @@ var faultCases = []struct {
 	opts     Options
 	cfgs     []pipeline.Config
 }{
-	{"run", "crypto", Options{Retries: 3, RetryBackoff: time.Millisecond}, []pipeline.Config{pipeline.BaseConfig()}},
-	{"sampled-sweep", "parser", Options{SampleWindows: 2, SampleFastForward: 20_000, Retries: 3, RetryBackoff: time.Millisecond},
+	{"run", "crypto", Options{Retries: 3, retryBackoff: time.Millisecond}, []pipeline.Config{pipeline.BaseConfig()}},
+	{"sampled-sweep", "parser", Options{SampleWindows: 2, SampleFastForward: 20_000, Retries: 3, retryBackoff: time.Millisecond},
 		[]pipeline.Config{pipeline.BaseConfig(), pipeline.PUBSConfig()}},
 }
 
@@ -92,16 +93,17 @@ var faultCases = []struct {
 // retry loop without surfacing to the caller; each faulted attempt retries
 // every cell it covered.
 func TestTransientFailureRetried(t *testing.T) {
+	ctx := context.Background()
 	for _, tc := range faultCases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer faultinject.Reset()
-			want, err := faultRunner(tc.opts).RunSweep(tc.cfgs, tc.wl)
+			want, err := faultRunner(tc.opts).RunSweep(ctx, tc.cfgs, tc.wl)
 			if err != nil {
 				t.Fatal(err)
 			}
 			faultinject.Arm(faultinject.WorkerTransient, tc.wl, 2)
 			r := faultRunner(tc.opts)
-			got, err := r.RunSweep(tc.cfgs, tc.wl)
+			got, err := r.RunSweep(ctx, tc.cfgs, tc.wl)
 			if err != nil {
 				t.Fatalf("transient fault not absorbed: %v", err)
 			}
@@ -118,11 +120,12 @@ func TestTransientFailureRetried(t *testing.T) {
 // TestTransientFailureExhaustsRetries: a persistent transient fault must
 // fail after the retry budget, still typed as transient.
 func TestTransientFailureExhaustsRetries(t *testing.T) {
+	ctx := context.Background()
 	defer faultinject.Reset()
 	faultinject.Arm(faultinject.WorkerTransient, "crypto", -1)
 
-	r := faultRunner(Options{Retries: 1, RetryBackoff: time.Millisecond})
-	_, err := r.Run(pipeline.BaseConfig(), "crypto")
+	r := faultRunner(Options{Retries: 1, retryBackoff: time.Millisecond})
+	_, err := r.RunCell(ctx, Cell{Config: pipeline.BaseConfig(), Workload: "crypto"})
 	if err == nil {
 		t.Fatal("persistent fault absorbed")
 	}
@@ -138,11 +141,12 @@ func TestTransientFailureExhaustsRetries(t *testing.T) {
 // TestDeterministicFailureNotRetried: a panic is not transient, so the
 // retry loop must not spend attempts on it.
 func TestDeterministicFailureNotRetried(t *testing.T) {
+	ctx := context.Background()
 	defer faultinject.Reset()
 	faultinject.Arm(faultinject.WorkerPanic, "crypto", -1)
 
-	r := faultRunner(Options{Retries: 5, RetryBackoff: time.Millisecond})
-	if _, err := r.Run(pipeline.BaseConfig(), "crypto"); !errors.Is(err, simerr.ErrPanic) {
+	r := faultRunner(Options{Retries: 5, retryBackoff: time.Millisecond})
+	if _, err := r.RunCell(ctx, Cell{Config: pipeline.BaseConfig(), Workload: "crypto"}); !errors.Is(err, simerr.ErrPanic) {
 		t.Fatalf("err = %v, want ErrPanic", err)
 	}
 	if st := r.Stats(); st.Retries != 0 {
@@ -153,11 +157,12 @@ func TestDeterministicFailureNotRetried(t *testing.T) {
 // TestPerSimulationTimeout: an already-expired per-run budget surfaces as
 // ErrTimeout on every cell through the runner.
 func TestPerSimulationTimeout(t *testing.T) {
+	ctx := context.Background()
 	for _, tc := range faultCases {
 		t.Run(tc.name, func(t *testing.T) {
 			o := tc.opts
 			o.Timeout = time.Nanosecond
-			_, err := faultRunner(o).RunSweep(tc.cfgs, tc.wl)
+			_, err := faultRunner(o).RunSweep(ctx, tc.cfgs, tc.wl)
 			var ce *CampaignError
 			if !errors.As(err, &ce) || len(ce.Failures) != len(tc.cfgs) {
 				t.Fatalf("err = %v, want all %d cells failed", err, len(tc.cfgs))
@@ -171,13 +176,13 @@ func TestPerSimulationTimeout(t *testing.T) {
 	}
 }
 
-// TestRunAllContextCancellation: a cancelled campaign returns the typed
-// failure report rather than hanging or succeeding.
-func TestRunAllContextCancellation(t *testing.T) {
+// TestRunAllCancellation: a cancelled campaign returns the typed failure
+// report rather than hanging or succeeding.
+func TestRunAllCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := faultRunner(Options{})
-	res, err := r.RunAllContext(ctx, pipeline.BaseConfig(), []string{"crypto", "regex"})
+	res, err := r.RunAll(ctx, pipeline.BaseConfig(), []string{"crypto", "regex"})
 	if len(res) != 0 {
 		t.Errorf("cancelled campaign returned %d results", len(res))
 	}
@@ -186,11 +191,26 @@ func TestRunAllContextCancellation(t *testing.T) {
 	}
 }
 
+// TestStudyCancellation: a study run under a cancelled context fails with
+// the cancellation before it simulates anything.
+func TestStudyCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r := faultRunner(Options{})
+	if _, err := Fig10(ctx, r); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if st := r.Stats(); st.Simulated != 0 {
+		t.Fatalf("simulated = %d, want 0", st.Simulated)
+	}
+}
+
 // TestCheckpointResume is the kill-and-resume scenario: a campaign that
 // completed only some of its runs before dying must, when restarted with
 // the same checkpoint directory, skip everything already done and produce a
 // bit-identical figure table.
 func TestCheckpointResume(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	opts := Options{Warmup: 5_000, Measure: 15_000, Parallelism: 2}
 
@@ -200,7 +220,7 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r1.RunAll(pipeline.BaseConfig(), []string{"bfs", "cellular", "chess"}); err != nil {
+	if _, err := r1.RunAll(ctx, pipeline.BaseConfig(), []string{"bfs", "cellular", "chess"}); err != nil {
 		t.Fatal(err)
 	}
 	if n := r1.Stats().Simulated; n != 3 {
@@ -213,7 +233,7 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig2, err := Fig8(r2)
+	fig2, err := Fig8(ctx, r2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +252,7 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig3, err := Fig8(r3)
+	fig3, err := Fig8(ctx, r3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +272,7 @@ func TestCheckpointResume(t *testing.T) {
 // TestCorruptCheckpointIsAMiss: torn or garbage checkpoint files must be
 // recomputed, never trusted or fatal.
 func TestCorruptCheckpointIsAMiss(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	opts := Options{Warmup: 5_000, Measure: 15_000, Parallelism: 1}
 
@@ -259,7 +280,7 @@ func TestCorruptCheckpointIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := r1.Run(pipeline.BaseConfig(), "crypto")
+	want, err := r1.RunCell(ctx, Cell{Config: pipeline.BaseConfig(), Workload: "crypto"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +297,7 @@ func TestCorruptCheckpointIsAMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r2.Run(pipeline.BaseConfig(), "crypto")
+	got, err := r2.RunCell(ctx, Cell{Config: pipeline.BaseConfig(), Workload: "crypto"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +314,14 @@ func TestCorruptCheckpointIsAMiss(t *testing.T) {
 // that fails on every variant fails the study with all of its cells named,
 // and the failed study renders nothing.
 func TestStudyReportsEveryFailedCell(t *testing.T) {
+	ctx := context.Background()
 	defer faultinject.Reset()
 	r := faultRunner(Options{})
-	if _, err := r.Classify(); err != nil {
+	if _, err := Classify(ctx, r); err != nil {
 		t.Fatal(err)
 	}
 	faultinject.Arm(faultinject.WorkerPanic, "chess", -1)
-	s, err := Fig15(r)
+	s, err := Fig15(ctx, r)
 	var ce *CampaignError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CampaignError", err)

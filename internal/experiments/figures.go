@@ -39,18 +39,13 @@ type Fig8Result struct {
 	Failed    []RunError
 }
 
-// Fig8 runs base and PUBS machines over the whole suite.
-func Fig8(r *Runner) (Fig8Result, error) {
-	return Fig8Context(context.Background(), r)
-}
-
-// Fig8Context is Fig8 with cancellation and partial tolerance: a run that
-// fails (deadlock, panic, timeout) drops only its own program from the
-// figure. The failures come back both in the result's Failed list and as a
-// *CampaignError, so callers can print the partial table and still see a
-// non-nil error.
-func Fig8Context(ctx context.Context, r *Runner) (Fig8Result, error) {
-	base, baseErr := r.RunAllContext(ctx, pipeline.BaseConfig(), workload.Names())
+// Fig8 runs base and PUBS machines over the whole suite, tolerating
+// partial failure: a run that fails (deadlock, panic, timeout,
+// cancellation) drops only its own program from the figure. The failures
+// come back both in the result's Failed list and as a *CampaignError, so
+// callers can print the partial table and still see a non-nil error.
+func Fig8(ctx context.Context, r *Runner) (Fig8Result, error) {
+	base, baseErr := r.RunAll(ctx, pipeline.BaseConfig(), workload.Names())
 	if _, ok := baseErr.(*CampaignError); baseErr != nil && !ok {
 		return Fig8Result{}, baseErr
 	}
@@ -59,7 +54,7 @@ func Fig8Context(ctx context.Context, r *Runner) (Fig8Result, error) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	pubs, pubsErr := r.RunAllContext(ctx, pipeline.PUBSConfig(), names)
+	pubs, pubsErr := r.RunAll(ctx, pipeline.PUBSConfig(), names)
 	if _, ok := pubsErr.(*CampaignError); pubsErr != nil && !ok {
 		return Fig8Result{}, pubsErr
 	}
@@ -167,8 +162,8 @@ type Fig9Result struct {
 }
 
 // Fig9 derives the correlation data from the Fig. 8 runs.
-func Fig9(r *Runner) (Fig9Result, error) {
-	f8, err := Fig8(r)
+func Fig9(ctx context.Context, r *Runner) (Fig9Result, error) {
+	f8, err := Fig8(ctx, r)
 	if err != nil {
 		return Fig9Result{}, err
 	}
@@ -277,7 +272,7 @@ func (t3 Table3Result) Table() string {
 
 // Fig10 sweeps the number of priority entries under both dispatch policies
 // (the paper's stall-policy optimum is 6).
-func Fig10(r *Runner) (Study, error) { return fig10().run(r) }
+func Fig10(ctx context.Context, r *Runner) (Study, error) { return fig10().run(ctx, r) }
 
 func fig10() study {
 	s := study{
@@ -304,7 +299,7 @@ func fig10() study {
 
 // Fig11 sweeps the resetting-counter width from 2 to 8 bits plus the blind
 // estimator, with the unconfident-branch rate averaged over D-BP programs.
-func Fig11(r *Runner) (Study, error) { return fig11().run(r) }
+func Fig11(ctx context.Context, r *Runner) (Study, error) { return fig11().run(ctx, r) }
 
 func fig11() study {
 	s := study{
@@ -332,7 +327,7 @@ func fig11() study {
 // Fig12 compares PUBS with and without the MPKI-driven mode switch over the
 // whole suite (the paper highlights the memory-intensive programs, where
 // disabling the switch costs performance).
-func Fig12(r *Runner) (Study, error) { return fig12().run(r) }
+func Fig12(ctx context.Context, r *Runner) (Study, error) { return fig12().run(ctx, r) }
 
 func fig12() study {
 	off := variant(pipeline.PUBSConfig(), "pubs-noswitch", func(c *pipeline.Config) { c.PUBS.ModeSwitch = false })
@@ -352,7 +347,7 @@ func fig12() study {
 
 // Fig13 compares PUBS's 4 KB against spending (more than) the same budget
 // on an enlarged perceptron, over the D-BP set.
-func Fig13(r *Runner) (Study, error) {
+func Fig13(ctx context.Context, r *Runner) (Study, error) {
 	big := variant(pipeline.BaseConfig(), "base-bigbp", func(c *pipeline.Config) { c.Bpred = bpred.Large() })
 	kb := func(c pipeline.Config) float64 { return float64(bpred.MustNew(c.Bpred).CostBytes()) / 1024 }
 	def := kb(pipeline.BaseConfig())
@@ -364,13 +359,13 @@ func Fig13(r *Runner) (Study, error) {
 		rows:    []row{{vars: []pipeline.Config{pipeline.PUBSConfig(), big}}},
 		summary: "GM diff",
 		cols:    []column{gm(0, clsBase, rowSet), gm(1, clsBase, rowSet)},
-	}.run(r)
+	}.run(ctx, r)
 }
 
 // Fig15 compares PUBS, AGE and PUBS+AGE by IPC over the base (15a), and
 // PUBS against AGE by *performance* once the age matrix's 13% IQ-delay
 // increase stretches the clock (15b).
-func Fig15(r *Runner) (Study, error) {
+func Fig15(ctx context.Context, r *Runner) (Study, error) {
 	pubs := pipeline.PUBSConfig()
 	age := variant(pipeline.BaseConfig(), "age", func(c *pipeline.Config) { c.AgeMatrix = true })
 	both := variant(pubs, "pubs+age", func(c *pipeline.Config) { c.AgeMatrix = true })
@@ -395,13 +390,13 @@ func Fig15(r *Runner) (Study, error) {
 				"Fig. 15b — performance of PUBS over AGE with the age matrix's %.0f%% IQ-delay increase applied to the clock: %+.2f%% (D-BP geomean)\n",
 				(iq.AgeMatrixDelayFactor-1)*100, (stats.Geomean(ratios)-1)*100)
 		},
-	}.run(r)
+	}.run(ctx, r)
 }
 
 // Fig16 scales the machine through the four models: D-BP geomean IPC
 // increase of PUBS, AGE and PUBS+AGE over the same-size base (IPC only —
 // the paper likewise ignores clock effects here).
-func Fig16(r *Runner) (Study, error) { return fig16().run(r) }
+func Fig16(ctx context.Context, r *Runner) (Study, error) { return fig16().run(ctx, r) }
 
 func fig16() study {
 	s := study{

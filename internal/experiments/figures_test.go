@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -30,12 +31,12 @@ func figRunner() *Runner {
 }
 
 // runFig runs one study on the shared runner.
-func runFig(t *testing.T, f func(*Runner) (Study, error)) Study {
+func runFig(t *testing.T, f func(context.Context, *Runner) (Study, error)) Study {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	s, err := f(figRunner())
+	s, err := f(context.Background(), figRunner())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,17 @@ func KeyHash(key string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// RunCell simulates one grid cell (memoized, checkpointed, retried —
-// everything RunContext does).
+// RunCell simulates one grid cell, answering from the memo cache or
+// checkpoint when possible. Failures are typed (see internal/simerr):
+// transient ones are retried with exponential backoff up to Options.Retries
+// times; panics are recovered into *simerr.PanicError; a per-simulation
+// Options.Timeout surfaces as simerr.ErrTimeout; a done ctx fails the cell
+// with ctx's error unless the memo already holds it. It is the one-cell
+// batch of runBatch and runs on the calling goroutine.
 func (r *Runner) RunCell(ctx context.Context, c Cell) (pipeline.Result, error) {
-	return r.RunContext(ctx, c.Config, c.Workload)
+	res, errs := r.runBatch(ctx, []pipeline.Config{c.Config}, c.Workload)
+	if errs[0] != nil {
+		return pipeline.Result{}, errs[0]
+	}
+	return res[0], nil
 }

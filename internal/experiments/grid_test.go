@@ -86,9 +86,10 @@ func TestRunCellMemoizes(t *testing.T) {
 	}
 }
 
-// TestBindContext: a canceled campaign context aborts fresh runs while
-// memoized results stay servable — the interrupted-campaign contract.
-func TestBindContext(t *testing.T) {
+// TestRunCellCanceledContext: a canceled context fails a fresh cell with
+// the cancellation while memoized results stay servable — the
+// interrupted-campaign contract.
+func TestRunCellCanceledContext(t *testing.T) {
 	r := NewRunner(Options{Warmup: 1_000, Measure: 4_000})
 	c := Cell{Config: pipeline.BaseConfig(), Workload: "chess"}
 	if _, err := r.RunCell(context.Background(), c); err != nil {
@@ -96,15 +97,14 @@ func TestBindContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r.BindContext(ctx)
-	// Memo hits answer even under a dead campaign context.
-	if _, err := r.RunCell(context.Background(), c); err != nil {
-		t.Fatalf("memoized run under canceled campaign context: %v", err)
+	if _, err := r.RunCell(ctx, c); err != nil {
+		t.Fatalf("memoized cell under a canceled context: %v", err)
 	}
-	// A fresh cell aborts with the cancellation.
 	fresh := Cell{Config: pipeline.BaseConfig(), Workload: "sparse"}
-	_, err := r.RunCell(context.Background(), fresh)
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("fresh run under canceled campaign context: err = %v, want context.Canceled", err)
+	if _, err := r.RunCell(ctx, fresh); !errors.Is(err, context.Canceled) {
+		t.Fatalf("fresh cell under a canceled context: err = %v, want context.Canceled", err)
+	}
+	if st := r.Stats(); st.Simulated != 1 {
+		t.Fatalf("simulated = %d, want 1 (the warm run only)", st.Simulated)
 	}
 }

@@ -22,6 +22,7 @@ func sampledOpts() Options {
 // pays for exactly one functional fast-forward pass, and every cell equals
 // the result of sampling that (config, workload) pair directly.
 func TestSampledSweepSharesFastForward(t *testing.T) {
+	ctx := context.Background()
 	r := NewRunner(sampledOpts())
 	age := pipeline.PUBSConfig()
 	age.Name = "pubs+age"
@@ -29,11 +30,11 @@ func TestSampledSweepSharesFastForward(t *testing.T) {
 	cfgs := []pipeline.Config{pipeline.BaseConfig(), pipeline.PUBSConfig(), age}
 
 	for _, cfg := range cfgs {
-		got, err := r.Run(cfg, "parser")
+		got, err := r.RunCell(ctx, Cell{Config: cfg, Workload: "parser"})
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
-		direct, err := sampling.Run(cfg, workload.MustProgram("parser"), sampledOpts().samplingPlan())
+		direct, err := sampling.Run(ctx, cfg, workload.MustProgram("parser"), sampledOpts().samplingPlan())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,12 +80,13 @@ func TestSampledKeyedSeparately(t *testing.T) {
 // TestSampledMemoized: the second run of a sampled cell is a memo hit, not
 // a second simulation.
 func TestSampledMemoized(t *testing.T) {
+	ctx := context.Background()
 	r := NewRunner(sampledOpts())
-	first, err := r.Run(pipeline.BaseConfig(), "chess")
+	first, err := r.RunCell(ctx, Cell{Config: pipeline.BaseConfig(), Workload: "chess"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := r.Run(pipeline.BaseConfig(), "chess")
+	second, err := r.RunCell(ctx, Cell{Config: pipeline.BaseConfig(), Workload: "chess"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +102,13 @@ func TestSampledMemoized(t *testing.T) {
 // TestSampledCheckpointRoundTrip: a sampled campaign resumes from its
 // checkpoint bit-identically.
 func TestSampledCheckpointRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	dir := t.TempDir()
 	r1, err := NewRunner(sampledOpts()).WithCheckpoint(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := r1.Run(pipeline.PUBSConfig(), "compress")
+	want, err := r1.RunCell(ctx, Cell{Config: pipeline.PUBSConfig(), Workload: "compress"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +116,7 @@ func TestSampledCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r2.Run(pipeline.PUBSConfig(), "compress")
+	got, err := r2.RunCell(ctx, Cell{Config: pipeline.PUBSConfig(), Workload: "compress"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +132,7 @@ func TestSampledCheckpointRoundTrip(t *testing.T) {
 // cell, exactly what individual runs produce, pays one fast-forward pass,
 // memoizes every cell, and interoperates with the checkpoint.
 func TestWindowMajorSweepBitIdentical(t *testing.T) {
+	ctx := context.Background()
 	opts := sampledOpts()
 	dir := t.TempDir()
 	r, err := NewRunner(opts).WithCheckpoint(dir)
@@ -140,13 +144,13 @@ func TestWindowMajorSweepBitIdentical(t *testing.T) {
 	age.AgeMatrix = true
 	cfgs := []pipeline.Config{pipeline.BaseConfig(), pipeline.PUBSConfig(), age}
 
-	got, err := r.RunSweep(cfgs, "parser")
+	got, err := r.RunSweep(ctx, cfgs, "parser")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := NewRunner(sampledOpts())
 	for i, cfg := range cfgs {
-		want, err := ref.Run(cfg, "parser")
+		want, err := ref.RunCell(ctx, Cell{Config: cfg, Workload: "parser"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +166,7 @@ func TestWindowMajorSweepBitIdentical(t *testing.T) {
 	}
 
 	// A second sweep is pure memo hits; a fresh runner resumes from disk.
-	if _, err := r.RunSweep(cfgs, "parser"); err != nil {
+	if _, err := r.RunSweep(ctx, cfgs, "parser"); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.Simulated != uint64(len(cfgs)) || st.MemoHits != uint64(len(cfgs)) {
@@ -172,7 +176,7 @@ func TestWindowMajorSweepBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := r2.RunSweep(cfgs, "parser")
+	again, err := r2.RunSweep(ctx, cfgs, "parser")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,15 +191,16 @@ func TestWindowMajorSweepBitIdentical(t *testing.T) {
 // TestSweepWithoutWindowMajor: a batched sampled sweep of compress equals
 // single runs of each machine.
 func TestSweepWithoutWindowMajor(t *testing.T) {
+	ctx := context.Background()
 	r := NewRunner(sampledOpts())
 	cfgs := []pipeline.Config{pipeline.BaseConfig(), pipeline.PUBSConfig()}
-	got, err := r.RunSweep(cfgs, "compress")
+	got, err := r.RunSweep(ctx, cfgs, "compress")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := NewRunner(sampledOpts())
 	for i, cfg := range cfgs {
-		want, err := ref.Run(cfg, "compress")
+		want, err := ref.RunCell(ctx, Cell{Config: cfg, Workload: "compress"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,6 +216,7 @@ func TestSweepWithoutWindowMajor(t *testing.T) {
 // simulates every cell once, and each cell equals per-config RunAll on a
 // fresh runner.
 func TestGridOnePlanPerWorkload(t *testing.T) {
+	ctx := context.Background()
 	age := pipeline.PUBSConfig()
 	age.Name = "pubs+age"
 	age.AgeMatrix = true
@@ -232,7 +238,7 @@ func TestGridOnePlanPerWorkload(t *testing.T) {
 	}
 	ref := NewRunner(sampledOpts())
 	for i, cfg := range cfgs {
-		want, err := ref.RunAll(cfg, wls)
+		want, err := ref.RunAll(ctx, cfg, wls)
 		if err != nil {
 			t.Fatal(err)
 		}

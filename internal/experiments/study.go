@@ -148,8 +148,8 @@ func (s study) expand(set []string) []row {
 // run classifies the suite, runs every distinct variant over the study's
 // set as one grid, and reduces it. A failed cell fails the study: the
 // error is a *CampaignError naming every failed cell.
-func (s study) run(r *Runner) (Study, error) {
-	cls, err := r.Classify()
+func (s study) run(ctx context.Context, r *Runner) (Study, error) {
+	cls, err := Classify(ctx, r)
 	if err != nil {
 		return Study{}, err
 	}
@@ -164,7 +164,7 @@ func (s study) run(r *Runner) (Study, error) {
 			}
 		}
 	}
-	res, errs := r.fanOut(context.Background(), Grid(cfgs, w.set))
+	res, errs := r.fanOut(ctx, Grid(cfgs, w.set))
 	if err := campaignError(runErrors(errs)); err != nil {
 		return Study{}, err
 	}

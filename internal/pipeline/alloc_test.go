@@ -9,6 +9,7 @@ package pipeline
 // drain).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -170,6 +171,7 @@ func TestNonProfileResetNilBranchProfile(t *testing.T) {
 // keeps the profiling structures but clears their contents, and the
 // measurement window still reports only post-reset branches.
 func TestProfileResetReusesTables(t *testing.T) {
+	ctx := context.Background()
 	cfg := PUBSConfig()
 	cfg.Profile = true
 	s, err := New(cfg)
@@ -177,7 +179,7 @@ func TestProfileResetReusesTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	histBefore, profBefore := s.occHist, s.brProf
-	res, err := s.Run(Stream{M: mustMachine(t, "chess")}, 5_000, 10_000)
+	res, err := s.RunContext(ctx, Stream{M: mustMachine(t, "chess")}, 5_000, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}

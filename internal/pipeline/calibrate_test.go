@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 // TestCalibrate prints base-vs-PUBS characteristics for every workload.
 // It is a development aid, enabled with PUBS_CALIBRATE=1.
 func TestCalibrate(t *testing.T) {
+	ctx := context.Background()
 	if os.Getenv("PUBS_CALIBRATE") == "" {
 		t.Skip("set PUBS_CALIBRATE=1 to run the calibration sweep")
 	}
@@ -25,13 +27,13 @@ func TestCalibrate(t *testing.T) {
 	for _, w := range workload.All() {
 		w := w
 		go func() {
-			base, err := RunProgram(BaseConfig(), workload.MustProgram(w.Name), warm, meas)
+			base, err := RunProgramContext(ctx, BaseConfig(), workload.MustProgram(w.Name), warm, meas)
 			if err != nil {
 				t.Error(err)
 				ch <- row{name: w.Name}
 				return
 			}
-			pubs, err := RunProgram(PUBSConfig(), workload.MustProgram(w.Name), warm, meas)
+			pubs, err := RunProgramContext(ctx, PUBSConfig(), workload.MustProgram(w.Name), warm, meas)
 			if err != nil {
 				t.Error(err)
 				ch <- row{name: w.Name}

@@ -88,7 +88,7 @@ type Config struct {
 	// decode stage keeps walking the *wrong* static path (fall-through on
 	// conditionals, targets on direct jumps) and updates def_tab and
 	// brslice_tab with what it sees, exactly as real hardware would before
-	// the squash. Requires the static code (RunProgram provides it);
+	// the squash. Requires the static code (RunProgramContext provides it);
 	// ignored on raw streams. Default off — the ablation quantifies that
 	// the correct-path-only simplification is second-order.
 	WrongPathDecode bool

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/workload"
@@ -12,17 +13,18 @@ func TestDistributedIQRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	ctx := context.Background()
 	base := BaseConfig()
 	base.Name = "dist-base"
 	base.DistributedIQ = true
-	b, err := RunProgram(base, workload.MustProgram("goplay"), 40_000, 120_000)
+	b, err := RunProgramContext(ctx, base, workload.MustProgram("goplay"), 40_000, 120_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pubs := PUBSConfig()
 	pubs.Name = "dist-pubs"
 	pubs.DistributedIQ = true
-	p, err := RunProgram(pubs, workload.MustProgram("goplay"), 40_000, 120_000)
+	p, err := RunProgramContext(ctx, pubs, workload.MustProgram("goplay"), 40_000, 120_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +43,15 @@ func TestFlexibleSelectUpperBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	part, err := RunProgram(PUBSConfig(), workload.MustProgram("chess"), 40_000, 120_000)
+	ctx := context.Background()
+	part, err := RunProgramContext(ctx, PUBSConfig(), workload.MustProgram("chess"), 40_000, 120_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	flex := PUBSConfig()
 	flex.Name = "pubs-flexible"
 	flex.PUBS.FlexibleSelect = true
-	f, err := RunProgram(flex, workload.MustProgram("chess"), 40_000, 120_000)
+	f, err := RunProgramContext(ctx, flex, workload.MustProgram("chess"), 40_000, 120_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +70,16 @@ func TestWrongPathDecodePollutes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	ctx := context.Background()
 	clean := PUBSConfig()
-	cleanRes, err := RunProgram(clean, workload.MustProgram("goplay"), 30_000, 100_000)
+	cleanRes, err := RunProgramContext(ctx, clean, workload.MustProgram("goplay"), 30_000, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wp := PUBSConfig()
 	wp.Name = "pubs-wp"
 	wp.WrongPathDecode = true
-	wpRes, err := RunProgram(wp, workload.MustProgram("goplay"), 30_000, 100_000)
+	wpRes, err := RunProgramContext(ctx, wp, workload.MustProgram("goplay"), 30_000, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}

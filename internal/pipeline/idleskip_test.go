@@ -45,6 +45,7 @@ func TestGoldenEquivalenceSkipOff(t *testing.T) {
 // fetch-queue aging and redirect thresholds differently from live decode,
 // so it gets its own differential.
 func TestTraceReplaySkipEquivalence(t *testing.T) {
+	ctx := context.Background()
 	const slack = 2048
 	for _, gc := range []goldenCase{
 		{"base-random", "chess", BaseConfig()},
@@ -83,7 +84,7 @@ func TestTraceReplaySkipEquivalence(t *testing.T) {
 						return Stream{M: fm}, nil
 					},
 				}
-				res, err := s.Run(rp, goldenWarmup, goldenMeasure)
+				res, err := s.RunContext(ctx, rp, goldenWarmup, goldenMeasure)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -267,17 +268,18 @@ type skipInput struct {
 // runSkipVsPoll runs every input twice, skipping and polling, in parallel
 // subtests: the two runs must agree on the entire Result.
 func runSkipVsPoll(t *testing.T, inputs []skipInput) {
+	ctx := context.Background()
 	t.Helper()
 	for _, in := range inputs {
 		t.Run(in.name, func(t *testing.T) {
 			t.Parallel()
-			skip, err := RunProgram(in.cfg, in.prog, 2_000, 8_000)
+			skip, err := RunProgramContext(ctx, in.cfg, in.prog, 2_000, 8_000)
 			if err != nil {
 				t.Fatal(err)
 			}
 			poll := in.cfg
 			poll.noIdleSkip = true
-			want, err := RunProgram(poll, in.prog, 2_000, 8_000)
+			want, err := RunProgramContext(ctx, poll, in.prog, 2_000, 8_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,16 +368,17 @@ func TestIdleSkipDifferentialShapes(t *testing.T) {
 // rebase removes; the poll-mode expectation pins that contrast so a future
 // change to either semantic is a conscious one.
 func TestIdleSkipWatchdogLongMiss(t *testing.T) {
+	ctx := context.Background()
 	cfg := BaseConfig()
 	cfg.MemLatency = 50_000
 	cfg.WatchdogCycles = 10_000
 
-	if _, err := RunProgram(cfg, workload.MustProgram("treewalk"), 500, 1_500); err != nil {
+	if _, err := RunProgramContext(ctx, cfg, workload.MustProgram("treewalk"), 500, 1_500); err != nil {
 		t.Errorf("skip mode: long miss spuriously tripped the watchdog: %v", err)
 	}
 
 	cfg.noIdleSkip = true
-	_, err := RunProgram(cfg, workload.MustProgram("treewalk"), 500, 1_500)
+	_, err := RunProgramContext(ctx, cfg, workload.MustProgram("treewalk"), 500, 1_500)
 	var dead *DeadlockError
 	if !errors.As(err, &dead) {
 		t.Errorf("poll mode: expected the 50K-cycle miss to exhaust the 10K watchdog, got %v", err)
@@ -432,6 +435,7 @@ func TestIdleSkipProgressCadenceCommitRun(t *testing.T) {
 // the machinery), a poll-mode run must never skip, and the telemetry must
 // stay out of Result.
 func TestSkipStatsTelemetry(t *testing.T) {
+	ctx := context.Background()
 	prog := workload.MustProgram("sparse")
 	run := func(poll bool) (Result, uint64, uint64) {
 		cfg := BaseConfig()
@@ -441,7 +445,7 @@ func TestSkipStatsTelemetry(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.SetStaticCode(prog.Code)
-		res, err := s.Run(Stream{M: emu.MustNew(prog)}, 1_000, 6_000)
+		res, err := s.RunContext(ctx, Stream{M: emu.MustNew(prog)}, 1_000, 6_000)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,11 +46,12 @@ func TestProgressDoesNotPerturbResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := RunProgram(PUBSConfig(), prog, 2_000, 10_000)
+	ctx := context.Background()
+	bare, err := RunProgramContext(ctx, PUBSConfig(), prog, 2_000, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := WithProgress(context.Background(), 1_000, func(uint64) {})
+	ctx = WithProgress(ctx, 1_000, func(uint64) {})
 	hooked, err := RunProgramContext(ctx, PUBSConfig(), prog, 2_000, 10_000)
 	if err != nil {
 		t.Fatal(err)

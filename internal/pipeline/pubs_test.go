@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -110,6 +111,7 @@ func TestShiftingQueueAgePriority(t *testing.T) {
 // TestStoreToLoadForwarding: a tight store→load same-address pattern must
 // use the forwarding path.
 func TestStoreToLoadForwarding(t *testing.T) {
+	ctx := context.Background()
 	b := asm.New("fwd")
 	buf := b.Alloc(64)
 	r2, r3, r4 := isa.R(2), isa.R(3), isa.R(4)
@@ -120,7 +122,7 @@ func TestStoreToLoadForwarding(t *testing.T) {
 	b.Ld(r4, r2, 0) // forwarded from the store above
 	b.Add(r3, r3, r4)
 	b.Jmp("top")
-	res, err := RunProgram(BaseConfig(), b.MustBuild(), 1_000, 20_000)
+	res, err := RunProgramContext(ctx, BaseConfig(), b.MustBuild(), 1_000, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +214,7 @@ func TestWeightedDispatchUsesWholeIQ(t *testing.T) {
 // must mispredict through the BTB and block fetch like branch
 // mispredictions.
 func TestJrMispredictionPenalised(t *testing.T) {
+	ctx := context.Background()
 	b := asm.New("jr")
 	ctr, tgt, tab, off, dest := isa.R(2), isa.R(3), isa.R(4), isa.R(5), isa.R(6)
 	table := b.Words(0, 0) // patched with block indices below
@@ -235,7 +238,7 @@ func TestJrMispredictionPenalised(t *testing.T) {
 	prog.Data[table] = byte(blockA)
 	prog.Data[table+8] = byte(blockB)
 
-	res, err := RunProgram(BaseConfig(), prog, 2_000, 30_000)
+	res, err := RunProgramContext(ctx, BaseConfig(), prog, 2_000, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +299,7 @@ func TestPipeTraceOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Run(Stream{M: m}, 0, 5_000); err != nil {
+	if _, err := sim.RunContext(context.Background(), Stream{M: m}, 0, 5_000); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

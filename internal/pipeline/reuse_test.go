@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 // window-replay scheduler keep one Sim per machine variant alive across a
 // whole sweep.
 func TestResetReuseGolden(t *testing.T) {
+	ctx := context.Background()
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
@@ -26,12 +28,12 @@ func TestResetReuseGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.SetStaticCode(prog.Code)
-			if _, err := s.Run(Stream{M: emu.MustNew(prog)}, goldenWarmup, goldenMeasure); err != nil {
+			if _, err := s.RunContext(ctx, Stream{M: emu.MustNew(prog)}, goldenWarmup, goldenMeasure); err != nil {
 				t.Fatal(err)
 			}
 			s.Reset()
 			s.SetStaticCode(prog.Code)
-			reused, err := s.Run(Stream{M: emu.MustNew(prog)}, goldenWarmup, goldenMeasure)
+			reused, err := s.RunContext(ctx, Stream{M: emu.MustNew(prog)}, goldenWarmup, goldenMeasure)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -48,6 +50,7 @@ func TestResetReuseGolden(t *testing.T) {
 // program exactly as a fresh Sim does — no staged instruction, in-flight
 // record or static code of the first program may leak into the second.
 func TestResetReuseAcrossPrograms(t *testing.T) {
+	ctx := context.Background()
 	progA, progB := workload.MustProgram("chess"), workload.MustProgram("bfs")
 	for _, cfg := range []Config{BaseConfig(), PUBSConfig()} {
 		fresh := runBench(t, cfg, "bfs", goldenWarmup, goldenMeasure)
@@ -71,12 +74,12 @@ func TestResetReuseAcrossPrograms(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.SetStaticCode(progA.Code)
-			if _, err := s.Run(first, goldenWarmup, goldenMeasure); err != nil {
+			if _, err := s.RunContext(ctx, first, goldenWarmup, goldenMeasure); err != nil {
 				t.Fatal(err)
 			}
 			s.Reset()
 			s.SetStaticCode(progB.Code)
-			reused, err := s.Run(Stream{M: emu.MustNew(progB)}, goldenWarmup, goldenMeasure)
+			reused, err := s.RunContext(ctx, Stream{M: emu.MustNew(progB)}, goldenWarmup, goldenMeasure)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,6 +96,7 @@ func TestResetReuseAcrossPrograms(t *testing.T) {
 // flight) must not leak that record into the next program after Reset.
 // Measure windows are tried in turn until a run ends with one staged.
 func TestResetDropsStagedInstruction(t *testing.T) {
+	ctx := context.Background()
 	progA, progB := workload.MustProgram("chess"), workload.MustProgram("bfs")
 	for _, cfg := range []Config{BaseConfig(), PUBSConfig()} {
 		fresh := runBench(t, cfg, "bfs", goldenWarmup, goldenMeasure)
@@ -104,7 +108,7 @@ func TestResetDropsStagedInstruction(t *testing.T) {
 		for measure := uint64(1); measure <= 2_000 && staged == 0; measure++ {
 			s.Reset()
 			s.SetStaticCode(progA.Code)
-			if _, err := s.Run(Stream{M: emu.MustNew(progA)}, 0, measure); err != nil {
+			if _, err := s.RunContext(ctx, Stream{M: emu.MustNew(progA)}, 0, measure); err != nil {
 				t.Fatal(err)
 			}
 			if s.hasPending {
@@ -116,7 +120,7 @@ func TestResetDropsStagedInstruction(t *testing.T) {
 		}
 		s.Reset()
 		s.SetStaticCode(progB.Code)
-		reused, err := s.Run(Stream{M: emu.MustNew(progB)}, goldenWarmup, goldenMeasure)
+		reused, err := s.RunContext(ctx, Stream{M: emu.MustNew(progB)}, goldenWarmup, goldenMeasure)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,6 +135,7 @@ func TestResetDropsStagedInstruction(t *testing.T) {
 // trace-driven front end must reproduce the live-emulation Result
 // bit-identically for every golden machine variant.
 func TestTraceReplayGolden(t *testing.T) {
+	ctx := context.Background()
 	// Record once per workload: the trace covers the run target plus enough
 	// slack for the front end's bounded overfetch.
 	const slack = 2048
@@ -174,7 +179,7 @@ func TestTraceReplayGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.SetStaticCode(prog.Code)
-			replayed, err := s.Run(rp, goldenWarmup, goldenMeasure)
+			replayed, err := s.RunContext(ctx, rp, goldenWarmup, goldenMeasure)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,6 +198,7 @@ func TestTraceReplayGolden(t *testing.T) {
 // TestReplayFallback: a trace shorter than the run target must hand off to
 // the live fallback stream mid-run and still match live decode exactly.
 func TestReplayFallback(t *testing.T) {
+	ctx := context.Background()
 	prog := workload.MustProgram("chess")
 	live := runBench(t, PUBSConfig(), "chess", goldenWarmup, goldenMeasure)
 
@@ -223,7 +229,7 @@ func TestReplayFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetStaticCode(prog.Code)
-	replayed, err := s.Run(rp, goldenWarmup, goldenMeasure)
+	replayed, err := s.RunContext(ctx, rp, goldenWarmup, goldenMeasure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +244,7 @@ func TestReplayFallback(t *testing.T) {
 // TestReplayNoFallbackError: exhausting a non-halted trace with no fallback
 // must surface an error rather than silently truncating the run.
 func TestReplayNoFallbackError(t *testing.T) {
+	ctx := context.Background()
 	prog := workload.MustProgram("chess")
 	m := emu.MustNew(prog)
 	pre := emu.NewPredecode(64)
@@ -253,7 +260,7 @@ func TestReplayNoFallbackError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(rp, 0, goldenMeasure); err == nil {
+	if _, err := s.RunContext(ctx, rp, 0, goldenMeasure); err == nil {
 		t.Fatal("expected an error from a non-halted trace with no fallback")
 	}
 }

@@ -76,7 +76,8 @@ func TestValidateRejections(t *testing.T) {
 // TestRunContextZeroMeasure: an empty measurement window is a config error,
 // not a zero-division hazard downstream.
 func TestRunContextZeroMeasure(t *testing.T) {
-	_, err := RunProgramContext(context.Background(), BaseConfig(), workload.MustProgram("parser"), 0, 0)
+	ctx := context.Background()
+	_, err := RunProgramContext(ctx, BaseConfig(), workload.MustProgram("parser"), 0, 0)
 	if !errors.Is(err, simerr.ErrInvalidConfig) {
 		t.Fatalf("err = %v, want ErrInvalidConfig", err)
 	}
@@ -85,13 +86,14 @@ func TestRunContextZeroMeasure(t *testing.T) {
 // TestWatchdogCatchesInjectedHang: suppressing commit mid-run must trip the
 // liveness watchdog within its cycle budget and produce the full diagnosis.
 func TestWatchdogCatchesInjectedHang(t *testing.T) {
+	ctx := context.Background()
 	defer faultinject.Reset()
 	cfg := BaseConfig()
 	cfg.Name = "base-hangtest"
 	cfg.WatchdogCycles = 2_000
 	faultinject.Arm(faultinject.PipelineHang, cfg.Name, 1)
 
-	_, err := RunProgramContext(context.Background(), cfg, workload.MustProgram("parser"), 1_000, 100_000)
+	_, err := RunProgramContext(ctx, cfg, workload.MustProgram("parser"), 1_000, 100_000)
 	if !errors.Is(err, simerr.ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
@@ -138,9 +140,10 @@ func TestWatchdogCatchesInjectedHang(t *testing.T) {
 // TestWatchdogQuietOnHealthyRun: the default budget must never trip on a
 // normal simulation.
 func TestWatchdogQuietOnHealthyRun(t *testing.T) {
+	ctx := context.Background()
 	cfg := PUBSConfig()
 	cfg.WatchdogCycles = 10_000 // far tighter than the default, still quiet
-	if _, err := RunProgramContext(context.Background(), cfg, workload.MustProgram("parser"), 5_000, 20_000); err != nil {
+	if _, err := RunProgramContext(ctx, cfg, workload.MustProgram("parser"), 5_000, 20_000); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -169,10 +172,11 @@ func TestRunContextCancellation(t *testing.T) {
 // queue organisation — it exists to catch corruption, not to veto correct
 // configurations.
 func TestInvariantChecksCleanRun(t *testing.T) {
+	ctx := context.Background()
 	for _, org := range iqOrganisations() {
 		cfg := org.cfg
 		cfg.Checks = true
-		if _, err := RunProgramContext(context.Background(), cfg, workload.MustProgram("parser"), 5_000, 20_000); err != nil {
+		if _, err := RunProgramContext(ctx, cfg, workload.MustProgram("parser"), 5_000, 20_000); err != nil {
 			t.Errorf("%s: %v", org.name, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 // Skipping composes with every scheduling mode because it is internal to
 // one window's cycle loop. Runs under -race in CI.
 func TestSampledIdleSkipEquivalence(t *testing.T) {
+	ctx := context.Background()
 	for _, v := range pipeline.GoldenVariants() {
 		v := v
 		t.Run(v.Name, func(t *testing.T) {
@@ -27,11 +29,11 @@ func TestSampledIdleSkipEquivalence(t *testing.T) {
 				{"serial-trace", sampling.Config{Windows: 3, FastForward: 30_000, Warmup: 2_000, Measure: 5_000}},
 				{"parallel-trace", sampling.Config{Windows: 3, FastForward: 30_000, Warmup: 2_000, Measure: 5_000, Parallel: -1}},
 			} {
-				want, err := sampling.Run(v.Cfg, prog, mode.plan)
+				want, err := sampling.Run(ctx, v.Cfg, prog, mode.plan)
 				if err != nil {
 					t.Fatalf("%s skip: %v", mode.name, err)
 				}
-				got, err := sampling.Run(pipeline.WithPolling(v.Cfg), prog, mode.plan)
+				got, err := sampling.Run(ctx, pipeline.WithPolling(v.Cfg), prog, mode.plan)
 				if err != nil {
 					t.Fatalf("%s poll: %v", mode.name, err)
 				}

@@ -171,8 +171,9 @@ type Result struct {
 	TopBranches []BranchStat     // worst mispredicting branches, descending
 }
 
-// Sim is one simulated processor instance: build, Run; Reset returns it to
-// the freshly-constructed state for reuse across independent runs.
+// Sim is one simulated processor instance: build, RunContext; Reset
+// returns it to the freshly-constructed state for reuse across
+// independent runs.
 type Sim struct {
 	cfg    Config
 	stream InstStream
@@ -909,7 +910,7 @@ func (s *Sim) schedule(h int) {
 }
 
 // SetStaticCode supplies the program's static code, enabling wrong-path
-// decode modelling (Config.WrongPathDecode). RunProgram calls this.
+// decode modelling (Config.WrongPathDecode). RunProgramContext calls this.
 func (s *Sim) SetStaticCode(code []isa.Inst) { s.code = code }
 
 // decodeWrongPath walks the wrong path at decode width while fetch is
@@ -1108,28 +1109,20 @@ func sub(a, b cache.Stats) cache.Stats {
 	}
 }
 
-// Run simulates until `measure` instructions have committed after a
-// `warmup`-instruction warm-up window (or until the program halts). It
-// returns the measurement-window statistics.
-func (s *Sim) Run(stream InstStream, warmup, measure uint64) (Result, error) {
-	return s.RunContext(context.Background(), stream, warmup, measure)
-}
-
 // ctxCheckEvery throttles the context poll: deadlines and cancellation are
 // observed within ~1K cycles (plus at most one idle-skip span), far below
 // any useful watchdog budget. The poll is scheduled as a cycle threshold
 // rather than a mask on s.now so an idle skip cannot jump over it.
 const ctxCheckEvery = 1024
 
-// RunContext is Run with cancellation and deadline support. A context
-// deadline expiring mid-run aborts with an error wrapping
-// simerr.ErrTimeout; cancellation aborts with the context's error. The
-// liveness watchdog (Config.WatchdogCycles) aborts a run that stops
-// committing with a *DeadlockError wrapping simerr.ErrDeadlock.
+// RunContext simulates until `measure` instructions have committed after a
+// `warmup`-instruction warm-up window (or until the program halts), and
+// returns the measurement-window statistics. A context deadline expiring
+// mid-run aborts with an error wrapping simerr.ErrTimeout; cancellation
+// aborts with the context's error. The liveness watchdog
+// (Config.WatchdogCycles) aborts a run that stops committing with a
+// *DeadlockError wrapping simerr.ErrDeadlock.
 func (s *Sim) RunContext(ctx context.Context, stream InstStream, warmup, measure uint64) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if stream == nil {
 		return Result{}, fmt.Errorf("pipeline %s: nil instruction stream", s.cfg.Name)
 	}
@@ -1275,7 +1268,7 @@ func (s *Sim) RunContext(ctx context.Context, stream InstStream, warmup, measure
 // maxInsts committed instructions: fetch (F), dispatch (D), issue (I),
 // execution complete (X), and commit (C) cycle numbers, plus PUBS flags
 // (`u` = predicted in an unconfident slice, `P` = held a priority entry,
-// `!` = mispredicted blocking branch). Call before Run.
+// `!` = mispredicted blocking branch). Call before RunContext.
 func (s *Sim) SetPipeTrace(w io.Writer, maxInsts int64) {
 	s.pipeTrace = w
 	s.pipeTraceLeft = maxInsts
@@ -1301,13 +1294,8 @@ func (s *Sim) emitPipeTrace(u *uop) {
 		u.completeCycle, s.now, flags)
 }
 
-// RunProgram is a convenience wrapper: emulate prog and simulate it.
-func RunProgram(cfg Config, prog *isa.Program, warmup, measure uint64) (Result, error) {
-	return RunProgramContext(context.Background(), cfg, prog, warmup, measure)
-}
-
-// RunProgramContext is RunProgram with cancellation and deadline support
-// (see RunContext for the error taxonomy).
+// RunProgramContext is a convenience wrapper: emulate prog and simulate it
+// under ctx (see RunContext for the error taxonomy).
 func RunProgramContext(ctx context.Context, cfg Config, prog *isa.Program, warmup, measure uint64) (Result, error) {
 	s, err := New(cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/asm"
@@ -9,8 +10,9 @@ import (
 )
 
 func runBench(t testing.TB, cfg Config, name string, warmup, measure uint64) Result {
+	ctx := context.Background()
 	t.Helper()
-	res, err := RunProgram(cfg, workload.MustProgram(name), warmup, measure)
+	res, err := RunProgramContext(ctx, cfg, workload.MustProgram(name), warmup, measure)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", cfg.Name, name, err)
 	}
@@ -39,6 +41,7 @@ func TestBaseRunsAllWorkloads(t *testing.T) {
 
 // TestHaltTerminates: a program that halts ends the simulation cleanly.
 func TestHaltTerminates(t *testing.T) {
+	ctx := context.Background()
 	b := asm.New("halting")
 	r2 := isa.R(2)
 	b.Li(r2, 5)
@@ -47,7 +50,7 @@ func TestHaltTerminates(t *testing.T) {
 	b.Bne(r2, isa.RZero, "loop")
 	b.Halt()
 	p := b.MustBuild()
-	res, err := RunProgram(BaseConfig(), p, 0, 1_000_000)
+	res, err := RunProgramContext(ctx, BaseConfig(), p, 0, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +62,7 @@ func TestHaltTerminates(t *testing.T) {
 // TestDependentChainLatency: a dependent add chain must sustain ≈1 IPC
 // (back-to-back wakeup/select), measured with warm caches and predictors.
 func TestDependentChainLatency(t *testing.T) {
+	ctx := context.Background()
 	b := asm.New("chain")
 	r2 := isa.R(2)
 	b.Label("top")
@@ -68,7 +72,7 @@ func TestDependentChainLatency(t *testing.T) {
 	b.Jmp("top")
 	p := b.MustBuild()
 	const n = 5000
-	res, err := RunProgram(BaseConfig(), p, 2_000, n)
+	res, err := RunProgramContext(ctx, BaseConfig(), p, 2_000, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +88,7 @@ func TestDependentChainLatency(t *testing.T) {
 // TestIndependentOpsReachWidth: independent work must exploit the machine
 // width (2 iALUs limit integer throughput).
 func TestIndependentOpsReachWidth(t *testing.T) {
+	ctx := context.Background()
 	b := asm.New("ilp")
 	// Four independent accumulator chains.
 	b.Label("top")
@@ -95,7 +100,7 @@ func TestIndependentOpsReachWidth(t *testing.T) {
 	}
 	b.Jmp("top")
 	p := b.MustBuild()
-	res, err := RunProgram(BaseConfig(), p, 10_000, 50_000)
+	res, err := RunProgramContext(ctx, BaseConfig(), p, 10_000, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,6 +117,7 @@ func TestIndependentOpsReachWidth(t *testing.T) {
 // IPC with hard branches must be well below the same code with a
 // predictable branch.
 func TestMispredictionPenaltyVisible(t *testing.T) {
+	ctx := context.Background()
 	build := func(hard bool) *isa.Program {
 		b := asm.New("br")
 		base := isa.R(2)
@@ -148,11 +154,11 @@ func TestMispredictionPenaltyVisible(t *testing.T) {
 		b.Jmp("top")
 		return b.MustBuild()
 	}
-	easy, err := RunProgram(BaseConfig(), build(false), 20_000, 100_000)
+	easy, err := RunProgramContext(ctx, BaseConfig(), build(false), 20_000, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hard, err := RunProgram(BaseConfig(), build(true), 20_000, 100_000)
+	hard, err := RunProgramContext(ctx, BaseConfig(), build(true), 20_000, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,6 +60,7 @@ func variantCases() []struct {
 // parallel engine's Result — per-window measurements, aggregates, and the
 // merged pipeline.Result — must equal the serial reference bit for bit.
 func TestParallelBitIdenticalToSerial(t *testing.T) {
+	ctx := context.Background()
 	for _, vc := range variantCases() {
 		t.Run(vc.name, func(t *testing.T) {
 			prog := workload.MustProgram(vc.workload)
@@ -67,11 +68,11 @@ func TestParallelBitIdenticalToSerial(t *testing.T) {
 			parallelPlan := serialPlan
 			parallelPlan.Parallel = 4
 
-			want, err := Run(vc.cfg, prog, serialPlan)
+			want, err := Run(ctx, vc.cfg, prog, serialPlan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Run(vc.cfg, prog, parallelPlan)
+			got, err := Run(ctx, vc.cfg, prog, parallelPlan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -105,11 +106,11 @@ func TestRunWindowsSharedAcrossConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunWindows(ctx, cfg, prog, plan, windows)
+		got, err := sweepOne(ctx, cfg, prog, plan, windows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(cfg, workload.MustProgram("parser"), Config{
+		want, err := Run(ctx, cfg, workload.MustProgram("parser"), Config{
 			Windows: plan.Windows, FastForward: plan.FastForward,
 			Warmup: plan.Warmup, Measure: plan.Measure,
 		})
@@ -205,7 +206,8 @@ func TestStoreFailureNotCached(t *testing.T) {
 // TestMergedAggregates: the merged pipeline.Result sums the windows and
 // reproduces the sampling aggregates.
 func TestMergedAggregates(t *testing.T) {
-	res, err := Run(pipeline.BaseConfig(), workload.MustProgram("parser"),
+	ctx := context.Background()
+	res, err := Run(ctx, pipeline.BaseConfig(), workload.MustProgram("parser"),
 		Config{Windows: 3, FastForward: 30_000, Warmup: 5_000, Measure: 10_000})
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 	"repro/internal/workload"
 )
 
-// untraced returns copies of ws with Pre cleared, so RunWindows replays
+// untraced returns copies of ws with Pre cleared, so RunSweep replays
 // each window through runWindow: a fresh emulator restored from the
 // window's snapshot feeding a fresh timing model. That live stream is the
 // reference the predecoded trace path must equal bit for bit.
@@ -39,14 +39,14 @@ func traceVsLive(t *testing.T, cfg pipeline.Config, prog *isa.Program, plan Conf
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := RunWindows(ctx, cfg, prog, plan, untraced(ws))
+	want, err := sweepOne(ctx, cfg, prog, plan, untraced(ws))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{plan.Parallel, 4} {
 		p := plan
 		p.Parallel = workers
-		got, err := RunWindows(ctx, cfg, prog, p, ws)
+		got, err := sweepOne(ctx, cfg, prog, p, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,11 +68,11 @@ func TestTraceBitIdenticalToLiveDecode(t *testing.T) {
 	}
 }
 
-// TestRunSweepBitIdenticalToRunWindows: the window scheduler must produce,
+// TestRunSweepBitIdenticalToSerialWindows: the window scheduler must produce,
 // per machine, exactly what a serial loop of fresh runWindow calls folded
 // by mergeWindows produces — serially and with worker pools; with 8 workers
 // two windows of one machine run at once.
-func TestRunSweepBitIdenticalToRunWindows(t *testing.T) {
+func TestRunSweepBitIdenticalToSerialWindows(t *testing.T) {
 	prog := workload.MustProgram("parser")
 	plan := Config{Windows: 3, FastForward: 30_000, Warmup: 5_000, Measure: 10_000}
 	store := NewStore()
@@ -116,7 +116,7 @@ func TestRunSweepBitIdenticalToRunWindows(t *testing.T) {
 	// A pool worker's panic reaches the caller carrying the panicking frame.
 	plan.Parallel, plan.Observe = 3, func(time.Duration) { panic("observe") }
 	defer func() {
-		if pe, ok := recover().(*simerr.PanicError); !ok || !bytes.Contains(pe.Stack, []byte("TestRunSweepBitIdenticalToRunWindows.func")) {
+		if pe, ok := recover().(*simerr.PanicError); !ok || !bytes.Contains(pe.Stack, []byte("TestRunSweepBitIdenticalToSerialWindows.func")) {
 			t.Fatalf("workers=3: want a PanicError with the hook's stack, got %v", pe)
 		}
 	}()
@@ -124,7 +124,7 @@ func TestRunSweepBitIdenticalToRunWindows(t *testing.T) {
 }
 
 // TestRunSweepHaltingProgram: a program that ends mid-plan must truncate
-// each machine's sweep result exactly as RunWindows would.
+// each machine's sweep result exactly as a one-machine sweep does.
 func TestRunSweepHaltingProgram(t *testing.T) {
 	b := asm.New("short")
 	r2 := isa.R(2)
@@ -144,12 +144,12 @@ func TestRunSweepHaltingProgram(t *testing.T) {
 	cfgs := []pipeline.Config{pipeline.BaseConfig(), pipeline.PUBSConfig()}
 	got, errs := RunSweep(ctx, cfgs, prog, plan, windows)
 	for i, cfg := range cfgs {
-		want, werr := RunWindows(ctx, cfg, prog, plan, windows)
+		want, werr := sweepOne(ctx, cfg, prog, plan, windows)
 		if (errs[i] == nil) != (werr == nil) {
-			t.Fatalf("%s: sweep err %v, RunWindows err %v", cfg.Name, errs[i], werr)
+			t.Fatalf("%s: sweep err %v, one-machine sweep err %v", cfg.Name, errs[i], werr)
 		}
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("%s: truncated sweep diverged from RunWindows", cfg.Name)
+			t.Fatalf("%s: truncated sweep diverged from its one-machine sweep", cfg.Name)
 		}
 		if len(got[i].Windows) == 0 || len(got[i].Windows) >= 10 {
 			t.Errorf("%s: windows = %d, want a partial plan", cfg.Name, len(got[i].Windows))
@@ -160,9 +160,10 @@ func TestRunSweepHaltingProgram(t *testing.T) {
 // TestObserveCountsWindows: the Observe hook fires once per detailed window
 // with a positive duration, and cannot change the result.
 func TestObserveCountsWindows(t *testing.T) {
+	ctx := context.Background()
 	prog := workload.MustProgram("parser")
 	plan := Config{Windows: 3, FastForward: 30_000, Warmup: 5_000, Measure: 10_000}
-	want, err := Run(pipeline.BaseConfig(), prog, plan)
+	want, err := Run(ctx, pipeline.BaseConfig(), prog, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestObserveCountsWindows(t *testing.T) {
 		seen = append(seen, d)
 		mu.Unlock()
 	}
-	got, err := Run(pipeline.BaseConfig(), prog, plan)
+	got, err := Run(ctx, pipeline.BaseConfig(), prog, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestStoreBudgetEviction(t *testing.T) {
 	}
 
 	// Windows handed out before the churn are immutable and still runnable.
-	res, err := RunWindows(ctx, pipeline.BaseConfig(), progs[0], plan, wA)
+	res, err := sweepOne(ctx, pipeline.BaseConfig(), progs[0], plan, wA)
 	if err != nil {
 		t.Fatal(err)
 	}

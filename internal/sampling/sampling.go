@@ -141,23 +141,15 @@ func (r Result) Merged() pipeline.Result {
 // Run executes the sampling plan: the functional emulator advances through
 // the program placing windows, and each window gets a fresh machine
 // (restored from the window's snapshot) and a fresh timing model (cold
-// microarchitecture, mitigated by the per-window detailed warm-up).
-func Run(cfg pipeline.Config, prog *isa.Program, plan Config) (Result, error) {
-	return RunContext(context.Background(), cfg, prog, plan)
-}
-
-// RunContext is Run with cancellation and deadline support: the context is
-// checked between windows and plumbed into each window's detailed
-// simulation, so a cancelled campaign stops mid-window. On error the
-// windows completed so far are returned alongside it. A progress hook
+// microarchitecture, mitigated by the per-window detailed warm-up). The
+// context is checked between windows and plumbed into each window's
+// detailed simulation, so a cancelled campaign stops mid-window. On error
+// the windows completed so far are returned alongside it. A progress hook
 // installed with pipeline.WithProgress flows into every window: the
 // reported counts are per-window (each window is a fresh timing model), so
 // streaming consumers see them restart at each window boundary — and
 // arrive concurrently when plan.Parallel > 1.
-func RunContext(ctx context.Context, cfg pipeline.Config, prog *isa.Program, plan Config) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+func Run(ctx context.Context, cfg pipeline.Config, prog *isa.Program, plan Config) (Result, error) {
 	if err := plan.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -165,7 +157,8 @@ func RunContext(ctx context.Context, cfg pipeline.Config, prog *isa.Program, pla
 	if err != nil {
 		return Result{}, err
 	}
-	return RunWindows(ctx, cfg, prog, plan, windows)
+	outs, errs := RunSweep(ctx, []pipeline.Config{cfg}, prog, plan, windows)
+	return outs[0], errs[0]
 }
 
 // runWindow executes one detailed window without a trace: a fresh machine
@@ -183,13 +176,6 @@ func runWindow(ctx context.Context, cfg pipeline.Config, prog *isa.Program, plan
 	}
 	sim.SetStaticCode(prog.Code)
 	return sim.RunContext(ctx, pipeline.Stream{M: m}, plan.Warmup, plan.Measure)
-}
-
-// RunWindows executes pre-placed windows (from PlanWindows or a shared
-// Store) against one machine configuration: RunSweep over that one config.
-func RunWindows(ctx context.Context, cfg pipeline.Config, prog *isa.Program, plan Config, windows []Window) (Result, error) {
-	outs, errs := RunSweep(ctx, []pipeline.Config{cfg}, prog, plan, windows)
-	return outs[0], errs[0]
 }
 
 // mergeWindows folds per-window results in window order with the serial
@@ -246,9 +232,6 @@ func RunSweep(ctx context.Context, cfgs []pipeline.Config, prog *isa.Program, pl
 	}
 	if len(windows) == 0 {
 		return fail(fmt.Errorf("sampling: program ended before any window completed"))
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 
 	sd := emu.NewStaticDecode(prog.Code)

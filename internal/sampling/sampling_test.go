@@ -14,6 +14,13 @@ import (
 	"repro/internal/workload"
 )
 
+// sweepOne runs pre-placed windows against one machine: RunSweep over a
+// one-config sweep.
+func sweepOne(ctx context.Context, cfg pipeline.Config, prog *isa.Program, plan Config, windows []Window) (Result, error) {
+	outs, errs := RunSweep(ctx, []pipeline.Config{cfg}, prog, plan, windows)
+	return outs[0], errs[0]
+}
+
 func TestPlanValidation(t *testing.T) {
 	if err := (Config{}).Validate(); err == nil {
 		t.Error("zero plan accepted")
@@ -27,8 +34,9 @@ func TestPlanValidation(t *testing.T) {
 }
 
 func TestSampledRunProducesWindows(t *testing.T) {
+	ctx := context.Background()
 	plan := Config{Windows: 4, FastForward: 50_000, Warmup: 10_000, Measure: 20_000}
-	res, err := Run(pipeline.BaseConfig(), workload.MustProgram("parser"), plan)
+	res, err := Run(ctx, pipeline.BaseConfig(), workload.MustProgram("parser"), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +69,14 @@ func TestSampledMatchesContiguous(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	ctx := context.Background()
 	prog := workload.MustProgram("chess")
-	full, err := pipeline.RunProgram(pipeline.BaseConfig(), prog, 100_000, 400_000)
+	full, err := pipeline.RunProgramContext(ctx, pipeline.BaseConfig(), prog, 100_000, 400_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := Config{Windows: 4, FastForward: 100_000, Warmup: 30_000, Measure: 50_000}
-	sampled, err := Run(pipeline.BaseConfig(), prog, plan)
+	sampled, err := Run(ctx, pipeline.BaseConfig(), prog, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,6 +92,7 @@ func TestSampledMatchesContiguous(t *testing.T) {
 // TestHaltingProgram: sampling a program that ends mid-plan returns the
 // windows it completed, or a clear error if none did.
 func TestHaltingProgram(t *testing.T) {
+	ctx := context.Background()
 	b := asm.New("short")
 	r2 := isa.R(2)
 	b.Li(r2, 100_000)
@@ -94,7 +104,7 @@ func TestHaltingProgram(t *testing.T) {
 
 	// Plan longer than the program: at least one window, then stop.
 	plan := Config{Windows: 10, FastForward: 20_000, Warmup: 5_000, Measure: 30_000}
-	res, err := Run(pipeline.BaseConfig(), prog, plan)
+	res, err := Run(ctx, pipeline.BaseConfig(), prog, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +114,7 @@ func TestHaltingProgram(t *testing.T) {
 
 	// Fast-forward longer than the whole program: no windows at all.
 	tiny := Config{Windows: 2, FastForward: 10_000_000, Warmup: 10, Measure: 10}
-	if _, err := Run(pipeline.BaseConfig(), prog, tiny); err == nil {
+	if _, err := Run(ctx, pipeline.BaseConfig(), prog, tiny); err == nil {
 		t.Error("plan past the program's end should error")
 	}
 }
@@ -112,6 +122,7 @@ func TestHaltingProgram(t *testing.T) {
 // TestPlanValidationTyped: plan rejections must wrap simerr.ErrInvalidConfig
 // so campaign code classifies them without string matching.
 func TestPlanValidationTyped(t *testing.T) {
+	ctx := context.Background()
 	for _, plan := range []Config{
 		{},                          // zero windows
 		{Windows: -1, Measure: 100}, // negative windows
@@ -120,7 +131,7 @@ func TestPlanValidationTyped(t *testing.T) {
 		if err := plan.Validate(); !errors.Is(err, simerr.ErrInvalidConfig) {
 			t.Errorf("plan %+v: err = %v, want ErrInvalidConfig", plan, err)
 		}
-		if _, err := Run(pipeline.BaseConfig(), workload.MustProgram("parser"), plan); !errors.Is(err, simerr.ErrInvalidConfig) {
+		if _, err := Run(ctx, pipeline.BaseConfig(), workload.MustProgram("parser"), plan); !errors.Is(err, simerr.ErrInvalidConfig) {
 			t.Errorf("Run with plan %+v: err = %v, want ErrInvalidConfig", plan, err)
 		}
 	}
@@ -132,7 +143,7 @@ func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	plan := Config{Windows: 4, FastForward: 50_000, Warmup: 10_000, Measure: 20_000}
-	res, err := RunContext(ctx, pipeline.BaseConfig(), workload.MustProgram("parser"), plan)
+	res, err := Run(ctx, pipeline.BaseConfig(), workload.MustProgram("parser"), plan)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -148,7 +159,7 @@ func TestRunContextDeadlineMidWindow(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	plan := Config{Windows: 1_000, FastForward: 50_000, Warmup: 10_000, Measure: 20_000}
-	res, err := RunContext(ctx, pipeline.BaseConfig(), workload.MustProgram("parser"), plan)
+	res, err := Run(ctx, pipeline.BaseConfig(), workload.MustProgram("parser"), plan)
 	if err == nil {
 		t.Fatal("a 1000-window plan finished inside 5ms")
 	}

@@ -60,9 +60,6 @@ func PlanWindows(ctx context.Context, prog *isa.Program, plan Config) ([]Window,
 // instructions, so every window, snapshot and trace is the one an unseeded
 // pass builds. seeded reports whether any gap started from a snapshot.
 func planWindows(ctx context.Context, prog *isa.Program, plan Config, seed func(after, upTo uint64) *emu.Snapshot) (windows []Window, seeded bool, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := plan.Validate(); err != nil {
 		return nil, false, err
 	}

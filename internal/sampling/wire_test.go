@@ -153,7 +153,7 @@ func TestPeerPlanBitIdenticalAllVariants(t *testing.T) {
 		vc := vc
 		t.Run(vc.name, func(t *testing.T) {
 			prog := workload.MustProgram(vc.workload)
-			want, err := Run(vc.cfg, prog, plan)
+			want, err := Run(ctx, vc.cfg, prog, plan)
 			if err != nil {
 				t.Fatalf("serial reference: %v", err)
 			}
@@ -181,7 +181,7 @@ func TestPeerPlanBitIdenticalAllVariants(t *testing.T) {
 				if traced := windows[0].Pre != nil; traced != (i == 0) {
 					t.Fatalf("wire %d: decoded windows traced=%v", i, traced)
 				}
-				got, err := RunWindows(ctx, vc.cfg, prog, plan, windows)
+				got, err := sweepOne(ctx, vc.cfg, prog, plan, windows)
 				if err != nil {
 					t.Fatalf("RunWindows: %v", err)
 				}
@@ -285,11 +285,11 @@ func TestAdoptedPlanEvictionKeepsHandedOutWindows(t *testing.T) {
 		for _, wl := range workloads {
 			prog := workload.MustProgram(wl)
 			cfg := pipeline.PUBSConfig()
-			got, err := RunWindows(ctx, cfg, prog, plan, held[wl])
+			got, err := sweepOne(ctx, cfg, prog, plan, held[wl])
 			if err != nil {
-				t.Fatalf("RunWindows(%s) on evicted plan: %v", wl, err)
+				t.Fatalf("sweepOne(%s) on evicted plan: %v", wl, err)
 			}
-			want, err := Run(cfg, prog, plan)
+			want, err := Run(ctx, cfg, prog, plan)
 			if err != nil {
 				t.Fatalf("serial reference(%s): %v", wl, err)
 			}

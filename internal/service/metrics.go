@@ -35,9 +35,11 @@ type metrics struct {
 	degradedCells  atomic.Uint64 // fresh simulations refused by the open breaker
 
 	// Runner work, folded in from each task's runner when it returns.
-	simulated atomic.Uint64 // detailed simulations executed (attempts, including retries)
-	ckptHits  atomic.Uint64 // cells answered from the on-disk checkpoint
-	retries   atomic.Uint64 // transient failures retried
+	simulated  atomic.Uint64 // detailed simulations executed (attempts, including retries)
+	ckptHits   atomic.Uint64 // cells answered from the on-disk checkpoint
+	retries    atomic.Uint64 // transient failures retried
+	failures   atomic.Uint64 // cells that failed after exhausting retries
+	ckptErrors atomic.Uint64 // checkpoint writes that failed (the cell still succeeds)
 
 	journalRecords atomic.Uint64 // successful journal appends (fed to the journal)
 	journalErrors  atomic.Uint64 // failed journal appends
@@ -108,6 +110,8 @@ func (m *metrics) addRunnerStats(st experiments.RunnerStats) {
 	m.simulated.Add(st.Simulated)
 	m.ckptHits.Add(st.CheckpointHits)
 	m.retries.Add(st.Retries)
+	m.failures.Add(st.Failures)
+	m.ckptErrors.Add(st.CheckpointErrors)
 }
 
 // latencyQuantileMS returns the upper bound in ms of the bucket holding
@@ -223,6 +227,8 @@ func (m *metrics) render(node string, g snapshotGauges) string {
 	line("pubsd_sims_executed_total", simulated)
 	line("pubsd_runner_checkpoint_hits_total", m.ckptHits.Load())
 	line("pubsd_runner_retries_total", m.retries.Load())
+	line("pubsd_runner_failures_total", m.failures.Load())
+	line("pubsd_runner_checkpoint_errors_total", m.ckptErrors.Load())
 	line("pubsd_snapshot_plans_total", g.snapPlans)
 	line("pubsd_snapshot_seeded_plans_total", g.snapSeeded)
 	line("pubsd_snapshot_peer_plans_total", g.snapPeerPlans)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -22,6 +23,7 @@ func parallelWindowOptions() experiments.Options {
 // fast-forward pass across its machines, and its cells equal direct
 // sampling of the same (machine, workload, plan).
 func TestSampledJob(t *testing.T) {
+	ctx := context.Background()
 	s := testService(t, Config{Workers: 2, DefaultOptions: parallelWindowOptions()})
 	spec := CampaignSpec{
 		Machines:  []MachineSpec{{Machine: "base"}, {Machine: "pubs"}, {Machine: "pubs+age"}},
@@ -46,7 +48,7 @@ func TestSampledJob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := sampling.Run(cfg, workload.MustProgram("parser"), plan)
+		direct, err := sampling.Run(ctx, cfg, workload.MustProgram("parser"), plan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -619,10 +619,10 @@ func (s *Service) execute(t task) {
 		for k, o := range local {
 			cfgs[k] = j.cells[o.idx].Config
 		}
-		// RunSweepContext runs a window-major job's multi-machine sweep in
+		// RunSweep runs a window-major job's multi-machine sweep in
 		// one batch and everything else cell by cell; its error, when
 		// non-nil, is a *CampaignError naming each failed cell.
-		results, serr := runner.RunSweepContext(ctx, cfgs, wl)
+		results, serr := runner.RunSweep(ctx, cfgs, wl)
 		// Count the runner's work before any cell reports: a job that is
 		// done must already show in /metrics.
 		s.m.addRunnerStats(runner.Stats())

@@ -4,12 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/faultinject"
 )
 
 // Small windows keep the E2E tests fast while still exercising warmup
@@ -423,6 +426,47 @@ func TestMetricsText(t *testing.T) {
 		"pubsd_skipped_cycles_total{node=\"local\"}",
 		"pubsd_job_latency_count{node=\"local\"} 1",
 		"pubsd_job_latency_ms{node=\"local\",quantile=\"0.5\"}",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q\n%s", want, text)
+		}
+	}
+}
+
+// TestRunnerFailureMetrics: a checkpoint write that fails leaves its cell
+// done, removes its temp file and counts in
+// pubsd_runner_checkpoint_errors_total; a cell whose
+// worker panics counts in pubsd_runner_failures_total.
+func TestRunnerFailureMetrics(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	s := testService(t, Config{Workers: 1, CheckpointDir: dir})
+	spec := CampaignSpec{Machines: []MachineSpec{{Machine: "base"}}, Workloads: []string{"matmul"}}
+	cells, err := spec.Cells(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A non-empty directory where the cell's checkpoint file goes: the load
+	// misses and the rename fails, even for root.
+	key := cells[0].Key(spec.options(s.DefaultOptions()))
+	if err := os.MkdirAll(filepath.Join(dir, key+".json", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, mustSubmit(t, s, spec)); st.State != JobDone {
+		t.Fatalf("job with an unwritable checkpoint: %s %v", st.State, st.Errors)
+	}
+	if tmp, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(tmp) != 0 {
+		t.Errorf("failed checkpoint write left %v behind", tmp)
+	}
+	faultinject.Arm(faultinject.WorkerPanic, "chess", 1)
+	spec.Workloads = []string{"chess"}
+	if st := waitJob(t, mustSubmit(t, s, spec)); st.State != JobFailed {
+		t.Fatalf("job with a panicking worker: %s, want failed", st.State)
+	}
+	text := s.MetricsText()
+	for _, want := range []string{
+		"pubsd_runner_checkpoint_errors_total{node=\"local\"} 1\n",
+		"pubsd_runner_failures_total{node=\"local\"} 1\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)

@@ -27,8 +27,9 @@
 //
 // Quick start:
 //
-//	base, _ := pubsim.Run(pubsim.BaseConfig(), "chess", 300_000, 1_000_000)
-//	pubs, _ := pubsim.Run(pubsim.PUBSConfig(), "chess", 300_000, 1_000_000)
+//	ctx := context.Background()
+//	base, _ := pubsim.Run(ctx, pubsim.BaseConfig(), "chess", 300_000, 1_000_000)
+//	pubs, _ := pubsim.Run(ctx, pubsim.PUBSConfig(), "chess", 300_000, 1_000_000)
 //	fmt.Printf("speedup: %+.2f%%\n", pubsim.Speedup(base.IPC(), pubs.IPC()))
 package pubsim
 
@@ -174,19 +175,10 @@ func WorkloadProgram(name string) (*Program, error) { return workload.Program(na
 
 // Run simulates a named benchmark on cfg: `warmup` instructions to warm the
 // predictors, caches, and PUBS tables (counters are then reset), followed
-// by `measure` measured instructions.
-func Run(cfg Config, workloadName string, warmup, measure uint64) (Result, error) {
-	prog, err := workload.Program(workloadName)
-	if err != nil {
-		return Result{}, err
-	}
-	return pipeline.RunProgram(cfg, prog, warmup, measure)
-}
-
-// RunContext is Run with cancellation and deadline support: the context is
-// polled inside the cycle loop, so a cancelled or expired context stops the
-// simulation within ~1K cycles (deadline expiry surfaces as ErrTimeout).
-func RunContext(ctx context.Context, cfg Config, workloadName string, warmup, measure uint64) (Result, error) {
+// by `measure` measured instructions. The context is polled inside the
+// cycle loop, so a cancelled or expired context stops the simulation
+// within ~1K cycles (deadline expiry surfaces as ErrTimeout).
+func Run(ctx context.Context, cfg Config, workloadName string, warmup, measure uint64) (Result, error) {
 	prog, err := workload.Program(workloadName)
 	if err != nil {
 		return Result{}, err
@@ -195,19 +187,14 @@ func RunContext(ctx context.Context, cfg Config, workloadName string, warmup, me
 }
 
 // RunProgram simulates a custom program (built with NewProgram) on cfg.
-func RunProgram(cfg Config, prog *Program, warmup, measure uint64) (Result, error) {
-	return pipeline.RunProgram(cfg, prog, warmup, measure)
-}
-
-// RunProgramContext is RunProgram with cancellation and deadline support.
-func RunProgramContext(ctx context.Context, cfg Config, prog *Program, warmup, measure uint64) (Result, error) {
+func RunProgram(ctx context.Context, cfg Config, prog *Program, warmup, measure uint64) (Result, error) {
 	return pipeline.RunProgramContext(ctx, cfg, prog, warmup, measure)
 }
 
 // RunWithPipeTrace is Run plus a stage-by-stage log of the first maxInsts
 // committed instructions (fetch/dispatch/issue/execute/commit cycles and
 // PUBS flags), written to w.
-func RunWithPipeTrace(cfg Config, workloadName string, warmup, measure uint64, w io.Writer, maxInsts int64) (Result, error) {
+func RunWithPipeTrace(ctx context.Context, cfg Config, workloadName string, warmup, measure uint64, w io.Writer, maxInsts int64) (Result, error) {
 	prog, err := workload.Program(workloadName)
 	if err != nil {
 		return Result{}, err
@@ -221,7 +208,7 @@ func RunWithPipeTrace(cfg Config, workloadName string, warmup, measure uint64, w
 	if err != nil {
 		return Result{}, err
 	}
-	return sim.Run(pipeline.Stream{M: m}, warmup, measure)
+	return sim.RunContext(ctx, pipeline.Stream{M: m}, warmup, measure)
 }
 
 // Emulate runs a program functionally (no timing) for up to max
@@ -281,85 +268,80 @@ type (
 	Study        = experiments.Study
 )
 
-// Fig8 reproduces the headline speedup figure.
-func Fig8(r *Runner) (Fig8Result, error) { return experiments.Fig8(r) }
-
-// Fig8Context is Fig8 with cancellation and partial tolerance: failed runs
-// drop only their own program; the rest of the figure is returned alongside
-// a *CampaignError listing the failures.
-func Fig8Context(ctx context.Context, r *Runner) (Fig8Result, error) {
-	return experiments.Fig8Context(ctx, r)
-}
+// Fig8 reproduces the headline speedup figure, tolerating partial failure:
+// failed runs drop only their own program; the rest of the figure is
+// returned alongside a *CampaignError listing the failures.
+func Fig8(ctx context.Context, r *Runner) (Fig8Result, error) { return experiments.Fig8(ctx, r) }
 
 // Fig9 reproduces the speedup/branch-MPKI correlation scatter.
-func Fig9(r *Runner) (Fig9Result, error) { return experiments.Fig9(r) }
+func Fig9(ctx context.Context, r *Runner) (Fig9Result, error) { return experiments.Fig9(ctx, r) }
 
 // Fig10 reproduces the priority-entry sensitivity sweep.
-func Fig10(r *Runner) (Study, error) { return experiments.Fig10(r) }
+func Fig10(ctx context.Context, r *Runner) (Study, error) { return experiments.Fig10(ctx, r) }
 
 // Fig11 reproduces the confidence-counter-width sweep (incl. "blind").
-func Fig11(r *Runner) (Study, error) { return experiments.Fig11(r) }
+func Fig11(ctx context.Context, r *Runner) (Study, error) { return experiments.Fig11(ctx, r) }
 
 // Fig12 reproduces the mode-switch on/off study.
-func Fig12(r *Runner) (Study, error) { return experiments.Fig12(r) }
+func Fig12(ctx context.Context, r *Runner) (Study, error) { return experiments.Fig12(ctx, r) }
 
 // Fig13 reproduces the enlarged-branch-predictor comparison.
-func Fig13(r *Runner) (Study, error) { return experiments.Fig13(r) }
+func Fig13(ctx context.Context, r *Runner) (Study, error) { return experiments.Fig13(ctx, r) }
 
 // Fig15 reproduces the age-matrix IPC and performance comparison.
-func Fig15(r *Runner) (Study, error) { return experiments.Fig15(r) }
+func Fig15(ctx context.Context, r *Runner) (Study, error) { return experiments.Fig15(ctx, r) }
 
 // Fig16 reproduces the processor-size scaling study.
-func Fig16(r *Runner) (Study, error) { return experiments.Fig16(r) }
+func Fig16(ctx context.Context, r *Runner) (Study, error) { return experiments.Fig16(ctx, r) }
 
 // Table3 computes the PUBS hardware-cost table.
 func Table3() Table3Result { return experiments.Table3() }
 
 // AblationIQKinds compares the shifting and circular queues to the random
 // queue (§III-B1 taxonomy; beyond-paper ablation).
-func AblationIQKinds(r *Runner) (Study, error) {
-	return experiments.AblationIQKinds(r)
+func AblationIQKinds(ctx context.Context, r *Runner) (Study, error) {
+	return experiments.AblationIQKinds(ctx, r)
 }
 
 // AblationPredictors re-runs PUBS under gshare/bimodal/tournament
 // predictors (footnote 1 cross-check; beyond-paper ablation).
-func AblationPredictors(r *Runner) (Study, error) {
-	return experiments.AblationPredictors(r)
+func AblationPredictors(ctx context.Context, r *Runner) (Study, error) {
+	return experiments.AblationPredictors(ctx, r)
 }
 
 // AblationTables sweeps the §IV table organisations (tagless, hash widths).
-func AblationTables(r *Runner) (Study, error) {
-	return experiments.AblationTables(r)
+func AblationTables(ctx context.Context, r *Runner) (Study, error) {
+	return experiments.AblationTables(ctx, r)
 }
 
 // ExtDistributed evaluates PUBS on the §III-C2 distributed issue queue
 // (beyond-paper extension: the paper argues applicability, this measures it).
-func ExtDistributed(r *Runner) (Study, error) {
-	return experiments.ExtDistributed(r)
+func ExtDistributed(ctx context.Context, r *Runner) (Study, error) {
+	return experiments.ExtDistributed(ctx, r)
 }
 
 // ExtFlexible compares the implementable priority-entry partition against
 // the idealized §III-C1 flexible-priority select (upper bound).
-func ExtFlexible(r *Runner) (Study, error) {
-	return experiments.ExtFlexible(r)
+func ExtFlexible(ctx context.Context, r *Runner) (Study, error) {
+	return experiments.ExtFlexible(ctx, r)
 }
 
 // ExtEnergy extends Table III's cost argument to energy: D-BP energy per
 // instruction for base vs PUBS under an activity model.
-func ExtEnergy(r *Runner) (Study, error) {
-	return experiments.ExtEnergy(r)
+func ExtEnergy(ctx context.Context, r *Runner) (Study, error) {
+	return experiments.ExtEnergy(ctx, r)
 }
 
 // Characterize profiles every benchmark on the base machine, including the
 // exact backward-slice structure from the slice profiler.
-func Characterize(r *Runner) (CharResult, error) {
-	return experiments.Characterize(r)
+func Characterize(ctx context.Context, r *Runner) (CharResult, error) {
+	return experiments.Characterize(ctx, r)
 }
 
 // ExtWrongPath quantifies the correct-path-only table-update simplification
 // by enabling wrong-path decode pollution of the PUBS tables.
-func ExtWrongPath(r *Runner) (Study, error) {
-	return experiments.ExtWrongPath(r)
+func ExtWrongPath(ctx context.Context, r *Runner) (Study, error) {
+	return experiments.ExtWrongPath(ctx, r)
 }
 
 // --- campaign grids ---
@@ -385,8 +367,7 @@ func NewCellResult(cell Cell, o Options, res Result) CellResult {
 
 // WithProgress returns a context that delivers in-simulation progress
 // callbacks: fn is invoked (on the simulation goroutine) roughly every
-// `every` committed instructions by any Run*Context under the returned
-// context. Progress observation never changes simulation results.
+// `every` committed instructions by any run under the returned context. Progress observation never changes simulation results.
 func WithProgress(ctx context.Context, every uint64, fn func(committed uint64)) context.Context {
 	return pipeline.WithProgress(ctx, every, fn)
 }
@@ -416,24 +397,15 @@ func NewSamplingStoreBudget(maxBytes int64) *SamplingStore {
 	return sampling.NewStoreBudget(maxBytes)
 }
 
-// RunSampled executes a sampling plan over a named benchmark.
-func RunSampled(cfg Config, workloadName string, plan SamplingPlan) (SampledResult, error) {
+// RunSampled executes a sampling plan over a named benchmark. The context
+// is checked between windows and inside each window's detailed simulation;
+// on error the windows completed so far are returned alongside it.
+func RunSampled(ctx context.Context, cfg Config, workloadName string, plan SamplingPlan) (SampledResult, error) {
 	prog, err := workload.Program(workloadName)
 	if err != nil {
 		return SampledResult{}, err
 	}
-	return sampling.Run(cfg, prog, plan)
-}
-
-// RunSampledContext is RunSampled with cancellation: the context is checked
-// between windows and inside each window's detailed simulation. On error
-// the windows completed so far are returned alongside it.
-func RunSampledContext(ctx context.Context, cfg Config, workloadName string, plan SamplingPlan) (SampledResult, error) {
-	prog, err := workload.Program(workloadName)
-	if err != nil {
-		return SampledResult{}, err
-	}
-	return sampling.RunContext(ctx, cfg, prog, plan)
+	return sampling.Run(ctx, cfg, prog, plan)
 }
 
 // --- energy model ---

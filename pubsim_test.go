@@ -1,27 +1,30 @@
 package pubsim
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestPublicAPIRoundTrip(t *testing.T) {
+	ctx := context.Background()
 	if len(Workloads()) != 20 {
 		t.Fatalf("workloads = %v", Workloads())
 	}
-	res, err := Run(BaseConfig(), "crypto", 5_000, 20_000)
+	res, err := Run(ctx, BaseConfig(), "crypto", 5_000, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.IPC() <= 0 || res.IPC() > 4 {
 		t.Errorf("IPC = %f", res.IPC())
 	}
-	if _, err := Run(BaseConfig(), "missing", 0, 1000); err == nil {
+	if _, err := Run(ctx, BaseConfig(), "missing", 0, 1000); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
 
 func TestCustomProgramAPI(t *testing.T) {
+	ctx := context.Background()
 	b := NewProgram("tiny")
 	b.Li(R(2), 10)
 	b.Label("loop")
@@ -37,7 +40,7 @@ func TestCustomProgramAPI(t *testing.T) {
 	if n != 22 { // li + 10×(addi+bne) + halt
 		t.Errorf("emulated %d instructions, want 22", n)
 	}
-	res, err := RunProgram(PUBSConfig(), prog, 0, 1000)
+	res, err := RunProgram(ctx, PUBSConfig(), prog, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +95,9 @@ func TestQuickRunnerExperimentSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	ctx := context.Background()
 	r := NewRunner(Options{Warmup: 20_000, Measure: 50_000, Parallelism: 1})
-	f9, err := Fig9(r)
+	f9, err := Fig9(ctx, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +110,9 @@ func TestQuickRunnerExperimentSmoke(t *testing.T) {
 }
 
 func TestSampledAPI(t *testing.T) {
+	ctx := context.Background()
 	plan := SamplingPlan{Windows: 2, FastForward: 30_000, Warmup: 5_000, Measure: 10_000}
-	res, err := RunSampled(BaseConfig(), "hashmix", plan)
+	res, err := RunSampled(ctx, BaseConfig(), "hashmix", plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +122,8 @@ func TestSampledAPI(t *testing.T) {
 }
 
 func TestEnergyAPI(t *testing.T) {
-	res, err := Run(PUBSConfig(), "parser", 5_000, 20_000)
+	ctx := context.Background()
+	res, err := Run(ctx, PUBSConfig(), "parser", 5_000, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +134,9 @@ func TestEnergyAPI(t *testing.T) {
 }
 
 func TestPipeTraceAPI(t *testing.T) {
+	ctx := context.Background()
 	var sb strings.Builder
-	res, err := RunWithPipeTrace(BaseConfig(), "crypto", 0, 2_000, &sb, 5)
+	res, err := RunWithPipeTrace(ctx, BaseConfig(), "crypto", 0, 2_000, &sb, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
