@@ -14,6 +14,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -143,8 +144,9 @@ func main() {
 	}
 	// SIGINT/SIGTERM cancel the campaign: every experiment runs under the
 	// signal context, so each in-flight simulation stops within ~1K cycles,
-	// and with -checkpoint the completed runs are already on disk, so
-	// rerunning the same command resumes where the interrupt landed.
+	// no further experiment starts, and with -checkpoint the completed runs
+	// are already on disk, so rerunning the same command resumes where the
+	// interrupt landed.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -161,8 +163,9 @@ func main() {
 		fmt.Printf("Simulation windows: %d warm-up + %d measured instructions per run.\n\n",
 			runner.Options().Warmup, runner.Options().Measure)
 	}
-	// A failed experiment no longer aborts the campaign: the error (and any
+	// A failed experiment does not abort the campaign: the error (and any
 	// partial figure) is reported and the remaining experiments still run.
+	// An interrupt does, as the rest would only fail the same way.
 	var failed []string
 	for _, e := range all {
 		if !*runAll && !want[e.id] {
@@ -170,6 +173,11 @@ func main() {
 		}
 		start := time.Now()
 		table, err := e.run(ctx, runner)
+		if ctx.Err() != nil {
+			fmt.Fprintf(os.Stderr, "experiments: campaign interrupted in experiment %s; re-running with -checkpoint %s resumes it\n",
+				e.id, cmp.Or(*ckptDir, "DIR"))
+			os.Exit(1)
+		}
 		if err != nil {
 			failed = append(failed, e.id)
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.id, err)

@@ -88,9 +88,12 @@ func main() {
 	}
 
 	// Ctrl-C / SIGTERM cancel the simulation (observed within ~1K cycles)
-	// instead of killing the process mid-run.
+	// instead of killing the process mid-run. The probe collects the
+	// run's idle-skip telemetry for -skip-stats.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	probe := &pubsim.Probe{}
+	ctx = pubsim.WithProbe(ctx, probe)
 
 	var res pubsim.Result
 	var sampled *pubsim.SampledResult
@@ -149,7 +152,7 @@ func main() {
 			out = struct {
 				pubsim.CellResult
 				SkipTelemetry pubsim.SkipTelemetry `json:"skip_telemetry"`
-			}{pubsim.NewCellResult(cell, opts, res), pubsim.GlobalSkipTelemetry()}
+			}{pubsim.NewCellResult(cell, opts, res), probe.SkipTelemetry()}
 		}
 		if err := enc.Encode(out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -185,7 +188,7 @@ func main() {
 		}
 	}
 	if *skipStats {
-		t := pubsim.GlobalSkipTelemetry()
+		t := probe.SkipTelemetry()
 		fmt.Printf("idle-skip          %d spans, %d cycles skipped\n", t.SkipSpans, t.SkippedCycles)
 	}
 	if *profile && res.IQOccupancy != nil {

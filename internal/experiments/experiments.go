@@ -66,11 +66,6 @@ type Options struct {
 	SampleWindows     int
 	SampleFastForward uint64
 	ParallelWindows   int
-
-	// WindowObserve, when set, receives each detailed window's wall-clock
-	// duration; it must be safe for concurrent use. Result-neutral, so it
-	// stays out of memo and checkpoint keys.
-	WindowObserve func(time.Duration)
 }
 
 // Sampled reports whether runs use the sampled path.
@@ -95,7 +90,6 @@ func (o Options) samplingPlan() sampling.Config {
 		Warmup:      o.Warmup,
 		Measure:     o.Measure,
 		Parallel:    o.ParallelWindows,
-		Observe:     o.WindowObserve,
 	}
 }
 
@@ -232,8 +226,8 @@ func (r *Runner) SnapshotStats() sampling.StoreStats { return r.snaps.Stats() }
 
 func cfgKey(cfg pipeline.Config, wl string, o Options) string {
 	// ParallelWindows (like Parallelism) changes scheduling, never results,
-	// so it stays out of the key — as does WindowObserve; the sampling
-	// geometry changes what is measured and must be part of it.
+	// so it stays out of the key; the sampling geometry changes what is
+	// measured and must be part of it.
 	key := fmt.Sprintf("%s|%d|%d|%+v", wl, o.Warmup, o.Measure, cfg)
 	if o.Sampled() {
 		key += fmt.Sprintf("|sw%d|ff%d", o.SampleWindows, o.SampleFastForward)
@@ -471,11 +465,15 @@ func (r *Runner) simulate(ctx context.Context, cfgs []pipeline.Config, prog *isa
 			failAll(pe)
 		}
 	}()
-	if faultinject.Fire(faultinject.WorkerTransient, wl) {
+	var faults *faultinject.Set
+	if p := pipeline.ProbeFrom(ctx); p != nil {
+		faults = p.Faults
+	}
+	if faults.Fire(faultinject.WorkerTransient, wl) {
 		failAll(simerr.Transient(fmt.Errorf("injected transient worker fault on %s", wl)))
 		return res, errs
 	}
-	if faultinject.Fire(faultinject.WorkerPanic, wl) {
+	if faults.Fire(faultinject.WorkerPanic, wl) {
 		panic(fmt.Sprintf("injected worker panic on %s", wl))
 	}
 	atomic.AddUint64(&r.stats.Simulated, uint64(len(cfgs)))

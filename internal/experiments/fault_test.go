@@ -31,13 +31,20 @@ func faultRunner(o Options) *Runner {
 	return NewRunner(o)
 }
 
+// faultCtx returns a context whose runs consult a fresh fault Set, and
+// the Set, so each fault test arms its own points and runs in parallel.
+func faultCtx() (context.Context, *faultinject.Set) {
+	faults := &faultinject.Set{}
+	return pipeline.WithProbe(context.Background(), &pipeline.Probe{Faults: faults}), faults
+}
+
 // TestPanicFailsOnlyItsRun: a worker panic must be recovered into a typed
 // error that fails only its own run; the figure still comes back, partial,
 // with the failure reported.
 func TestPanicFailsOnlyItsRun(t *testing.T) {
-	ctx := context.Background()
-	defer faultinject.Reset()
-	faultinject.Arm(faultinject.WorkerPanic, "regex", 1)
+	t.Parallel()
+	ctx, faults := faultCtx()
+	faults.Arm(faultinject.WorkerPanic, "regex", 1)
 
 	r := faultRunner(Options{})
 	fig, err := Fig8(ctx, r)
@@ -93,15 +100,16 @@ var faultCases = []struct {
 // retry loop without surfacing to the caller; each faulted attempt retries
 // every cell it covered.
 func TestTransientFailureRetried(t *testing.T) {
-	ctx := context.Background()
+	t.Parallel()
 	for _, tc := range faultCases {
 		t.Run(tc.name, func(t *testing.T) {
-			defer faultinject.Reset()
-			want, err := faultRunner(tc.opts).RunSweep(ctx, tc.cfgs, tc.wl)
+			t.Parallel()
+			want, err := faultRunner(tc.opts).RunSweep(context.Background(), tc.cfgs, tc.wl)
 			if err != nil {
 				t.Fatal(err)
 			}
-			faultinject.Arm(faultinject.WorkerTransient, tc.wl, 2)
+			ctx, faults := faultCtx()
+			faults.Arm(faultinject.WorkerTransient, tc.wl, 2)
 			r := faultRunner(tc.opts)
 			got, err := r.RunSweep(ctx, tc.cfgs, tc.wl)
 			if err != nil {
@@ -120,9 +128,9 @@ func TestTransientFailureRetried(t *testing.T) {
 // TestTransientFailureExhaustsRetries: a persistent transient fault must
 // fail after the retry budget, still typed as transient.
 func TestTransientFailureExhaustsRetries(t *testing.T) {
-	ctx := context.Background()
-	defer faultinject.Reset()
-	faultinject.Arm(faultinject.WorkerTransient, "crypto", -1)
+	t.Parallel()
+	ctx, faults := faultCtx()
+	faults.Arm(faultinject.WorkerTransient, "crypto", -1)
 
 	r := faultRunner(Options{Retries: 1, retryBackoff: time.Millisecond})
 	_, err := r.RunCell(ctx, Cell{Config: pipeline.BaseConfig(), Workload: "crypto"})
@@ -141,9 +149,9 @@ func TestTransientFailureExhaustsRetries(t *testing.T) {
 // TestDeterministicFailureNotRetried: a panic is not transient, so the
 // retry loop must not spend attempts on it.
 func TestDeterministicFailureNotRetried(t *testing.T) {
-	ctx := context.Background()
-	defer faultinject.Reset()
-	faultinject.Arm(faultinject.WorkerPanic, "crypto", -1)
+	t.Parallel()
+	ctx, faults := faultCtx()
+	faults.Arm(faultinject.WorkerPanic, "crypto", -1)
 
 	r := faultRunner(Options{Retries: 5, retryBackoff: time.Millisecond})
 	if _, err := r.RunCell(ctx, Cell{Config: pipeline.BaseConfig(), Workload: "crypto"}); !errors.Is(err, simerr.ErrPanic) {
@@ -314,13 +322,13 @@ func TestCorruptCheckpointIsAMiss(t *testing.T) {
 // that fails on every variant fails the study with all of its cells named,
 // and the failed study renders nothing.
 func TestStudyReportsEveryFailedCell(t *testing.T) {
-	ctx := context.Background()
-	defer faultinject.Reset()
+	t.Parallel()
+	ctx, faults := faultCtx()
 	r := faultRunner(Options{})
 	if _, err := Classify(ctx, r); err != nil {
 		t.Fatal(err)
 	}
-	faultinject.Arm(faultinject.WorkerPanic, "chess", -1)
+	faults.Arm(faultinject.WorkerPanic, "chess", -1)
 	s, err := Fig15(ctx, r)
 	var ce *CampaignError
 	if !errors.As(err, &ce) {

@@ -1,17 +1,18 @@
-// Package faultinject is the test-only fault-injection harness: a global
-// registry of named injection points that production code consults at
-// carefully chosen spots (the pipeline's commit loop, the experiment
-// runner's worker body). Tests arm a point to make it fire — suppressing
-// commit to fake a hang, panicking a worker, or failing a run with a
-// transient error — and the robustness tests then assert that every
-// injected fault surfaces as the right typed error (see internal/simerr)
-// with the rest of the campaign unharmed.
+// Package faultinject is the test-only fault-injection harness: a Set of
+// named injection points that production code consults at carefully
+// chosen spots (the pipeline's commit loop, the experiment runner's worker
+// body, the daemon's pool, journal and result cache). Tests arm a point
+// to make it fire — suppressing commit to fake a hang, panicking a worker,
+// or failing a run with a transient error — and the robustness tests then
+// assert that every injected fault surfaces as the right typed error (see
+// internal/simerr) with the rest of the campaign unharmed.
 //
-// When nothing is armed, Fire costs one atomic load, so the hooks are safe
-// to leave in hot paths. Arming a point changes nothing else: the pipeline
-// keeps its idle skip, so fault tests exercise the loop that ships. The
-// registry is process-global: tests that arm faults must not run in
-// parallel with each other and should defer Reset.
+// A Set reaches the code it faults through the run's probe
+// (pipeline.Probe) or the daemon's configuration, so each test arms its own
+// Set and fault tests run in parallel. A nil Set never fires, and Fire on
+// a Set with nothing armed costs one atomic load, so the hooks are safe to
+// leave in hot paths. Arming a point changes nothing else: the pipeline
+// keeps its idle skip, so fault tests exercise the loop that ships.
 package faultinject
 
 import (
@@ -47,12 +48,14 @@ const (
 	CacheEvict = "service.cache.evict"
 )
 
-var (
-	armed atomic.Int64 // number of currently armed faults (fast path)
+// Set is a group of armed injection points. The zero Set has nothing
+// armed; it is safe for concurrent use.
+type Set struct {
+	armed atomic.Int64 // len(faults), read without the lock (fast path)
 
 	mu     sync.Mutex
-	faults = map[string]*fault{}
-)
+	faults map[string]*fault
+}
 
 // fault is one armed injection point.
 type fault struct {
@@ -63,45 +66,42 @@ type fault struct {
 // Arm makes the named point fire `times` times (times < 0 = every call)
 // whenever the Fire detail contains match (empty match hits everything).
 // Re-arming a point replaces its previous state.
-func Arm(point, match string, times int) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, exists := faults[point]; !exists {
-		armed.Add(1)
+func (s *Set) Arm(point, match string, times int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.faults == nil {
+		s.faults = map[string]*fault{}
 	}
-	faults[point] = &fault{match: match, remaining: times}
+	s.faults[point] = &fault{match: match, remaining: times}
+	s.armed.Store(int64(len(s.faults)))
 }
 
 // Disarm removes one point.
-func Disarm(point string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, exists := faults[point]; exists {
-		delete(faults, point)
-		armed.Add(-1)
-	}
+func (s *Set) Disarm(point string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.faults, point)
+	s.armed.Store(int64(len(s.faults)))
 }
 
-// Reset disarms everything (defer this from every arming test).
-func Reset() {
-	mu.Lock()
-	defer mu.Unlock()
-	for p := range faults {
-		delete(faults, p)
-	}
-	armed.Store(0)
+// Reset disarms everything.
+func (s *Set) Reset() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	clear(s.faults)
+	s.armed.Store(0)
 }
 
 // Fire reports whether the named point should inject a fault for the given
-// detail, consuming one firing when it does. The disarmed fast path is a
-// single atomic load.
-func Fire(point, detail string) bool {
-	if armed.Load() == 0 {
+// detail, consuming one firing when it does. A nil Set never fires, and
+// one with nothing armed answers from a single atomic load.
+func (s *Set) Fire(point, detail string) bool {
+	if s == nil || s.armed.Load() == 0 {
 		return false
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	f, ok := faults[point]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f, ok := s.faults[point]
 	if !ok || f.remaining == 0 {
 		return false
 	}

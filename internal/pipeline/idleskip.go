@@ -1,9 +1,6 @@
 package pipeline
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "math"
 
 // Event-driven idle-cycle skipping (DESIGN.md §14).
 //
@@ -138,18 +135,9 @@ func (s *Sim) skipCycles(k int64) {
 	s.skippedCycles += uint64(k)
 }
 
-// SkipStats reports the null-span idle-skip telemetry for the whole run so
-// far: the number of skipped spans and the total cycles they covered. The
-// counters live outside Result on purpose — skip on and skip off must
-// produce DeepEqual-identical Results.
-func (s *Sim) SkipStats() (spans, cycles uint64) {
-	return s.skipSpans, s.skippedCycles
-}
-
 // SkipTelemetry is the idle-skip efficacy report: null spans skipped and
-// the cycles they covered. Like SkipStats it is deliberately not part of
-// Result — scheduling telemetry must never leak into the bit-identity
-// surface.
+// the cycles they covered. It is deliberately not part of Result —
+// scheduling telemetry must never leak into the bit-identity surface.
 type SkipTelemetry struct {
 	SkipSpans     uint64 `json:"skip_spans"`
 	SkippedCycles uint64 `json:"skipped_cycles"`
@@ -162,44 +150,7 @@ type SkipTelemetry struct {
 	CommitBurstCycles uint64 `json:"-"`
 }
 
-// SkipTelemetry returns the per-run skip counters so far.
+// SkipTelemetry returns the simulator's skip counters since New or Reset.
 func (s *Sim) SkipTelemetry() SkipTelemetry {
 	return SkipTelemetry{SkipSpans: s.skipSpans, SkippedCycles: s.skippedCycles}
-}
-
-// globalSkip aggregates skip telemetry across every Sim in the process,
-// for the daemon's /metrics endpoint. Sims flush once per RunContext (not
-// per span — atomics on the skip hot path would tax exactly the cycles
-// the skip exists to cheapen).
-var globalSkip struct {
-	skipSpans     atomic.Uint64
-	skippedCycles atomic.Uint64
-}
-
-// flushSkipTelemetry publishes the counters accumulated since the last
-// flush to the process-wide totals. Called once per RunContext (deferred,
-// so error exits flush too).
-func (s *Sim) flushSkipTelemetry() {
-	cur := s.SkipTelemetry()
-	if d := cur.SkipSpans - s.telemetryFlushed.SkipSpans; d != 0 {
-		globalSkip.skipSpans.Add(d)
-		globalSkip.skippedCycles.Add(cur.SkippedCycles - s.telemetryFlushed.SkippedCycles)
-	}
-	s.telemetryFlushed = cur
-}
-
-// GlobalSkipTelemetry returns the process-wide totals.
-func GlobalSkipTelemetry() SkipTelemetry {
-	return SkipTelemetry{
-		SkipSpans:     globalSkip.skipSpans.Load(),
-		SkippedCycles: globalSkip.skippedCycles.Load(),
-	}
-}
-
-// SkipCounters reports the process-wide skip telemetry: null-skip spans
-// and the cycles they covered. This is what pubsd's node-labeled
-// pubsd_skip_* metrics export.
-func SkipCounters() (skipSpans, skippedCycles uint64) {
-	t := GlobalSkipTelemetry()
-	return t.SkipSpans, t.SkippedCycles
 }

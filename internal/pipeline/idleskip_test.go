@@ -432,10 +432,10 @@ func TestIdleSkipProgressCadenceCommitRun(t *testing.T) {
 
 // TestSkipStatsTelemetry: a memory-bound run must actually skip (the
 // telemetry is how the benchmark harness and EXPERIMENTS.md sanity-check
-// the machinery), a poll-mode run must never skip, and the telemetry must
-// stay out of Result.
+// the machinery), a poll-mode run must never skip, the telemetry must
+// stay out of Result, and the run's probe must receive exactly the
+// simulator's counts.
 func TestSkipStatsTelemetry(t *testing.T) {
-	ctx := context.Background()
 	prog := workload.MustProgram("sparse")
 	run := func(poll bool) (Result, uint64, uint64) {
 		cfg := BaseConfig()
@@ -445,12 +445,16 @@ func TestSkipStatsTelemetry(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.SetStaticCode(prog.Code)
-		res, err := s.RunContext(ctx, Stream{M: emu.MustNew(prog)}, 1_000, 6_000)
+		probe := &Probe{}
+		res, err := s.RunContext(WithProbe(context.Background(), probe), Stream{M: emu.MustNew(prog)}, 1_000, 6_000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spans, cycles := s.SkipStats()
-		return res, spans, cycles
+		tel := s.SkipTelemetry()
+		if got := probe.SkipTelemetry(); got != tel {
+			t.Errorf("poll=%v: probe got %+v, simulator counted %+v", poll, got, tel)
+		}
+		return res, tel.SkipSpans, tel.SkippedCycles
 	}
 	skipRes, spans, cycles := run(false)
 	if spans == 0 || cycles == 0 {
@@ -462,6 +466,34 @@ func TestSkipStatsTelemetry(t *testing.T) {
 	}
 	if !reflect.DeepEqual(skipRes, pollRes) {
 		t.Errorf("telemetry leaked into Result:\n skip: %+v\n poll: %+v", skipRes, pollRes)
+	}
+}
+
+// TestProbeSumsEachRunOnce: a probe shared by several runs — here two runs
+// of one reused simulator, Reset between them — holds the sum of each
+// run's own skips, with nothing counted twice.
+func TestProbeSumsEachRunOnce(t *testing.T) {
+	t.Parallel()
+	prog := workload.MustProgram("sparse")
+	probe := &Probe{}
+	ctx := WithProbe(context.Background(), probe)
+	s, err := New(BaseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want SkipTelemetry
+	for run := 0; run < 2; run++ {
+		s.Reset()
+		s.SetStaticCode(prog.Code)
+		if _, err := s.RunContext(ctx, Stream{M: emu.MustNew(prog)}, 1_000, 6_000); err != nil {
+			t.Fatal(err)
+		}
+		tel := s.SkipTelemetry()
+		want.SkipSpans += tel.SkipSpans
+		want.SkippedCycles += tel.SkippedCycles
+	}
+	if got := probe.SkipTelemetry(); got != want || want.SkipSpans == 0 {
+		t.Errorf("probe holds %+v, want the two runs' sum %+v (nonzero)", got, want)
 	}
 }
 

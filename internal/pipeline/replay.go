@@ -31,15 +31,11 @@ type Replay struct {
 	err  error
 }
 
-// errNoFallback reports a replay that ran off a non-halted trace with no
-// live continuation configured.
-var errNoFallback = errors.New("pipeline: replay exhausted a non-halted trace with no fallback stream")
-
 // switchLive builds the live continuation; the error is remembered and
 // surfaced by Err.
 func (r *Replay) switchLive() error {
 	if r.Fallback == nil {
-		r.err = errNoFallback
+		r.err = errors.New("pipeline: replay exhausted a non-halted trace with no fallback stream")
 		return r.err
 	}
 	live, err := r.Fallback()

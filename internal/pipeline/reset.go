@@ -78,7 +78,6 @@ func (s *Sim) Reset() {
 	s.act, s.stallCtr, s.stallRand = false, nil, false
 	s.polled, s.skipSpans, s.skippedCycles = 0, 0, 0
 	s.cal.clear()
-	s.telemetryFlushed = SkipTelemetry{}
 
 	s.st = stats.Sim{}
 	if s.occHist != nil {

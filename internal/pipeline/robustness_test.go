@@ -86,12 +86,13 @@ func TestRunContextZeroMeasure(t *testing.T) {
 // TestWatchdogCatchesInjectedHang: suppressing commit mid-run must trip the
 // liveness watchdog within its cycle budget and produce the full diagnosis.
 func TestWatchdogCatchesInjectedHang(t *testing.T) {
-	ctx := context.Background()
-	defer faultinject.Reset()
+	t.Parallel()
 	cfg := BaseConfig()
 	cfg.Name = "base-hangtest"
 	cfg.WatchdogCycles = 2_000
-	faultinject.Arm(faultinject.PipelineHang, cfg.Name, 1)
+	faults := &faultinject.Set{}
+	faults.Arm(faultinject.PipelineHang, cfg.Name, 1)
+	ctx := WithProbe(context.Background(), &Probe{Faults: faults})
 
 	_, err := RunProgramContext(ctx, cfg, workload.MustProgram("parser"), 1_000, 100_000)
 	if !errors.Is(err, simerr.ErrDeadlock) {

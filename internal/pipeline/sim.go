@@ -264,14 +264,13 @@ type Sim struct {
 	// behaviour is independent of how far each iteration advanced time.
 	// cal is the event calendar nextWake reads instead of rescanning
 	// every threshold; it also holds the operand-ready releases.
-	act              bool
-	stallCtr         *uint64
-	stallRand        bool
-	polled           int64
-	cal              calendar
-	skipSpans        uint64
-	skippedCycles    uint64
-	telemetryFlushed SkipTelemetry // portion already flushed to the package counters
+	act           bool
+	stallCtr      *uint64
+	stallRand     bool
+	polled        int64
+	cal           calendar
+	skipSpans     uint64
+	skippedCycles uint64
 
 	st             stats.Sim
 	occHist        *stats.Histogram
@@ -1145,6 +1144,11 @@ func (s *Sim) RunContext(ctx context.Context, stream InstStream, warmup, measure
 	target := warmup + measure
 	warmedUp := warmup == 0
 	hook := progressFrom(ctx)
+	var faults *faultinject.Set
+	if probe := ProbeFrom(ctx); probe != nil {
+		faults = probe.Faults
+		defer probe.addRun(s, s.skipSpans, s.skippedCycles)
+	}
 	nextProgress := hook.every
 	if warmedUp {
 		s.resetMeasurement()
@@ -1152,7 +1156,6 @@ func (s *Sim) RunContext(ctx context.Context, stream InstStream, warmup, measure
 
 	skipEnabled := !s.cfg.noIdleSkip
 	nextCtxCheck := s.now + ctxCheckEvery
-	defer s.flushSkipTelemetry()
 
 	for {
 		s.act = false
@@ -1161,7 +1164,7 @@ func (s *Sim) RunContext(ctx context.Context, stream InstStream, warmup, measure
 		if s.hangInjected {
 			// Fault injection: the commit stage is wedged; the watchdog
 			// below must diagnose it.
-		} else if faultinject.Fire(faultinject.PipelineHang, s.cfg.Name) {
+		} else if faults.Fire(faultinject.PipelineHang, s.cfg.Name) {
 			s.hangInjected = true
 		} else {
 			s.commit()

@@ -114,13 +114,14 @@ func TestRunSweepBitIdenticalToSerialWindows(t *testing.T) {
 		}
 	}
 	// A pool worker's panic reaches the caller carrying the panicking frame.
-	plan.Parallel, plan.Observe = 3, func(time.Duration) { panic("observe") }
+	plan.Parallel = 3
+	panicky := pipeline.WithProbe(ctx, &pipeline.Probe{Window: func(time.Duration) { panic("observe") }})
 	defer func() {
 		if pe, ok := recover().(*simerr.PanicError); !ok || !bytes.Contains(pe.Stack, []byte("TestRunSweepBitIdenticalToSerialWindows.func")) {
 			t.Fatalf("workers=3: want a PanicError with the hook's stack, got %v", pe)
 		}
 	}()
-	RunSweep(ctx, cfgs, prog, plan, windows)
+	RunSweep(panicky, cfgs, prog, plan, windows)
 }
 
 // TestRunSweepHaltingProgram: a program that ends mid-plan must truncate
@@ -157,8 +158,8 @@ func TestRunSweepHaltingProgram(t *testing.T) {
 	}
 }
 
-// TestObserveCountsWindows: the Observe hook fires once per detailed window
-// with a positive duration, and cannot change the result.
+// TestObserveCountsWindows: the probe's Window observer fires once per
+// detailed window with a positive duration, and cannot change the result.
 func TestObserveCountsWindows(t *testing.T) {
 	ctx := context.Background()
 	prog := workload.MustProgram("parser")
@@ -169,18 +170,17 @@ func TestObserveCountsWindows(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var seen []time.Duration
-	plan.Observe = func(d time.Duration) {
+	observed := pipeline.WithProbe(ctx, &pipeline.Probe{Window: func(d time.Duration) {
 		mu.Lock()
 		seen = append(seen, d)
 		mu.Unlock()
-	}
-	got, err := Run(ctx, pipeline.BaseConfig(), prog, plan)
+	}})
+	got, err := Run(observed, pipeline.BaseConfig(), prog, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2 := got
-	if !reflect.DeepEqual(got2, want) {
-		t.Fatal("Observe changed the result")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("the Window observer changed the result")
 	}
 	if len(seen) != len(got.Windows) {
 		t.Fatalf("observed %d windows, want %d", len(seen), len(got.Windows))

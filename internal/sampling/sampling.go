@@ -38,11 +38,6 @@ type Config struct {
 	// never changes the Result — only how fast it is computed. It is
 	// deliberately excluded from plan keys (see Store) for the same reason.
 	Parallel int
-
-	// Observe, when set, receives the wall-clock duration of each detailed
-	// window run (the service exports these as a replay-latency histogram).
-	// Like Parallel it cannot change results and is excluded from plan keys.
-	Observe func(time.Duration)
 }
 
 // DefaultPlan samples 8 windows of 100K measured instructions, each after a
@@ -213,7 +208,9 @@ func mergeWindows(windows []Window, results []pipeline.Result, errs []error) (Re
 // their results alias the simulator's profile), and takes no later windows
 // after its first error or empty window. The returned slices are indexed
 // like cfgs; each entry is what a serial window-by-window run of that
-// configuration alone produces, whatever the worker count.
+// configuration alone produces, whatever the worker count. The Window
+// observer of the context's probe (pipeline.WithProbe), when set, receives
+// each replayed window's wall-clock time.
 func RunSweep(ctx context.Context, cfgs []pipeline.Config, prog *isa.Program, plan Config, windows []Window) ([]Result, []error) {
 	n := len(cfgs)
 	outs := make([]Result, n)
@@ -250,6 +247,7 @@ func RunSweep(ctx context.Context, cfgs []pipeline.Config, prog *isa.Program, pl
 		stop[mi] = len(windows)
 	}
 	free := make([][]*pipeline.Sim, n) // idle simulators per machine
+	probe := pipeline.ProbeFrom(ctx)
 
 	task := func(t int) {
 		wi, mi := t/n, t%n
@@ -269,8 +267,8 @@ func RunSweep(ctx context.Context, cfgs []pipeline.Config, prog *isa.Program, pl
 		if err == nil {
 			t0 := time.Now()
 			r, sim, err = replayWindow(ctx, cfgs[mi], prog, plan, sd, sim, windows[wi])
-			if plan.Observe != nil {
-				plan.Observe(time.Since(t0))
+			if probe != nil && probe.Window != nil {
+				probe.Window(time.Since(t0))
 			}
 		}
 

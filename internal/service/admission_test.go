@@ -292,9 +292,10 @@ func TestBreakerUnit(t *testing.T) {
 // results still serve from the cache while fresh simulation is refused
 // with a typed circuit-open error — and /healthz reports degraded.
 func TestBreakerDegradedCachedOnly(t *testing.T) {
-	defer faultinject.Reset()
+	t.Parallel()
+	faults := &faultinject.Set{}
 	s := testService(t, Config{
-		Workers: 1, BreakerThreshold: 2, BreakerCooldown: time.Hour,
+		Workers: 1, BreakerThreshold: 2, BreakerCooldown: time.Hour, faults: faults,
 	})
 	cached := CampaignSpec{Machines: []MachineSpec{{Machine: "base"}}, Workloads: []string{"matmul"}}
 	fresh := CampaignSpec{Machines: []MachineSpec{{Machine: "pubs"}}, Workloads: []string{"chess"}}
@@ -309,13 +310,13 @@ func TestBreakerDegradedCachedOnly(t *testing.T) {
 	}
 
 	// Two panicking cells in a row trip the breaker.
-	faultinject.Arm(faultinject.ServicePanic, "", -1)
+	faults.Arm(faultinject.ServicePanic, "", -1)
 	pj, err := s.Submit(CampaignSpec{Machines: []MachineSpec{{Machine: "base"}, {Machine: "pubs"}}, Workloads: []string{"chess"}})
 	if err != nil {
 		t.Fatalf("panic-bait submit: %v", err)
 	}
 	pst := waitJob(t, pj)
-	faultinject.Reset()
+	faults.Reset()
 	if pst.State != JobFailed || len(pst.Errors) != 2 {
 		t.Fatalf("panic-bait job %s (%d errors), want failed with 2", pst.State, len(pst.Errors))
 	}
@@ -359,11 +360,12 @@ func TestBreakerDegradedCachedOnly(t *testing.T) {
 // TestBreakerHalfOpenRecovery: once the fault clears and the cooldown
 // elapses, a successful probe closes the breaker and service resumes.
 func TestBreakerHalfOpenRecovery(t *testing.T) {
-	defer faultinject.Reset()
+	t.Parallel()
+	faults := &faultinject.Set{}
 	s := testService(t, Config{
-		Workers: 1, BreakerThreshold: 1, BreakerCooldown: 50 * time.Millisecond,
+		Workers: 1, BreakerThreshold: 1, BreakerCooldown: 50 * time.Millisecond, faults: faults,
 	})
-	faultinject.Arm(faultinject.ServicePanic, "", 1)
+	faults.Arm(faultinject.ServicePanic, "", 1)
 	pj, err := s.Submit(CampaignSpec{Machines: []MachineSpec{{Machine: "base"}}, Workloads: []string{"matmul"}})
 	if err != nil {
 		t.Fatalf("panic-bait submit: %v", err)
@@ -371,7 +373,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	if st := waitJob(t, pj); st.State != JobFailed {
 		t.Fatalf("panic-bait job %s, want failed", st.State)
 	}
-	faultinject.Reset()
+	faults.Reset()
 	if h := s.Health(); h.Breaker != "open" {
 		t.Fatalf("breaker %s, want open", h.Breaker)
 	}
@@ -393,9 +395,10 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 // injected worker panic fails only that task's cells; the pool and the
 // rest of the campaign keep going.
 func TestWorkerPanicIsolatedWithoutBreaker(t *testing.T) {
-	defer faultinject.Reset()
-	s := testService(t, Config{Workers: 2, BreakerThreshold: -1})
-	faultinject.Arm(faultinject.ServicePanic, "chess", 1)
+	t.Parallel()
+	faults := &faultinject.Set{}
+	s := testService(t, Config{Workers: 2, BreakerThreshold: -1, faults: faults})
+	faults.Arm(faultinject.ServicePanic, "chess", 1)
 	j, err := s.Submit(CampaignSpec{
 		Machines:  []MachineSpec{{Machine: "base"}},
 		Workloads: []string{"matmul", "chess", "goplay"},
@@ -432,17 +435,18 @@ func TestWorkerPanicIsolatedWithoutBreaker(t *testing.T) {
 // result cache is the daemon's only in-memory result store — and the
 // recomputed record must be bit-identical.
 func TestCacheEvictionRecomputesBitIdentical(t *testing.T) {
-	defer faultinject.Reset()
-	s := testService(t, Config{Workers: 2})
+	t.Parallel()
+	faults := &faultinject.Set{}
+	s := testService(t, Config{Workers: 2, faults: faults})
 	spec := CampaignSpec{Machines: []MachineSpec{{Machine: "base"}}, Workloads: []string{"matmul"}}
 
-	faultinject.Arm(faultinject.CacheEvict, "", 1)
+	faults.Arm(faultinject.CacheEvict, "", 1)
 	j1, err := s.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	st1 := waitJob(t, j1)
-	faultinject.Reset()
+	faults.Reset()
 	if st1.State != JobDone {
 		t.Fatalf("evicted job %s: %v", st1.State, st1.Errors)
 	}

@@ -45,12 +45,14 @@ type resultCache struct {
 	mu       sync.Mutex
 	done     map[string]CellResult
 	inflight map[string]*flight
+	faults   *faultinject.Set // the daemon's (nil outside fault tests)
 }
 
-func newResultCache() *resultCache {
+func newResultCache(faults *faultinject.Set) *resultCache {
 	return &resultCache{
 		done:     make(map[string]CellResult),
 		inflight: make(map[string]*flight),
+		faults:   faults,
 	}
 }
 
@@ -86,7 +88,7 @@ func (c *resultCache) Resolve(key string, f *flight, res CellResult, err error) 
 		// cache loss between a cell finishing and a client reading it. The
 		// owner still gets res; later reads fall through to the
 		// checkpoint-backed runner, which must reproduce it bit-identically.
-		if faultinject.Fire(faultinject.CacheEvict, key) {
+		if c.faults.Fire(faultinject.CacheEvict, key) {
 			delete(c.done, key)
 		}
 	}

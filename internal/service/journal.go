@@ -51,12 +51,13 @@ type journal struct {
 	mu      sync.Mutex
 	f       *os.File
 	path    string
-	records *atomic.Uint64 // successful appends (metrics)
-	errs    *atomic.Uint64 // failed appends (metrics)
+	records *atomic.Uint64   // successful appends (metrics)
+	errs    *atomic.Uint64   // failed appends (metrics)
+	faults  *faultinject.Set // the daemon's (nil outside fault tests)
 }
 
 // openJournal opens (creating if needed) the journal in dir for appending.
-func openJournal(dir string, records, errs *atomic.Uint64) (*journal, error) {
+func openJournal(dir string, records, errs *atomic.Uint64, faults *faultinject.Set) (*journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: journal dir: %w", err)
 	}
@@ -65,7 +66,7 @@ func openJournal(dir string, records, errs *atomic.Uint64) (*journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: journal: %w", err)
 	}
-	return &journal{f: f, path: path, records: records, errs: errs}, nil
+	return &journal{f: f, path: path, records: records, errs: errs, faults: faults}, nil
 }
 
 // append writes one record. Failures (including injected ones) are counted
@@ -76,7 +77,7 @@ func (l *journal) append(rec journalRecord) {
 	}
 	rec.Time = time.Now()
 	data, err := json.Marshal(rec)
-	if err == nil && faultinject.Fire(faultinject.JournalAppend, rec.Type) {
+	if err == nil && l.faults.Fire(faultinject.JournalAppend, rec.Type) {
 		err = errors.New("injected journal write fault")
 	}
 	if err == nil {

@@ -229,16 +229,16 @@ func TestJournalRecoveryRejectsStaleSpecs(t *testing.T) {
 // TestJournalAppendFaultDegradesNotFails: an injected journal write error
 // is counted in the metrics, and the campaign still completes.
 func TestJournalAppendFaultDegradesNotFails(t *testing.T) {
-	defer faultinject.Reset()
-	dir := t.TempDir()
-	s := testService(t, Config{Workers: 2, JournalDir: dir})
-	faultinject.Arm(faultinject.JournalAppend, "", -1)
+	t.Parallel()
+	faults := &faultinject.Set{}
+	s := testService(t, Config{Workers: 2, JournalDir: t.TempDir(), faults: faults})
+	faults.Arm(faultinject.JournalAppend, "", -1)
 	job, err := s.Submit(specBaseMatmul())
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	st := waitJob(t, job)
-	faultinject.Reset()
+	faults.Reset()
 	if st.State != JobDone {
 		t.Fatalf("job %s with lossy journal: %v", st.State, st.Errors)
 	}

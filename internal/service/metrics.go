@@ -48,15 +48,9 @@ type metrics struct {
 	activeJobs  atomic.Int64
 	workersBusy atomic.Int64
 
-	// Latency histograms: log2 buckets of whole milliseconds (bucket i
-	// covers [2^(i-1), 2^i) ms, bucket 0 is <1 ms), reusing the stats
-	// package histogram; quantiles are bucket upper bounds. lat is per-job
-	// submit-to-finish latency; win is per-window detailed replay latency,
-	// fed by each task runner's WindowObserve hook.
-	latMu sync.Mutex
-	lat   *stats.Histogram
-	winMu sync.Mutex
-	win   *stats.Histogram
+	// Latency histograms: lat is per-job submit-to-finish latency; win is
+	// per-window detailed replay latency, fed by the probe's Window observer.
+	lat, win msHistogram
 
 	// Plan exchange: the pubsd_plan_* family (zero-valued on a standalone
 	// daemon). Peer hits count plans fetched from peers instead of computed
@@ -70,39 +64,51 @@ type metrics struct {
 	// cluster is the pubsd_cluster_* family, fed by the cluster package
 	// (zero-valued on a standalone daemon).
 	cluster ClusterCounters
+
+	// probe rides the daemon's root context: every run adds its idle-skip
+	// counts to it and every sampled window its replay time to win.
+	probe pipeline.Probe
 }
 
 // latBuckets covers up to ~2^39 ms (≈17 years) of job latency.
 const latBuckets = 40
 
 func newMetrics() *metrics {
-	return &metrics{
-		start: time.Now(),
-		lat:   stats.NewHistogram(latBuckets),
-		win:   stats.NewHistogram(latBuckets),
-	}
+	m := &metrics{start: time.Now()}
+	m.lat.h, m.win.h = stats.NewHistogram(latBuckets), stats.NewHistogram(latBuckets)
+	m.probe.Window = m.win.observe
+	return m
 }
 
-func (m *metrics) observeLatency(d time.Duration) {
-	ms := d.Milliseconds()
-	if ms < 0 {
-		ms = 0
-	}
-	m.latMu.Lock()
-	m.lat.Add(bits.Len64(uint64(ms)))
-	m.latMu.Unlock()
+// msHistogram is a latency histogram safe for concurrent use: log2 buckets
+// of whole milliseconds (bucket i covers [2^(i-1), 2^i) ms, bucket 0 is
+// <1 ms) over the stats package histogram.
+type msHistogram struct {
+	mu sync.Mutex
+	h  *stats.Histogram
 }
 
-// observeWindow records one detailed window's replay wall-clock time.
-// Safe for concurrent use: parallel window workers all feed it.
-func (m *metrics) observeWindow(d time.Duration) {
-	ms := d.Milliseconds()
-	if ms < 0 {
-		ms = 0
+func (l *msHistogram) observe(d time.Duration) {
+	l.mu.Lock()
+	l.h.Add(bits.Len64(uint64(max(d.Milliseconds(), 0))))
+	l.mu.Unlock()
+}
+
+func (l *msHistogram) count() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.h.Total()
+}
+
+// quantileMS returns the upper bound in ms of the bucket holding the
+// q-quantile observation (0 when empty).
+func (l *msHistogram) quantileMS(q float64) int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.h.Total() == 0 {
+		return 0
 	}
-	m.winMu.Lock()
-	m.win.Add(bits.Len64(uint64(ms)))
-	m.winMu.Unlock()
+	return 1 << l.h.Quantile(q)
 }
 
 // addRunnerStats folds one task runner's counters into the daemon's.
@@ -112,32 +118,6 @@ func (m *metrics) addRunnerStats(st experiments.RunnerStats) {
 	m.retries.Add(st.Retries)
 	m.failures.Add(st.Failures)
 	m.ckptErrors.Add(st.CheckpointErrors)
-}
-
-// latencyQuantileMS returns the upper bound in ms of the bucket holding
-// the q-quantile observation.
-func (m *metrics) latencyQuantileMS(q float64) int64 {
-	m.latMu.Lock()
-	defer m.latMu.Unlock()
-	return quantileMS(m.lat, q)
-}
-
-// windowQuantileMS is latencyQuantileMS for the replay histogram.
-func (m *metrics) windowQuantileMS(q float64) int64 {
-	m.winMu.Lock()
-	defer m.winMu.Unlock()
-	return quantileMS(m.win, q)
-}
-
-func quantileMS(h *stats.Histogram, q float64) int64 {
-	if h.Total() == 0 {
-		return 0
-	}
-	idx := h.Quantile(q)
-	if idx == 0 {
-		return 1
-	}
-	return 1 << idx
 }
 
 // snapshotGauges is what the Service contributes at render time.
@@ -217,11 +197,11 @@ func (m *metrics) render(node string, g snapshotGauges) string {
 	line("pubsd_cache_misses_total", m.cacheMisses.Load())
 	line("pubsd_singleflight_merged_total", m.merged.Load())
 
-	// Idle-skip efficacy (pipeline §14): process-wide spans/cycles covered
-	// by null skips, flushed once per simulation run.
-	skipSpans, skippedCycles := pipeline.SkipCounters()
-	line("pubsd_skip_spans_total", skipSpans)
-	line("pubsd_skipped_cycles_total", skippedCycles)
+	// Idle-skip efficacy (pipeline §14): spans/cycles covered by null
+	// skips in this daemon's runs, added once per simulation run.
+	skip := m.probe.SkipTelemetry()
+	line("pubsd_skip_spans_total", skip.SkipSpans)
+	line("pubsd_skipped_cycles_total", skip.SkippedCycles)
 
 	simulated := m.simulated.Load()
 	line("pubsd_sims_executed_total", simulated)
@@ -242,19 +222,14 @@ func (m *metrics) render(node string, g snapshotGauges) string {
 	}
 	line("pubsd_sims_per_second", fmt.Sprintf("%.3f", rate))
 
-	m.latMu.Lock()
-	total := m.lat.Total()
-	m.latMu.Unlock()
-	line("pubsd_job_latency_count", total)
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		fmt.Fprintf(&sb, "pubsd_job_latency_ms{node=%q,quantile=\"%g\"} %d\n", node, q, m.latencyQuantileMS(q))
-	}
-	m.winMu.Lock()
-	wins := m.win.Total()
-	m.winMu.Unlock()
-	line("pubsd_window_replay_latency_count", wins)
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		fmt.Fprintf(&sb, "pubsd_window_replay_latency_ms{node=%q,quantile=\"%g\"} %d\n", node, q, m.windowQuantileMS(q))
+	for _, h := range []struct {
+		name string
+		l    *msHistogram
+	}{{"pubsd_job_latency", &m.lat}, {"pubsd_window_replay_latency", &m.win}} {
+		line(h.name+"_count", h.l.count())
+		for _, q := range []float64{0.5, 0.9, 0.99} {
+			fmt.Fprintf(&sb, "%s_ms{node=%q,quantile=\"%g\"} %d\n", h.name, node, q, h.l.quantileMS(q))
+		}
 	}
 	return sb.String()
 }

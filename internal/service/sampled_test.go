@@ -91,7 +91,7 @@ func TestSampledSpecKeying(t *testing.T) {
 // TestWindowMajorJob: a window-major sampled campaign completes with cells
 // bit-identical to per-cell scheduling, pays one fast-forward pass, and
 // exports the trace metrics (resident bytes, plan and eviction counters, and a
-// populated replay-latency histogram).
+// replay-latency histogram holding one observation per window and machine).
 func TestWindowMajorJob(t *testing.T) {
 	s := testService(t, Config{Workers: 2, TraceBudgetBytes: 1 << 30, DefaultOptions: parallelWindowOptions()})
 	spec := CampaignSpec{
@@ -136,14 +136,12 @@ func TestWindowMajorJob(t *testing.T) {
 		"pubsd_predecode_evictions_total{node=\"local\"} 0",
 		"pubsd_trace_budget_bytes{node=\"local\"} 1073741824",
 		"pubsd_trace_resident_bytes",
-		"pubsd_window_replay_latency_count",
+		// One replay observed per window per machine simulated: 2 x 3.
+		"pubsd_window_replay_latency_count{node=\"local\"} 6\n",
 	} {
 		if !strings.Contains(text, metric) {
 			t.Errorf("metrics missing %q", metric)
 		}
-	}
-	if strings.Contains(text, "pubsd_window_replay_latency_count{node=\"local\"} 0") {
-		t.Error("replay-latency histogram never observed a window")
 	}
 }
 

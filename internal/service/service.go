@@ -96,6 +96,11 @@ type Config struct {
 	// request per cell, keeping each worker's predecoded trace hot across
 	// its whole machine group. See RemoteSweepFunc.
 	RemoteSweep RemoteSweepFunc
+
+	// faults are the injection points armed for this daemon: its pool,
+	// journal and result cache consult them, and its runs find them on
+	// the probe of its root context. Only this package's tests set it.
+	faults *faultinject.Set
 }
 
 func (c Config) normalized() Config {
@@ -187,7 +192,7 @@ func New(cfg Config) (*Service, error) {
 	cfg = cfg.normalized()
 	s := &Service{
 		cfg:     cfg,
-		cache:   newResultCache(),
+		cache:   newResultCache(cfg.faults),
 		m:       newMetrics(),
 		limiter: newTenantLimiter(cfg.TenantRate, cfg.TenantBurst),
 		brk:     newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
@@ -214,7 +219,7 @@ func New(cfg Config) (*Service, error) {
 		if err := compactJournal(cfg.JournalDir, recovered); err != nil {
 			return nil, fmt.Errorf("service: journal compact: %w", err)
 		}
-		s.jl, err = openJournal(cfg.JournalDir, &s.m.journalRecords, &s.m.journalErrors)
+		s.jl, err = openJournal(cfg.JournalDir, &s.m.journalRecords, &s.m.journalErrors, cfg.faults)
 		if err != nil {
 			return nil, err
 		}
@@ -227,7 +232,10 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 	}
-	s.rootCtx, s.cancel = context.WithCancel(context.Background())
+	// Every run of the daemon reports to its one probe: the fault Set,
+	// the replay-latency histogram and the idle-skip totals /metrics shows.
+	s.m.probe.Faults = cfg.faults
+	s.rootCtx, s.cancel = context.WithCancel(pipeline.WithProbe(context.Background(), &s.m.probe))
 
 	// Re-enqueue recovered campaigns under their original IDs before the
 	// pool starts, bypassing admission control: this work was already
@@ -258,13 +266,12 @@ func New(cfg Config) (*Service, error) {
 
 // newRunner builds the runner one task executes on. It lives as long as
 // the task: the result cache is the daemon's only in-memory result store.
-// What outlives it is daemon-wide: it feeds the replay-latency histogram,
-// is gated by the breaker, plans through the one plan store (plan keys
-// address content) and, when configured, shares the checkpoint directory
-// (keys embed the windows, so records never collide). Its Parallelism slot
-// is a no-op: the worker pool already bounds tasks.
+// What outlives it is daemon-wide: it is gated by the breaker, plans
+// through the one plan store (plan keys address content) and, when
+// configured, shares the checkpoint directory (keys embed the windows, so
+// records never collide). Its Parallelism slot is a no-op: the worker pool
+// already bounds tasks.
 func (s *Service) newRunner(o experiments.Options) (*experiments.Runner, error) {
-	o.WindowObserve = s.m.observeWindow
 	r := experiments.NewRunner(o).WithAdmit(s.admitSim).WithStore(s.plans)
 	if s.cfg.CheckpointDir == "" {
 		return r, nil
@@ -357,7 +364,7 @@ func (s *Service) Submit(spec CampaignSpec) (*Job, error) {
 // queue's drain time at the current depth, gauged by the median job
 // latency over the active-job parallelism, clamped to [1s, 60s].
 func (s *Service) retryHint(depth int) time.Duration {
-	p50 := time.Duration(s.m.latencyQuantileMS(0.5)) * time.Millisecond
+	p50 := time.Duration(s.m.lat.quantileMS(0.5)) * time.Millisecond
 	if p50 <= 0 {
 		p50 = time.Second
 	}
@@ -443,7 +450,7 @@ func (s *Service) runJob(j *Job) {
 	} else {
 		s.m.jobsDone.Add(1)
 	}
-	s.m.observeLatency(j.latency())
+	s.m.lat.observe(j.latency())
 }
 
 // worker executes tasks until the task channel closes at shutdown. A
@@ -527,7 +534,7 @@ type ownedCell struct {
 func (s *Service) execute(t task) {
 	j := t.job
 	wl := j.cells[t.group[0]].Workload
-	if faultinject.Fire(faultinject.ServicePanic, wl) {
+	if s.cfg.faults.Fire(faultinject.ServicePanic, wl) {
 		panic(fmt.Sprintf("injected service worker panic on %s", wl))
 	}
 	err := s.rootCtx.Err()

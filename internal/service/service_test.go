@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,8 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/emu"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
+	"repro/internal/pipeline"
+	"repro/internal/workload"
 )
 
 // Small windows keep the E2E tests fast while still exercising warmup
@@ -114,7 +118,7 @@ func TestCampaignSpecValidation(t *testing.T) {
 }
 
 func TestResultCacheSingleflight(t *testing.T) {
-	c := newResultCache()
+	c := newResultCache(nil)
 	gate := make(chan struct{})
 	const callers = 8
 	var wg sync.WaitGroup
@@ -162,7 +166,7 @@ func TestResultCacheSingleflight(t *testing.T) {
 }
 
 func TestResultCacheDoesNotCacheFailures(t *testing.T) {
-	c := newResultCache()
+	c := newResultCache(nil)
 	boom := errors.New("boom")
 	_, f, _ := c.Claim("k")
 	_, waiter, out := c.Claim("k")
@@ -433,14 +437,64 @@ func TestMetricsText(t *testing.T) {
 	}
 }
 
+// TestSkipMetricsArePerDaemon: two daemons in one process each export
+// their own runs' idle-skip totals. The idle one reads zero; the busy one
+// reads exactly what the same cell skips when run directly under the
+// daemon's options.
+func TestSkipMetricsArePerDaemon(t *testing.T) {
+	t.Parallel()
+	busy := testService(t, Config{Workers: 1, NodeID: "busy"})
+	idle := testService(t, Config{Workers: 1, NodeID: "idle"})
+	spec := CampaignSpec{Machines: []MachineSpec{{Machine: "base"}}, Workloads: []string{"sparse"}}
+	if st := waitJob(t, mustSubmit(t, busy, spec)); st.State != JobDone {
+		t.Fatalf("job: %s %v", st.State, st.Errors)
+	}
+
+	cells, err := spec.Cells(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := spec.options(busy.DefaultOptions())
+	sim, err := pipeline.New(cells[0].Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := workload.MustProgram("sparse")
+	sim.SetStaticCode(prog.Code)
+	if _, err := sim.RunContext(context.Background(), pipeline.Stream{M: emu.MustNew(prog)}, opts.Warmup, opts.Measure); err != nil {
+		t.Fatal(err)
+	}
+	want := sim.SkipTelemetry()
+	if want.SkipSpans == 0 {
+		t.Fatal("the direct run skipped nothing; the test needs a skipping cell")
+	}
+
+	for _, tc := range []struct {
+		s    *Service
+		tel  pipeline.SkipTelemetry
+		node string
+	}{{busy, want, "busy"}, {idle, pipeline.SkipTelemetry{}, "idle"}} {
+		text := tc.s.MetricsText()
+		for _, line := range []string{
+			fmt.Sprintf("pubsd_skip_spans_total{node=%q} %d\n", tc.node, tc.tel.SkipSpans),
+			fmt.Sprintf("pubsd_skipped_cycles_total{node=%q} %d\n", tc.node, tc.tel.SkippedCycles),
+		} {
+			if !strings.Contains(text, line) {
+				t.Errorf("%s daemon's metrics lack %q", tc.node, line)
+			}
+		}
+	}
+}
+
 // TestRunnerFailureMetrics: a checkpoint write that fails leaves its cell
 // done, removes its temp file and counts in
 // pubsd_runner_checkpoint_errors_total; a cell whose
 // worker panics counts in pubsd_runner_failures_total.
 func TestRunnerFailureMetrics(t *testing.T) {
-	defer faultinject.Reset()
+	t.Parallel()
+	faults := &faultinject.Set{}
 	dir := t.TempDir()
-	s := testService(t, Config{Workers: 1, CheckpointDir: dir})
+	s := testService(t, Config{Workers: 1, CheckpointDir: dir, faults: faults})
 	spec := CampaignSpec{Machines: []MachineSpec{{Machine: "base"}}, Workloads: []string{"matmul"}}
 	cells, err := spec.Cells(0)
 	if err != nil {
@@ -458,7 +512,7 @@ func TestRunnerFailureMetrics(t *testing.T) {
 	if tmp, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(tmp) != 0 {
 		t.Errorf("failed checkpoint write left %v behind", tmp)
 	}
-	faultinject.Arm(faultinject.WorkerPanic, "chess", 1)
+	faults.Arm(faultinject.WorkerPanic, "chess", 1)
 	spec.Workloads = []string{"chess"}
 	if st := waitJob(t, mustSubmit(t, s, spec)); st.State != JobFailed {
 		t.Fatalf("job with a panicking worker: %s, want failed", st.State)

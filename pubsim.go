@@ -89,6 +89,10 @@ type (
 	// cycles they covered (DESIGN.md §14). Deliberately not part of
 	// Result — scheduling telemetry never enters the bit-identity surface.
 	SkipTelemetry = pipeline.SkipTelemetry
+	// Probe collects what the runs under one context report outside their
+	// Results — their idle-skip totals (SkipTelemetry) and each sampled
+	// window's wall-clock time (Window) — and never changes a Result.
+	Probe = pipeline.Probe
 	// Table renders aligned text tables.
 	Table = stats.Table
 )
@@ -241,11 +245,6 @@ func Speedup(baseIPC, newIPC float64) float64 { return stats.Speedup(baseIPC, ne
 // Geomean returns the geometric mean of positive values.
 func Geomean(xs []float64) float64 { return stats.Geomean(xs) }
 
-// GlobalSkipTelemetry returns the process-wide counters as one struct —
-// for a single-run process (the pubsim CLI) this is exactly that run's
-// telemetry.
-func GlobalSkipTelemetry() SkipTelemetry { return pipeline.GlobalSkipTelemetry() }
-
 // --- experiment harness ---
 
 // DefaultOptions returns the full-size experiment windows.
@@ -371,6 +370,9 @@ func NewCellResult(cell Cell, o Options, res Result) CellResult {
 func WithProgress(ctx context.Context, every uint64, fn func(committed uint64)) context.Context {
 	return pipeline.WithProgress(ctx, every, fn)
 }
+
+// WithProbe returns a context whose runs report to p.
+func WithProbe(ctx context.Context, p *Probe) context.Context { return pipeline.WithProbe(ctx, p) }
 
 // --- sampled simulation ---
 
