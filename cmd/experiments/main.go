@@ -6,11 +6,8 @@
 //	experiments -fig 8,11 -quick    # selected figures, reduced windows
 //	experiments -all -markdown      # EXPERIMENTS.md-style output
 //
-// Experiment ids: wchar (workload characterisation); the figures 8, 9, 10,
-// 11, 12, 13, 15, 16 and t3 (Table III); the ablations aiq (IQ kinds),
-// apred (predictors) and atab (table organisation); and the extensions
-// xdist (distributed IQ), xflex (flexible select), xnrg (energy) and xwp
-// (wrong-path pollution).
+// The experiment ids are those of the pubsim.Experiments catalogue, run in
+// its order; an unknown id makes the command list them.
 package main
 
 import (
@@ -28,55 +25,22 @@ import (
 	pubsim "repro"
 )
 
-type experiment struct {
-	id   string
-	desc string
-	run  func(context.Context, *pubsim.Runner) (string, error)
-}
-
-var showCharts bool
-
-type charter interface{ Chart() string }
-
-func wrap[T interface{ Table() string }](f func(context.Context, *pubsim.Runner) (T, error)) func(context.Context, *pubsim.Runner) (string, error) {
-	return func(ctx context.Context, r *pubsim.Runner) (string, error) {
-		res, err := f(ctx, r)
-		var ce *pubsim.CampaignError
-		if err != nil && !errors.As(err, &ce) {
-			return "", err
-		}
-		// A campaign error still carries a (possibly partial) figure —
-		// render it and return the error alongside.
-		out := res.Table()
-		if showCharts {
-			if c, ok := any(res).(charter); ok {
-				if chart := c.Chart(); chart != "" {
-					out += "\n" + chart
-				}
-			}
-		}
-		return out, err
+// render runs e and renders its report, with its chart when charts is set.
+// A campaign error still carries a (possibly partial) figure: it is
+// rendered and the error returned alongside.
+func render(ctx context.Context, e pubsim.Experiment, r *pubsim.Runner, charts bool) (string, error) {
+	rep, err := e.Run(ctx, r)
+	var ce *pubsim.CampaignError
+	if err != nil && !errors.As(err, &ce) {
+		return "", err
 	}
-}
-
-var all = []experiment{
-	{"wchar", "Workload characterisation (base machine + slice profile)", wrap(pubsim.Characterize)},
-	{"8", "Speedup of PUBS over the base (Fig. 8)", wrap(pubsim.Fig8)},
-	{"9", "Speedup vs branch MPKI correlation (Fig. 9)", wrap(pubsim.Fig9)},
-	{"10", "Priority-entry sensitivity (Fig. 10)", wrap(pubsim.Fig10)},
-	{"11", "Confidence-counter-width sensitivity (Fig. 11)", wrap(pubsim.Fig11)},
-	{"12", "Mode-switch effectiveness (Fig. 12)", wrap(pubsim.Fig12)},
-	{"t3", "Hardware cost (Table III)", func(context.Context, *pubsim.Runner) (string, error) { return pubsim.Table3().Table(), nil }},
-	{"13", "Enlarged-predictor comparison (Fig. 13)", wrap(pubsim.Fig13)},
-	{"15", "Age-matrix comparison (Fig. 15)", wrap(pubsim.Fig15)},
-	{"16", "Processor-size scaling (Fig. 16)", wrap(pubsim.Fig16)},
-	{"aiq", "Ablation: IQ organisations", wrap(pubsim.AblationIQKinds)},
-	{"xdist", "Extension: distributed IQ (§III-C2)", wrap(pubsim.ExtDistributed)},
-	{"xflex", "Extension: idealized flexible select (§III-C1)", wrap(pubsim.ExtFlexible)},
-	{"xnrg", "Extension: energy per instruction (activity model)", wrap(pubsim.ExtEnergy)},
-	{"xwp", "Extension: wrong-path pollution of the PUBS tables", wrap(pubsim.ExtWrongPath)},
-	{"apred", "Ablation: alternative predictors", wrap(pubsim.AblationPredictors)},
-	{"atab", "Ablation: PUBS table organisation", wrap(pubsim.AblationTables)},
+	out := rep.Table()
+	if charts {
+		if chart := rep.Chart(); chart != "" {
+			out += "\n" + chart
+		}
+	}
+	return out, err
 }
 
 func main() {
@@ -98,13 +62,13 @@ func main() {
 		traceBud = flag.Int64("trace-budget", 0, "byte budget for resident window snapshots + predecoded traces, evicting whole plans LRU-first (0 = unbounded)")
 	)
 	flag.Parse()
-	showCharts = *charts
 
+	all := pubsim.Experiments()
 	known := map[string]bool{}
 	var ids []string
 	for _, e := range all {
-		known[e.id] = true
-		ids = append(ids, e.id)
+		known[e.ID] = true
+		ids = append(ids, e.ID)
 	}
 	want := map[string]bool{}
 	if !*runAll {
@@ -168,27 +132,27 @@ func main() {
 	// An interrupt does, as the rest would only fail the same way.
 	var failed []string
 	for _, e := range all {
-		if !*runAll && !want[e.id] {
+		if !*runAll && !want[e.ID] {
 			continue
 		}
 		start := time.Now()
-		table, err := e.run(ctx, runner)
+		table, err := render(ctx, e, runner, *charts)
 		if ctx.Err() != nil {
 			fmt.Fprintf(os.Stderr, "experiments: campaign interrupted in experiment %s; re-running with -checkpoint %s resumes it\n",
-				e.id, cmp.Or(*ckptDir, "DIR"))
+				e.ID, cmp.Or(*ckptDir, "DIR"))
 			os.Exit(1)
 		}
 		if err != nil {
-			failed = append(failed, e.id)
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.id, err)
+			failed = append(failed, e.ID)
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.ID, err)
 			if table == "" {
 				continue
 			}
 		}
 		if *markdown {
-			fmt.Printf("## %s\n\n```\n%s```\n\n", e.desc, table)
+			fmt.Printf("## %s\n\n```\n%s```\n\n", e.Title, table)
 		} else {
-			fmt.Printf("=== %s (%.1fs) ===\n%s\n", e.desc, time.Since(start).Seconds(), table)
+			fmt.Printf("=== %s (%.1fs) ===\n%s\n", e.Title, time.Since(start).Seconds(), table)
 		}
 	}
 	if len(failed) > 0 {

@@ -5,7 +5,9 @@
 //	pubsim -workload chess -machine pubs -warmup 300000 -insts 1000000
 //
 // Machines: base, pubs, age, pubs+age, or base-<size>/pubs-<size> for the
-// Fig. 16 scaled models (small/medium/large/huge).
+// Fig. 16 scaled models (small/medium/large/huge). The PUBS and machine
+// override flags (-priority, -bits, -nostall, ...) append to the machine's
+// name as a pubsd MachineSpec does: -machine pubs -nostall is pubs-nostall.
 package main
 
 import (
@@ -28,8 +30,8 @@ func main() {
 		machine   = flag.String("machine", "pubs", "base | pubs | age | pubs+age | {base,pubs}-{small,medium,large,huge}")
 		warmup    = flag.Uint64("warmup", 300_000, "warm-up instructions (counters reset afterwards)")
 		insts     = flag.Uint64("insts", 1_000_000, "measured instructions")
-		priority  = flag.Int("priority", 6, "PUBS priority entries")
-		bits      = flag.Int("bits", 6, "PUBS confidence counter bits")
+		priority  = flag.Int("priority", 0, "PUBS priority entries (0 = the machine's default)")
+		bits      = flag.Int("bits", 0, "PUBS confidence counter bits (0 = the machine's default)")
 		noStall   = flag.Bool("nostall", false, "use the non-stall dispatch policy")
 		noSwitch  = flag.Bool("noswitch", false, "disable the MPKI mode switch")
 		blind     = flag.Bool("blind", false, "estimate every branch unconfident (no conf_tab)")
@@ -56,22 +58,18 @@ func main() {
 		return
 	}
 
-	cfg, err := buildConfig(*machine)
+	// The machine flags resolve exactly as pubsd resolves a MachineSpec, so
+	// -json prints the content key the daemon serves the same cell under.
+	cfg, err := pubsim.MachineSpec{
+		Machine: *machine, PriorityEntries: *priority, ConfCounterBits: *bits,
+		NoStall: *noStall, NoSwitch: *noSwitch, Blind: *blind, Flexible: *flexible,
+		Distributed: *distrib, WrongPath: *wrongp,
+	}.Config()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintf(os.Stderr, "pubsim: %v (machines: base, pubs, age, pubs+age, {base,pubs}-{small,medium,large,huge})\n", err)
 		os.Exit(2)
 	}
 	cfg.Profile = *profile
-	cfg.DistributedIQ = *distrib
-	cfg.WrongPathDecode = *wrongp
-	if cfg.PUBS.Enable {
-		cfg.PUBS.PriorityEntries = *priority
-		cfg.PUBS.ConfCounterBits = *bits
-		cfg.PUBS.StallDispatch = !*noStall
-		cfg.PUBS.ModeSwitch = !*noSwitch
-		cfg.PUBS.Blind = *blind
-		cfg.PUBS.FlexibleSelect = *flexible
-	}
 
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
@@ -201,16 +199,6 @@ func main() {
 				bs.PC/4, bs.Executed, bs.Mispredicts, bs.MispredictRate()*100)
 		}
 	}
-}
-
-// buildConfig delegates to the shared machine-name resolver so the CLI and
-// the pubsd service accept exactly the same machine vocabulary.
-func buildConfig(machine string) (pubsim.Config, error) {
-	cfg, err := pubsim.MachineConfig(machine)
-	if err != nil {
-		return pubsim.Config{}, fmt.Errorf("pubsim: unknown machine %q (base, pubs, age, pubs+age, {base,pubs}-{small,medium,large,huge})", machine)
-	}
-	return cfg, nil
 }
 
 func pct(a, b uint64) float64 {

@@ -400,6 +400,3 @@ func (m *ModeSwitch) Reset() {
 	m.Checks = 0
 	m.EnabledWindows = 0
 }
-
-// ThresholdMPKI exposes the configured threshold.
-func (m *ModeSwitch) ThresholdMPKI() float64 { return m.thresholdMPKI }

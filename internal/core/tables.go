@@ -210,9 +210,6 @@ func (t *ConfTable) Reset() {
 	t.tick = 0
 }
 
-// CounterMax exposes the saturation value (for tests).
-func (t *ConfTable) CounterMax() uint8 { return t.counterMax }
-
 // CostBits returns the storage of the table in bits: per entry one valid
 // bit, the hashed tag, and the counter.
 func (t *ConfTable) CostBits() int {

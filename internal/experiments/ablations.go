@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-
 	"repro/internal/bpred"
 	"repro/internal/core"
 	"repro/internal/iq"
@@ -14,10 +12,10 @@ import (
 // the footnote-1 alternative predictors, and the §IV table-organisation
 // choices (tagless tables, hash fold width).
 
-// AblationIQKinds compares the §III-B1 queue taxonomy over the whole suite:
-// the shifting (age-ordered, the Alpha 21264 queue) and circular queues
-// against the random baseline, by geomean IPC change.
-func AblationIQKinds(ctx context.Context, r *Runner) (Study, error) {
+// aiq compares the §III-B1 queue taxonomy over the whole suite: the
+// shifting (age-ordered, the Alpha 21264 queue) and circular queues against
+// the random baseline, by geomean IPC change.
+func aiq() study {
 	s := study{
 		title:   "Ablation — IQ organisations vs the random queue (geomean IPC change)",
 		headers: []string{"queue", "D-BP%", "E-BP%"},
@@ -28,14 +26,14 @@ func AblationIQKinds(ctx context.Context, r *Runner) (Study, error) {
 		cfg := variant(pipeline.BaseConfig(), "base-"+kind.String(), func(c *pipeline.Config) { c.IQKind = kind })
 		s.rows = append(s.rows, row{label: kind.String(), vars: []pipeline.Config{cfg}})
 	}
-	return s.run(ctx, r)
+	return s
 }
 
-// AblationPredictors checks that PUBS's benefit survives a predictor swap
-// (the paper's footnote 1 cross-checks with gshare/bimodal/tournament): each
-// family's base against the perceptron base, and PUBS's gain over the
-// same-predictor base, D-BP geomean.
-func AblationPredictors(ctx context.Context, r *Runner) (Study, error) {
+// apred checks that PUBS's benefit survives a predictor swap (the paper's
+// footnote 1 cross-checks with gshare/bimodal/tournament): each family's
+// base against the perceptron base, and PUBS's gain over the same-predictor
+// base, D-BP geomean.
+func apred() study {
 	s := study{
 		title:   "Ablation — PUBS gain under alternative predictors (D-BP geomean)",
 		headers: []string{"predictor", "base-vs-perceptron%", "PUBS-gain%"},
@@ -47,13 +45,13 @@ func AblationPredictors(ctx context.Context, r *Runner) (Study, error) {
 		s.rows = append(s.rows, row{label: kind, vars: []pipeline.Config{
 			variant(pipeline.BaseConfig(), "base-"+kind, predictor), variant(pipeline.PUBSConfig(), "pubs-"+kind, predictor)}})
 	}
-	return s.run(ctx, r)
+	return s
 }
 
-// AblationTables compares the §IV organisation choices — the default
-// set-associative hashed-tag tables, the tagless variant, and narrower /
-// wider hash folds — by D-BP geomean speedup and storage cost.
-func AblationTables(ctx context.Context, r *Runner) (Study, error) {
+// atab compares the §IV organisation choices — the default set-associative
+// hashed-tag tables, the tagless variant, and narrower / wider hash folds —
+// by D-BP geomean speedup and storage cost.
+func atab() study {
 	s := study{
 		title:   "Ablation — PUBS table organisation (D-BP geomean)",
 		headers: []string{"variant", "speedup%", "cost-KB"},
@@ -79,5 +77,5 @@ func AblationTables(ctx context.Context, r *Runner) (Study, error) {
 	for _, v := range variants {
 		s.rows = append(s.rows, row{label: v.name, vars: []pipeline.Config{variant(pipeline.PUBSConfig(), "pubs-"+v.name, v.mutate)}})
 	}
-	return s.run(ctx, r)
+	return s
 }

@@ -30,9 +30,9 @@ type CharResult struct {
 	Rows []CharRow
 }
 
-// Characterize profiles every benchmark: base-machine behaviour plus exact
+// characterize profiles every benchmark: base-machine behaviour plus exact
 // slice structure.
-func Characterize(ctx context.Context, r *Runner) (CharResult, error) {
+func characterize(ctx context.Context, r *Runner) (CharResult, error) {
 	cls, err := Classify(ctx, r)
 	if err != nil {
 		return CharResult{}, err
@@ -87,3 +87,6 @@ func (c CharResult) Table() string {
 	}
 	return t.String()
 }
+
+// Chart is "": the characterisation has no chart.
+func (CharResult) Chart() string { return "" }

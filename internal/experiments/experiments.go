@@ -4,8 +4,8 @@
 // characterisation return typed results; every other figure, ablation and
 // extension is a study — a grid of machine variants over one workload set,
 // run as one campaign and folded by one reducer per column into a Study.
-// Each result has a Table() renderer; cmd/experiments prints them and
-// bench_test.go at the repository root wraps each in a testing.B benchmark.
+// Experiments lists them all once; cmd/experiments and the repository
+// root's BenchmarkExperiments run that catalogue.
 package experiments
 
 import (

@@ -105,8 +105,28 @@ func contains(xs []string, want string) bool {
 	return false
 }
 
+// TestCatalogue pins the experiment ids in the order cmd/experiments runs
+// them: the ids are its command-line vocabulary and its output order.
+func TestCatalogue(t *testing.T) {
+	var ids []string
+	seen := map[string]bool{}
+	for _, e := range Experiments() {
+		if seen[e.ID] {
+			t.Errorf("duplicate id %q", e.ID)
+		}
+		seen[e.ID] = true
+		if e.Title == "" || e.Run == nil {
+			t.Errorf("experiment %q has no title or no Run", e.ID)
+		}
+		ids = append(ids, e.ID)
+	}
+	if got, want := strings.Join(ids, " "), "wchar 8 9 10 11 12 t3 13 15 16 aiq xdist xflex xnrg xwp apred atab"; got != want {
+		t.Errorf("ids = %s, want %s", got, want)
+	}
+}
+
 func TestTable3Static(t *testing.T) {
-	t3 := Table3()
+	t3 := table3()
 	if kb := t3.Breakdown.TotalKB(); kb < 3.5 || kb > 4.5 {
 		t.Errorf("cost %.2f KB, want ≈4.0", kb)
 	}
@@ -176,7 +196,7 @@ func TestFig8QuickShape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	ctx := context.Background()
-	f8, err := Fig8(ctx, suiteRunner())
+	f8, err := fig8(ctx, suiteRunner())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/energy"
@@ -15,11 +14,10 @@ import (
 // more extend Table III's cost argument to energy and test the
 // correct-path-only table updates of DESIGN.md §2.
 
-// ExtDistributed compares unified and distributed queues, each with and
-// without PUBS, by D-BP geomean speedup over the unified base; the footer
-// gives PUBS's gain over its own base, since §III-C2 claims the scheme
-// transfers.
-func ExtDistributed(ctx context.Context, r *Runner) (Study, error) {
+// xdist compares unified and distributed queues, each with and without
+// PUBS, by D-BP geomean speedup over the unified base; the footer gives
+// PUBS's gain over its own base, since §III-C2 claims the scheme transfers.
+func xdist() study {
 	distributed := func(c *pipeline.Config) { c.DistributedIQ = true }
 	distBase := variant(pipeline.BaseConfig(), "dist-base", distributed)
 	distPubs := variant(pipeline.PUBSConfig(), "dist-pubs", distributed)
@@ -35,13 +33,13 @@ func ExtDistributed(ctx context.Context, r *Runner) (Study, error) {
 			return fmt.Sprintf("PUBS gain over its own base: unified %+.2f%%, distributed %+.2f%%\n",
 				w.vals[0][0], speedupGM(w.set, w.res[distBase.Name], w.res[distPubs.Name]))
 		},
-	}.run(ctx, r)
+	}
 }
 
-// ExtFlexible compares partitioned PUBS against the idealized
-// flexible-priority select (§III-C1) over the D-BP set; the footer says how
-// much of the idealized gain the implementable design captures.
-func ExtFlexible(ctx context.Context, r *Runner) (Study, error) {
+// xflex compares partitioned PUBS against the idealized flexible-priority
+// select (§III-C1) over the D-BP set; the footer says how much of the
+// idealized gain the implementable design captures.
+func xflex() study {
 	flex := variant(pipeline.PUBSConfig(), "pubs-flexible", func(c *pipeline.Config) { c.PUBS.FlexibleSelect = true })
 	return study{
 		title:   "Extension — partitioned PUBS vs idealized flexible select (§III-C1), D-BP geomean",
@@ -57,13 +55,13 @@ func ExtFlexible(ctx context.Context, r *Runner) (Study, error) {
 			}
 			return fmt.Sprintf("partitioned design captures %.0f%% of the idealized gain\n", eff)
 		},
-	}.run(ctx, r)
+	}
 }
 
-// ExtEnergy gives the per-instruction energy of base and PUBS over the D-BP
+// xnrg gives the per-instruction energy of base and PUBS over the D-BP
 // set, including the PUBS tables' own access energy; the footer gives the
 // net saving and the tables' share of PUBS-machine energy.
-func ExtEnergy(ctx context.Context, r *Runner) (Study, error) {
+func xnrg() study {
 	// energyOf sums the activity model over the set on variant cfg.
 	energyOf := func(w *sweep, cfg pipeline.Config) (total, tables float64, insts uint64) {
 		c := energy.Defaults()
@@ -97,14 +95,12 @@ func ExtEnergy(ctx context.Context, r *Runner) (Study, error) {
 			return fmt.Sprintf("net energy saving %+.2f%%; the %.1f KB PUBS tables account for %.2f%% of PUBS-machine energy\n",
 				savings, energy.CostKB(pipeline.PUBSConfig().PUBS), share)
 		},
-	}.run(ctx, r)
+	}
 }
 
-// ExtWrongPath quantifies the correct-path-only simplification: the PUBS
-// speedup with and without wrong-path pollution of the slice tables, D-BP
-// geomean; the footer qualifies the delta.
-func ExtWrongPath(ctx context.Context, r *Runner) (Study, error) { return xwp().run(ctx, r) }
-
+// xwp quantifies the correct-path-only simplification: the PUBS speedup
+// with and without wrong-path pollution of the slice tables, D-BP geomean;
+// the footer qualifies the delta.
 func xwp() study {
 	wp := variant(pipeline.PUBSConfig(), "pubs-wrongpath", func(c *pipeline.Config) { c.WrongPathDecode = true })
 	return study{

@@ -47,7 +47,7 @@ func TestPanicFailsOnlyItsRun(t *testing.T) {
 	faults.Arm(faultinject.WorkerPanic, "regex", 1)
 
 	r := faultRunner(Options{})
-	fig, err := Fig8(ctx, r)
+	fig, err := fig8(ctx, r)
 	if err == nil {
 		t.Fatal("campaign with a panicking worker reported success")
 	}
@@ -205,7 +205,7 @@ func TestStudyCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := faultRunner(Options{})
-	if _, err := Fig10(ctx, r); !errors.Is(err, context.Canceled) {
+	if _, err := fig10().run(ctx, r); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if st := r.Stats(); st.Simulated != 0 {
@@ -241,7 +241,7 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig2, err := Fig8(ctx, r2)
+	fig2, err := fig8(ctx, r2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig3, err := Fig8(ctx, r3)
+	fig3, err := fig8(ctx, r3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestStudyReportsEveryFailedCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults.Arm(faultinject.WorkerPanic, "chess", -1)
-	s, err := Fig15(ctx, r)
+	s, err := fig15().run(ctx, r)
 	var ce *CampaignError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CampaignError", err)

@@ -39,12 +39,12 @@ type Fig8Result struct {
 	Failed    []RunError
 }
 
-// Fig8 runs base and PUBS machines over the whole suite, tolerating
+// fig8 runs base and PUBS machines over the whole suite, tolerating
 // partial failure: a run that fails (deadlock, panic, timeout,
 // cancellation) drops only its own program from the figure. The failures
 // come back both in the result's Failed list and as a *CampaignError, so
 // callers can print the partial table and still see a non-nil error.
-func Fig8(ctx context.Context, r *Runner) (Fig8Result, error) {
+func fig8(ctx context.Context, r *Runner) (Fig8Result, error) {
 	base, baseErr := r.RunAll(ctx, pipeline.BaseConfig(), workload.Names())
 	if _, ok := baseErr.(*CampaignError); baseErr != nil && !ok {
 		return Fig8Result{}, baseErr
@@ -161,9 +161,9 @@ type Fig9Result struct {
 	CorrCompute float64
 }
 
-// Fig9 derives the correlation data from the Fig. 8 runs.
-func Fig9(ctx context.Context, r *Runner) (Fig9Result, error) {
-	f8, err := Fig8(ctx, r)
+// fig9 derives the correlation data from the Fig. 8 runs.
+func fig9(ctx context.Context, r *Runner) (Fig9Result, error) {
+	f8, err := fig8(ctx, r)
 	if err != nil {
 		return Fig9Result{}, err
 	}
@@ -248,8 +248,8 @@ type Table3Result struct {
 	Unhashed  core.CostBreakdown
 }
 
-// Table3 computes the PUBS storage cost from the default configuration.
-func Table3() Table3Result {
+// table3 computes the PUBS storage cost from the default configuration.
+func table3() Table3Result {
 	cfg := core.DefaultConfig()
 	return Table3Result{
 		Breakdown: core.Cost(cfg),
@@ -268,12 +268,13 @@ func (t3 Table3Result) Table() string {
 	return t.String()
 }
 
+// Chart is "": Table III has no chart.
+func (Table3Result) Chart() string { return "" }
+
 // ---------------------------------------------------------------- Figs. 10–16
 
-// Fig10 sweeps the number of priority entries under both dispatch policies
+// fig10 sweeps the number of priority entries under both dispatch policies
 // (the paper's stall-policy optimum is 6).
-func Fig10(ctx context.Context, r *Runner) (Study, error) { return fig10().run(ctx, r) }
-
 func fig10() study {
 	s := study{
 		title:   "Fig. 10 — D-BP geomean speedup vs number of priority entries",
@@ -297,10 +298,8 @@ func fig10() study {
 	return s
 }
 
-// Fig11 sweeps the resetting-counter width from 2 to 8 bits plus the blind
+// fig11 sweeps the resetting-counter width from 2 to 8 bits plus the blind
 // estimator, with the unconfident-branch rate averaged over D-BP programs.
-func Fig11(ctx context.Context, r *Runner) (Study, error) { return fig11().run(ctx, r) }
-
 func fig11() study {
 	s := study{
 		title:   "Fig. 11 — D-BP geomean speedup and unconfident-branch rate vs counter bits",
@@ -324,11 +323,9 @@ func fig11() study {
 	return s
 }
 
-// Fig12 compares PUBS with and without the MPKI-driven mode switch over the
+// fig12 compares PUBS with and without the MPKI-driven mode switch over the
 // whole suite (the paper highlights the memory-intensive programs, where
 // disabling the switch costs performance).
-func Fig12(ctx context.Context, r *Runner) (Study, error) { return fig12().run(ctx, r) }
-
 func fig12() study {
 	off := variant(pipeline.PUBSConfig(), "pubs-noswitch", func(c *pipeline.Config) { c.PUBS.ModeSwitch = false })
 	return study{
@@ -345,9 +342,9 @@ func fig12() study {
 	}
 }
 
-// Fig13 compares PUBS's 4 KB against spending (more than) the same budget
+// fig13 compares PUBS's 4 KB against spending (more than) the same budget
 // on an enlarged perceptron, over the D-BP set.
-func Fig13(ctx context.Context, r *Runner) (Study, error) {
+func fig13() study {
 	big := variant(pipeline.BaseConfig(), "base-bigbp", func(c *pipeline.Config) { c.Bpred = bpred.Large() })
 	kb := func(c pipeline.Config) float64 { return float64(bpred.MustNew(c.Bpred).CostBytes()) / 1024 }
 	def := kb(pipeline.BaseConfig())
@@ -359,13 +356,13 @@ func Fig13(ctx context.Context, r *Runner) (Study, error) {
 		rows:    []row{{vars: []pipeline.Config{pipeline.PUBSConfig(), big}}},
 		summary: "GM diff",
 		cols:    []column{gm(0, clsBase, rowSet), gm(1, clsBase, rowSet)},
-	}.run(ctx, r)
+	}
 }
 
-// Fig15 compares PUBS, AGE and PUBS+AGE by IPC over the base (15a), and
+// fig15 compares PUBS, AGE and PUBS+AGE by IPC over the base (15a), and
 // PUBS against AGE by *performance* once the age matrix's 13% IQ-delay
 // increase stretches the clock (15b).
-func Fig15(ctx context.Context, r *Runner) (Study, error) {
+func fig15() study {
 	pubs := pipeline.PUBSConfig()
 	age := variant(pipeline.BaseConfig(), "age", func(c *pipeline.Config) { c.AgeMatrix = true })
 	both := variant(pubs, "pubs+age", func(c *pipeline.Config) { c.AgeMatrix = true })
@@ -390,14 +387,12 @@ func Fig15(ctx context.Context, r *Runner) (Study, error) {
 				"Fig. 15b — performance of PUBS over AGE with the age matrix's %.0f%% IQ-delay increase applied to the clock: %+.2f%% (D-BP geomean)\n",
 				(iq.AgeMatrixDelayFactor-1)*100, (stats.Geomean(ratios)-1)*100)
 		},
-	}.run(ctx, r)
+	}
 }
 
-// Fig16 scales the machine through the four models: D-BP geomean IPC
+// fig16 scales the machine through the four models: D-BP geomean IPC
 // increase of PUBS, AGE and PUBS+AGE over the same-size base (IPC only —
 // the paper likewise ignores clock effects here).
-func Fig16(ctx context.Context, r *Runner) (Study, error) { return fig16().run(ctx, r) }
-
 func fig16() study {
 	s := study{
 		title:   "Fig. 16 — D-BP geomean IPC increase vs processor size",

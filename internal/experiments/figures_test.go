@@ -31,12 +31,12 @@ func figRunner() *Runner {
 }
 
 // runFig runs one study on the shared runner.
-func runFig(t *testing.T, f func(context.Context, *Runner) (Study, error)) Study {
+func runFig(t *testing.T, st study) Study {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	s, err := f(context.Background(), figRunner())
+	s, err := st.run(context.Background(), figRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func value(t *testing.T, s Study, row, col string) float64 {
 }
 
 func TestFig10Structure(t *testing.T) {
-	f := runFig(t, Fig10)
+	f := runFig(t, fig10())
 	if got := strings.Join(f.Labels(), " "); got != "2 4 6 8 10 12" {
 		t.Fatalf("Fig10 rows = %s", got)
 	}
@@ -83,7 +83,7 @@ func TestFig10Structure(t *testing.T) {
 }
 
 func TestFig11Structure(t *testing.T) {
-	f := runFig(t, Fig11)
+	f := runFig(t, fig11())
 	labels := f.Labels()
 	if len(labels) != 8 { // bits 2..8 + blind
 		t.Fatalf("Fig11 rows = %d", len(labels))
@@ -106,7 +106,7 @@ func TestFig11Structure(t *testing.T) {
 }
 
 func TestFig12Structure(t *testing.T) {
-	f := runFig(t, Fig12)
+	f := runFig(t, fig12())
 	labels := f.Labels()
 	if len(labels) != 21 || labels[20] != "GM" { // 20 programs + GM
 		t.Fatalf("Fig12 rows = %v", labels)
@@ -128,7 +128,7 @@ func TestFig12Structure(t *testing.T) {
 }
 
 func TestFig13Structure(t *testing.T) {
-	f := runFig(t, Fig13)
+	f := runFig(t, fig13())
 	if labels := f.Labels(); len(labels) < 2 || labels[len(labels)-1] != "GM diff" {
 		t.Fatalf("Fig13 rows = %v", labels)
 	}
@@ -160,7 +160,7 @@ func TestFig13Structure(t *testing.T) {
 }
 
 func TestFig15Structure(t *testing.T) {
-	f := runFig(t, Fig15)
+	f := runFig(t, fig15())
 	var delayPct, perfPct float64
 	if _, err := fmt.Sscanf(f.footer, "Fig. 15b — performance of PUBS over AGE with the age matrix's %f%% IQ-delay increase applied to the clock: %f%%",
 		&delayPct, &perfPct); err != nil {
@@ -183,34 +183,34 @@ func TestFig15Structure(t *testing.T) {
 }
 
 func TestFig16Structure(t *testing.T) {
-	f := runFig(t, Fig16)
+	f := runFig(t, fig16())
 	if got := strings.Join(f.Labels(), " "); got != "small medium large huge" {
 		t.Fatalf("Fig16 rows = %s", got)
 	}
 }
 
 func TestAblationStructures(t *testing.T) {
-	aiq := runFig(t, AblationIQKinds)
-	if n := len(aiq.Labels()); n != 2 {
+	iqs := runFig(t, aiq())
+	if n := len(iqs.Labels()); n != 2 {
 		t.Errorf("IQ ablation rows = %d", n)
 	}
-	apred := runFig(t, AblationPredictors)
-	if n := len(apred.Labels()); n != 4 {
+	preds := runFig(t, apred())
+	if n := len(preds.Labels()); n != 4 {
 		t.Errorf("predictor ablation rows = %d", n)
 	}
-	atab := runFig(t, AblationTables)
-	if n := len(atab.Labels()); n != 4 {
+	tabs := runFig(t, atab())
+	if n := len(tabs.Labels()); n != 4 {
 		t.Errorf("table ablation rows = %d", n)
 	}
 	// The default hashed organisation's cost must be the Table III value;
 	// tagless must be cheaper; wider hashes dearer.
-	def := value(t, atab, "hashed t=8/4 (default)", "cost-KB")
-	tagless := value(t, atab, "tagless", "cost-KB")
-	wide := value(t, atab, "hash t=16/8", "cost-KB")
+	def := value(t, tabs, "hashed t=8/4 (default)", "cost-KB")
+	tagless := value(t, tabs, "tagless", "cost-KB")
+	wide := value(t, tabs, "hash t=16/8", "cost-KB")
 	if !(tagless < def && def < wide) {
 		t.Errorf("cost ordering wrong: tagless %.2f, default %.2f, wide %.2f", tagless, def, wide)
 	}
-	for _, tb := range []string{aiq.Table(), apred.Table(), atab.Table()} {
+	for _, tb := range []string{iqs.Table(), preds.Table(), tabs.Table()} {
 		if !strings.Contains(tb, "Ablation") {
 			t.Error("ablation table missing title")
 		}

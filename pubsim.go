@@ -20,8 +20,8 @@
 //   - a benchmark suite (Workloads) standing in for SPEC CPU2006 (see
 //     DESIGN.md for the substitution argument),
 //   - single simulations (Run, RunProgram) and the full experiment harness
-//     (NewRunner + Fig8..Fig16, Table3, ablations) regenerating every table
-//     and figure in the paper's evaluation,
+//     (NewRunner + the Experiments catalogue) regenerating every table and
+//     figure in the paper's evaluation,
 //   - a program builder (NewProgram) for writing custom workloads against
 //     the simulated ISA.
 //
@@ -256,92 +256,16 @@ func QuickOptions() Options { return experiments.QuickOptions() }
 // NewRunner builds a memoizing experiment runner.
 func NewRunner(o Options) *Runner { return experiments.NewRunner(o) }
 
-// Experiment results (each has a Table() string renderer). Study is the
-// result of every variant study: Figs. 10–16, the ablations and the
-// extensions.
-type (
-	Fig8Result   = experiments.Fig8Result
-	Fig9Result   = experiments.Fig9Result
-	Table3Result = experiments.Table3Result
-	CharResult   = experiments.CharResult
-	Study        = experiments.Study
-)
+// Experiment is one table, figure or study of the paper's evaluation: its
+// cmd/experiments id, its title, and Run, which returns a report with
+// Table() and Chart() renderers. A run that lost some simulations returns
+// the partial report alongside a *CampaignError.
+type Experiment = experiments.Experiment
 
-// Fig8 reproduces the headline speedup figure, tolerating partial failure:
-// failed runs drop only their own program; the rest of the figure is
-// returned alongside a *CampaignError listing the failures.
-func Fig8(ctx context.Context, r *Runner) (Fig8Result, error) { return experiments.Fig8(ctx, r) }
-
-// Fig9 reproduces the speedup/branch-MPKI correlation scatter.
-func Fig9(ctx context.Context, r *Runner) (Fig9Result, error) { return experiments.Fig9(ctx, r) }
-
-// Fig10 reproduces the priority-entry sensitivity sweep.
-func Fig10(ctx context.Context, r *Runner) (Study, error) { return experiments.Fig10(ctx, r) }
-
-// Fig11 reproduces the confidence-counter-width sweep (incl. "blind").
-func Fig11(ctx context.Context, r *Runner) (Study, error) { return experiments.Fig11(ctx, r) }
-
-// Fig12 reproduces the mode-switch on/off study.
-func Fig12(ctx context.Context, r *Runner) (Study, error) { return experiments.Fig12(ctx, r) }
-
-// Fig13 reproduces the enlarged-branch-predictor comparison.
-func Fig13(ctx context.Context, r *Runner) (Study, error) { return experiments.Fig13(ctx, r) }
-
-// Fig15 reproduces the age-matrix IPC and performance comparison.
-func Fig15(ctx context.Context, r *Runner) (Study, error) { return experiments.Fig15(ctx, r) }
-
-// Fig16 reproduces the processor-size scaling study.
-func Fig16(ctx context.Context, r *Runner) (Study, error) { return experiments.Fig16(ctx, r) }
-
-// Table3 computes the PUBS hardware-cost table.
-func Table3() Table3Result { return experiments.Table3() }
-
-// AblationIQKinds compares the shifting and circular queues to the random
-// queue (§III-B1 taxonomy; beyond-paper ablation).
-func AblationIQKinds(ctx context.Context, r *Runner) (Study, error) {
-	return experiments.AblationIQKinds(ctx, r)
-}
-
-// AblationPredictors re-runs PUBS under gshare/bimodal/tournament
-// predictors (footnote 1 cross-check; beyond-paper ablation).
-func AblationPredictors(ctx context.Context, r *Runner) (Study, error) {
-	return experiments.AblationPredictors(ctx, r)
-}
-
-// AblationTables sweeps the §IV table organisations (tagless, hash widths).
-func AblationTables(ctx context.Context, r *Runner) (Study, error) {
-	return experiments.AblationTables(ctx, r)
-}
-
-// ExtDistributed evaluates PUBS on the §III-C2 distributed issue queue
-// (beyond-paper extension: the paper argues applicability, this measures it).
-func ExtDistributed(ctx context.Context, r *Runner) (Study, error) {
-	return experiments.ExtDistributed(ctx, r)
-}
-
-// ExtFlexible compares the implementable priority-entry partition against
-// the idealized §III-C1 flexible-priority select (upper bound).
-func ExtFlexible(ctx context.Context, r *Runner) (Study, error) {
-	return experiments.ExtFlexible(ctx, r)
-}
-
-// ExtEnergy extends Table III's cost argument to energy: D-BP energy per
-// instruction for base vs PUBS under an activity model.
-func ExtEnergy(ctx context.Context, r *Runner) (Study, error) {
-	return experiments.ExtEnergy(ctx, r)
-}
-
-// Characterize profiles every benchmark on the base machine, including the
-// exact backward-slice structure from the slice profiler.
-func Characterize(ctx context.Context, r *Runner) (CharResult, error) {
-	return experiments.Characterize(ctx, r)
-}
-
-// ExtWrongPath quantifies the correct-path-only table-update simplification
-// by enabling wrong-path decode pollution of the PUBS tables.
-func ExtWrongPath(ctx context.Context, r *Runner) (Study, error) {
-	return experiments.ExtWrongPath(ctx, r)
-}
+// Experiments lists every experiment once — the paper's Figs. 8–16 and
+// Table III, the workload characterisation, the ablations and the
+// extensions — in cmd/experiments' order.
+func Experiments() []Experiment { return experiments.Experiments() }
 
 // --- campaign grids ---
 
@@ -354,10 +278,12 @@ type (
 	CellResult = service.CellResult
 )
 
-// MachineConfig resolves a machine name (base, pubs, age, pubs+age,
-// {base,pubs}-{small,medium,large,huge}) to its configuration — one naming
-// scheme shared by cmd/pubsim, cmd/pubsd, and CampaignSpec.
-func MachineConfig(name string) (Config, error) { return service.MachineConfig(name) }
+// MachineSpec names a machine (base, pubs, age, pubs+age,
+// {base,pubs}-{small,medium,large,huge}) plus optional PUBS overrides;
+// Config() resolves it, folding each override into the machine's name. One
+// scheme shared by cmd/pubsim, cmd/pubsd and CampaignSpec, so equal specs
+// give equal content keys.
+type MachineSpec = service.MachineSpec
 
 // NewCellResult assembles the shared wire record for a finished cell.
 func NewCellResult(cell Cell, o Options, res Result) CellResult {

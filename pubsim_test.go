@@ -84,10 +84,25 @@ func TestHelpers(t *testing.T) {
 	}
 }
 
+// experiment returns the catalogue entry with the given id.
+func experiment(t *testing.T, id string) Experiment {
+	t.Helper()
+	for _, e := range Experiments() {
+		if e.ID == id {
+			return e
+		}
+	}
+	t.Fatalf("no experiment %q in the catalogue", id)
+	return Experiment{}
+}
+
 func TestTable3API(t *testing.T) {
-	out := Table3().Table()
-	if !strings.Contains(out, "brslice_tab") {
-		t.Errorf("Table3 output:\n%s", out)
+	rep, err := experiment(t, "t3").Run(context.Background(), nil) // simulates nothing
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := rep.Table(); !strings.Contains(out, "brslice_tab") {
+		t.Errorf("Table III output:\n%s", out)
 	}
 }
 
@@ -97,14 +112,17 @@ func TestQuickRunnerExperimentSmoke(t *testing.T) {
 	}
 	ctx := context.Background()
 	r := NewRunner(Options{Warmup: 20_000, Measure: 50_000, Parallelism: 1})
-	f9, err := Fig9(ctx, r)
+	f9, err := experiment(t, "9").Run(ctx, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f9.Points) != 20 {
-		t.Errorf("Fig9 points = %d", len(f9.Points))
+	out := f9.Table()
+	for _, w := range Workloads() {
+		if !strings.Contains(out, "\n"+w+" ") {
+			t.Errorf("Fig9 table has no point for %s", w)
+		}
 	}
-	if !strings.Contains(f9.Table(), "Pearson") {
+	if !strings.Contains(out, "Pearson") {
 		t.Error("Fig9 table missing correlation")
 	}
 }
